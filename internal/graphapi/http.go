@@ -14,7 +14,6 @@ import (
 	"repro/internal/oauthsim"
 	"repro/internal/provider"
 	"repro/internal/secrets"
-	"repro/internal/socialgraph"
 )
 
 // NormalizeEndpoint collapses object IDs out of a request path so HTTP
@@ -26,9 +25,8 @@ func NormalizeEndpoint(path string) string {
 		"/me/friends", "/debug_token", "/batch":
 		return path
 	}
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	if len(parts) == 2 {
-		switch parts[1] {
+	if _, edge, ok := splitEdge(path); ok {
+		switch edge {
 		case "likes":
 			return "/{object}/likes"
 		case "comments":
@@ -36,6 +34,19 @@ func NormalizeEndpoint(path string) string {
 		}
 	}
 	return "/{other}"
+}
+
+// splitEdge splits an /{object}/{edge} path; ok is false unless the path,
+// slashes trimmed, has exactly two segments.
+func splitEdge(path string) (object, edge string, ok bool) {
+	object, edge, ok = strings.Cut(strings.Trim(path, "/"), "/")
+	return object, edge, ok && !strings.Contains(edge, "/")
+}
+
+// firstHop is the client address an X-Forwarded-For value names first.
+func firstHop(fwd string) string {
+	hop, _, _ := strings.Cut(fwd, ",")
+	return strings.TrimSpace(hop)
 }
 
 // Edge pagination, Facebook-style: list responses carry at most `limit`
@@ -46,9 +57,16 @@ const (
 	maxPageLimit     = 100
 )
 
+// appendCursor appends offset as an opaque cursor string. The URL-safe
+// base64 alphabet needs no escaping inside a JSON string.
+func appendCursor(b []byte, offset int) []byte {
+	var digits [20]byte
+	return base64.URLEncoding.AppendEncode(b, strconv.AppendInt(digits[:0], int64(offset), 10))
+}
+
 // encodeCursor wraps an offset as an opaque cursor string.
 func encodeCursor(offset int) string {
-	return base64.URLEncoding.EncodeToString([]byte(strconv.Itoa(offset)))
+	return string(appendCursor(nil, offset))
 }
 
 // decodeCursor unwraps a cursor; empty cursors mean offset 0.
@@ -82,41 +100,6 @@ func pageParams(r *http.Request) (limit, offset int, err error) {
 	}
 	offset, err = decodeCursor(r.FormValue("after"))
 	return limit, offset, err
-}
-
-// pageSliceLikes applies offset/limit windowing to a likes list.
-func pageSliceLikes(likes []socialgraph.Like, offset, limit int) []socialgraph.Like {
-	if offset >= len(likes) {
-		return nil
-	}
-	end := offset + limit
-	if end > len(likes) {
-		end = len(likes)
-	}
-	return likes[offset:end]
-}
-
-// pageSliceComments applies offset/limit windowing to a comments list.
-func pageSliceComments(comments []socialgraph.Comment, offset, limit int) []socialgraph.Comment {
-	if offset >= len(comments) {
-		return nil
-	}
-	end := offset + limit
-	if end > len(comments) {
-		end = len(comments)
-	}
-	return comments[offset:end]
-}
-
-// pagingEnvelope builds the "paging" object when more rows remain.
-func pagingEnvelope(offset, served, total int) map[string]any {
-	next := offset + served
-	if next >= total {
-		return nil
-	}
-	return map[string]any{
-		"cursors": map[string]any{"after": encodeCursor(next)},
-	}
 }
 
 // pagingEnvelopeAt builds the "paging" object from a store-provided next
@@ -166,24 +149,10 @@ type httpAPI struct {
 	api *API
 }
 
-// errorEnvelope is the JSON error body.
-type errorEnvelope struct {
-	Error struct {
-		Message string `json:"message"`
-		Type    string `json:"type"`
-		Code    int    `json:"code"`
-	} `json:"error"`
-}
-
 func (h *httpAPI) writeError(w http.ResponseWriter, err error) {
 	ae := h.asAPIError(err)
-	var env errorEnvelope
-	env.Error.Message = ae.Message
-	env.Error.Type = ae.Type
-	env.Error.Code = ae.Code
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(httpStatus(ae.Kind))
-	_ = json.NewEncoder(w).Encode(env)
+	bp := encodeBufs.Get().(*[]byte)
+	sendRendered(w, httpStatus(ae.Kind), bp, appendErrorEnvelope((*bp)[:0], ae))
 }
 
 // asAPIError coerces err into the serving provider's error vocabulary;
@@ -215,6 +184,8 @@ func httpStatus(k provider.ErrKind) int {
 	}
 }
 
+// writeJSON encodes the rarer response shapes through encoding/json; the
+// hot ones are rendered (see render.go).
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -231,7 +202,7 @@ func callContext(r *http.Request) CallContext {
 		AppSecretProof: r.FormValue("appsecret_proof"),
 	}
 	if fwd := r.Header.Get("X-Forwarded-For"); fwd != "" {
-		ctx.SourceIP = strings.TrimSpace(strings.Split(fwd, ",")[0])
+		ctx.SourceIP = firstHop(fwd)
 	} else if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
 		ctx.SourceIP = host
 	} else {
@@ -466,7 +437,7 @@ func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 		for i, err := range errs {
 			results[i] = h.likeBatchResult(err)
 		}
-		writeJSON(w, results)
+		writeBatch(w, results)
 		return
 	}
 
@@ -474,7 +445,7 @@ func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 	for i, op := range ops {
 		results[i] = h.runBatchOp(r.Context(), op, defaultToken, fwd)
 	}
-	writeJSON(w, results)
+	writeBatch(w, results)
 }
 
 // parseLikeBatch recognises a homogeneous like batch — every op a POST to
@@ -482,23 +453,20 @@ func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 // and lowers it to the API's native batched endpoint. ok=false means the
 // batch is mixed and must go through per-op replay.
 func parseLikeBatch(ops []batchOp, defaultToken, fwd string) (string, []BatchLikeOp, bool) {
-	fwdIP := ""
-	if fwd != "" {
-		fwdIP = strings.TrimSpace(strings.Split(fwd, ",")[0])
-	}
+	fwdIP := firstHop(fwd)
 	objectID := ""
 	out := make([]BatchLikeOp, len(ops))
 	for i, op := range ops {
 		if !strings.EqualFold(op.Method, http.MethodPost) || strings.Contains(op.RelativeURL, "?") {
 			return "", nil, false
 		}
-		parts := strings.Split(strings.Trim(op.RelativeURL, "/"), "/")
-		if len(parts) != 2 || parts[0] == "" || parts[1] != "likes" {
+		object, edge, ok := splitEdge(op.RelativeURL)
+		if !ok || object == "" || edge != "likes" {
 			return "", nil, false
 		}
 		if i == 0 {
-			objectID = parts[0]
-		} else if parts[0] != objectID {
+			objectID = object
+		} else if object != objectID {
 			return "", nil, false
 		}
 		vals, err := url.ParseQuery(op.Body)
@@ -527,15 +495,10 @@ func parseLikeBatch(ops []batchOp, defaultToken, fwd string) (string, []BatchLik
 // status and envelope the replay path produces.
 func (h *httpAPI) likeBatchResult(err error) batchResult {
 	if err == nil {
-		return batchResult{Code: http.StatusOK, Body: `{"success":true}`}
+		return batchResult{Code: http.StatusOK, Body: likeAck}
 	}
 	ae := h.asAPIError(err)
-	var env errorEnvelope
-	env.Error.Message = ae.Message
-	env.Error.Type = ae.Type
-	env.Error.Code = ae.Code
-	b, _ := json.Marshal(env)
-	return batchResult{Code: httpStatus(ae.Kind), Body: string(b)}
+	return batchResult{Code: httpStatus(ae.Kind), Body: string(appendErrorEnvelope(nil, ae))}
 }
 
 // runBatchOp executes one batched operation by replaying it through the
@@ -626,12 +589,11 @@ func (r *recorder) Write(b []byte) (int, error) {
 
 // object dispatches /{id}/likes and /{id}/comments.
 func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	if len(parts) != 2 {
+	objectID, edge, ok := splitEdge(r.URL.Path)
+	if !ok {
 		h.writeError(w, h.api.err(provider.KindNotFound, "GraphMethodException", "unknown path %q", r.URL.Path))
 		return
 	}
-	objectID, edge := parts[0], parts[1]
 	ctx := callContext(r)
 	switch {
 	case edge == "likes" && r.Method == http.MethodPost:
@@ -639,13 +601,13 @@ func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
 			h.writeError(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"success": true})
+		writeAck(w)
 	case edge == "likes" && r.Method == http.MethodDelete:
 		if err := h.api.Unlike(ctx, objectID); err != nil {
 			h.writeError(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"success": true})
+		writeAck(w)
 	case edge == "likes" && r.Method == http.MethodGet:
 		limit, after, perr := pageParams(r)
 		if perr != nil {
@@ -657,18 +619,8 @@ func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
 			h.writeError(w, err)
 			return
 		}
-		data := make([]map[string]any, 0, len(likes))
-		for _, l := range likes {
-			data = append(data, map[string]any{
-				"id":   l.AccountID,
-				"time": l.At.UTC().Format("2006-01-02T15:04:05Z"),
-			})
-		}
-		body := map[string]any{"data": data}
-		if paging := pagingEnvelopeAt(next, more); paging != nil {
-			body["paging"] = paging
-		}
-		writeJSON(w, body)
+		bp := encodeBufs.Get().(*[]byte)
+		sendRendered(w, http.StatusOK, bp, appendLikesPage((*bp)[:0], likes, next, more))
 	case edge == "comments" && r.Method == http.MethodPost:
 		c, err := h.api.Comment(ctx, objectID, r.FormValue("message"))
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/oauthsim"
-	"repro/internal/socialgraph"
 )
 
 // seedLikes puts n distinct likers on the fixture's post.
@@ -303,19 +302,5 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 	if off, err := decodeCursor(""); err != nil || off != 0 {
 		t.Fatalf("empty cursor = %d, %v", off, err)
-	}
-}
-
-func TestPageSliceHelpers(t *testing.T) {
-	likes := make([]socialgraph.Like, 10)
-	if got := pageSliceLikes(likes, 20, 5); got != nil {
-		t.Fatalf("past-end slice = %v", got)
-	}
-	if got := pageSliceLikes(likes, 8, 5); len(got) != 2 {
-		t.Fatalf("tail slice = %d", len(got))
-	}
-	comments := make([]socialgraph.Comment, 4)
-	if got := pageSliceComments(comments, 0, 10); len(got) != 4 {
-		t.Fatalf("full slice = %d", len(got))
 	}
 }

@@ -32,17 +32,32 @@ func NewHTTPClient(baseURL string) *HTTPClient {
 	return NewHTTPClientFor(provider.Default(), baseURL)
 }
 
+// idleConnsPerHost is how many idle keep-alive connections a client keeps
+// to its platform: one per collusion delivery worker
+// (collusion.Config.DeliveryWorkers, 4 by default). With net/http's
+// default of 2, every burst of 4 concurrent /batch calls dials new
+// connections.
+const idleConnsPerHost = 4
+
+// drainLimit caps how much of an unread response body closeBody reads.
+// net/http returns a connection to the idle pool only once its body has
+// been read to EOF; a longer body is cheaper to drop with its connection.
+const drainLimit = 64 << 10
+
 // NewHTTPClientFor returns a Client speaking the given provider's dialect
 // to the platform at baseURL: error codes decode into the provider's kind
 // space and batches chunk at the provider's op cap. baseURL may carry a
 // path prefix (e.g. a Multi mount like http://host/pictogram).
 func NewHTTPClientFor(prov provider.Provider, baseURL string) *HTTPClient {
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = idleConnsPerHost
 	return &HTTPClient{
 		base:     strings.TrimRight(baseURL, "/"),
 		prov:     prov,
 		maxBatch: prov.Limits().MaxBatchOps,
 		http: &http.Client{
-			Timeout: 30 * time.Second,
+			Transport: transport,
+			Timeout:   30 * time.Second,
 			CheckRedirect: func(*http.Request, []*http.Request) error {
 				return http.ErrUseLastResponse
 			},
@@ -65,9 +80,16 @@ func (e *RemoteAPIError) Error() string {
 	return fmt.Sprintf("platform: (#%d) %s: %s", e.Code, e.Type, e.Message)
 }
 
-// apiError decodes a Graph API error envelope into an error value,
-// classifying the provider-specific code into a neutral kind.
+// apiError decodes a Graph API error response into an error value.
 func (c *HTTPClient) apiError(resp *http.Response) error {
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, drainLimit))
+	return c.envelopeError(resp.StatusCode, body)
+}
+
+// envelopeError decodes a Graph API error envelope, standalone or embedded
+// in a batch result, into an error value, classifying the
+// provider-specific code into a neutral kind.
+func (c *HTTPClient) envelopeError(status int, body []byte) error {
 	var env struct {
 		Error struct {
 			Message string `json:"message"`
@@ -75,9 +97,8 @@ func (c *HTTPClient) apiError(resp *http.Response) error {
 			Code    int    `json:"code"`
 		} `json:"error"`
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Message == "" {
-		return fmt.Errorf("platform: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return fmt.Errorf("platform: HTTP %d: %s", status, strings.TrimSpace(string(body)))
 	}
 	return &RemoteAPIError{
 		Code:    env.Error.Code,
@@ -85,6 +106,19 @@ func (c *HTTPClient) apiError(resp *http.Response) error {
 		Message: env.Error.Message,
 		Kind:    c.prov.KindOfCode(env.Error.Code),
 	}
+}
+
+// closeBody reads what is left of resp's body, up to drainLimit, and
+// closes it, so the connection goes back to the idle pool instead of
+// being torn down. Every call path releases its response through it.
+func closeBody(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
+	_ = resp.Body.Close() // a read-only body; nothing to lose on Close
+}
+
+// tokenForm is the URL-encoded form of a call that carries only a token.
+func tokenForm(token string) string {
+	return "access_token=" + url.QueryEscape(token)
 }
 
 // AuthorizeImplicit implements Client by scraping the token from the
@@ -101,7 +135,7 @@ func (c *HTTPClient) AuthorizeImplicit(appID, redirectURI, accountID string, sco
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusFound {
 		return "", c.apiError(resp)
 	}
@@ -137,7 +171,7 @@ func (c *HTTPClient) AuthorizeCode(appID, redirectURI, accountID string, scopes 
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusFound {
 		return "", c.apiError(resp)
 	}
@@ -160,11 +194,11 @@ func (c *HTTPClient) ExchangeCode(appID, appSecret, redirectURI, code string) (s
 		"redirect_uri":  {redirectURI},
 		"code":          {code},
 	}
-	resp, err := c.do(http.MethodPost, "/oauth/access_token", form, "")
+	resp, err := c.do(nil, http.MethodPost, "/oauth/access_token", form.Encode(), "")
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return "", c.apiError(resp)
 	}
@@ -177,46 +211,24 @@ func (c *HTTPClient) ExchangeCode(appID, appSecret, redirectURI, code string) (s
 	return body.AccessToken, nil
 }
 
-// do performs a form POST (or GET when form is nil) with source-IP
-// attribution via X-Forwarded-For.
-func (c *HTTPClient) do(method, path string, form url.Values, ip string) (*http.Response, error) {
+// do sends one request: a POST carrying form as its body, or a GET
+// carrying it as the query; form is already URL-encoded. ip, when set,
+// rides in X-Forwarded-For as the source address to attribute the call
+// to. The span carried by ctx (if any; ctx may be nil) is advertised via
+// the X-Trace-Id / X-Parent-Span headers so the server-side span tree
+// joins the caller's trace.
+func (c *HTTPClient) do(ctx context.Context, method, path, form, ip string) (*http.Response, error) {
 	var req *http.Request
 	var err error
 	if method == http.MethodPost {
-		req, err = http.NewRequest(method, c.base+path, strings.NewReader(form.Encode()))
+		req, err = http.NewRequest(method, c.base+path, strings.NewReader(form))
 		if err == nil {
 			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 		}
 	} else {
 		u := c.base + path
-		if len(form) > 0 {
-			u += "?" + form.Encode()
-		}
-		req, err = http.NewRequest(method, u, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ip != "" {
-		req.Header.Set("X-Forwarded-For", ip)
-	}
-	return c.http.Do(req)
-}
-
-// doCtx is do with trace propagation: the span carried by ctx (if any) is
-// advertised via the X-Trace-Id / X-Parent-Span headers.
-func (c *HTTPClient) doCtx(ctx context.Context, method, path string, form url.Values, ip string) (*http.Response, error) {
-	var req *http.Request
-	var err error
-	if method == http.MethodPost {
-		req, err = http.NewRequest(method, c.base+path, strings.NewReader(form.Encode()))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		}
-	} else {
-		u := c.base + path
-		if len(form) > 0 {
-			u += "?" + form.Encode()
+		if form != "" {
+			u += "?" + form
 		}
 		req, err = http.NewRequest(method, u, nil)
 	}
@@ -235,11 +247,11 @@ func (c *HTTPClient) doCtx(ctx context.Context, method, path string, form url.Va
 
 // Me implements Client.
 func (c *HTTPClient) Me(token, ip string) (Profile, error) {
-	resp, err := c.do(http.MethodGet, "/me", url.Values{"access_token": {token}}, ip)
+	resp, err := c.do(nil, http.MethodGet, "/me", tokenForm(token), ip)
 	if err != nil {
 		return Profile{}, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return Profile{}, c.apiError(resp)
 	}
@@ -263,11 +275,11 @@ func (c *HTTPClient) Like(token, objectID, ip string) error {
 // ships its trace ID in the propagation headers so the server-side span
 // tree joins the caller's trace.
 func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) error {
-	resp, err := c.doCtx(ctx, http.MethodPost, "/"+objectID+"/likes", url.Values{"access_token": {token}}, ip)
+	resp, err := c.do(ctx, http.MethodPost, "/"+objectID+"/likes", tokenForm(token), ip)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return c.apiError(resp)
 	}
@@ -318,12 +330,12 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 		fail(err)
 		return
 	}
-	resp, err := c.doCtx(ctx, http.MethodPost, "/batch", url.Values{"batch": {string(payload)}}, "")
+	resp, err := c.do(ctx, http.MethodPost, "/batch", "batch="+url.QueryEscape(string(payload)), "")
 	if err != nil {
 		fail(err)
 		return
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		fail(c.apiError(resp))
 		return
@@ -342,28 +354,8 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 	}
 	for i, res := range results {
 		if res.Code != http.StatusOK {
-			errs[i] = c.batchOpError(res.Code, res.Body)
+			errs[i] = c.envelopeError(res.Code, []byte(res.Body))
 		}
-	}
-}
-
-// batchOpError decodes one embedded batch result's error envelope.
-func (c *HTTPClient) batchOpError(status int, body string) error {
-	var env struct {
-		Error struct {
-			Message string `json:"message"`
-			Type    string `json:"type"`
-			Code    int    `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Message == "" {
-		return fmt.Errorf("platform: HTTP %d: %s", status, strings.TrimSpace(body))
-	}
-	return &RemoteAPIError{
-		Code:    env.Error.Code,
-		Type:    env.Error.Type,
-		Message: env.Error.Message,
-		Kind:    c.prov.KindOfCode(env.Error.Code),
 	}
 }
 
@@ -374,12 +366,12 @@ func (c *HTTPClient) Comment(token, postID, message, ip string) (string, error) 
 
 // CommentCtx implements ContextClient.
 func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {
-	form := url.Values{"access_token": {token}, "message": {message}}
-	resp, err := c.doCtx(ctx, http.MethodPost, "/"+postID+"/comments", form, ip)
+	form := tokenForm(token) + "&message=" + url.QueryEscape(message)
+	resp, err := c.do(ctx, http.MethodPost, "/"+postID+"/comments", form, ip)
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return "", c.apiError(resp)
 	}
@@ -394,12 +386,12 @@ func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip 
 
 // Publish implements Client.
 func (c *HTTPClient) Publish(token, message, ip string) (string, error) {
-	form := url.Values{"access_token": {token}, "message": {message}}
-	resp, err := c.do(http.MethodPost, "/me/feed", form, ip)
+	form := tokenForm(token) + "&message=" + url.QueryEscape(message)
+	resp, err := c.do(nil, http.MethodPost, "/me/feed", form, ip)
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return "", c.apiError(resp)
 	}
@@ -419,17 +411,17 @@ func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 	var out []LikeRecord
 	after := ""
 	for {
-		form := url.Values{"access_token": {token}, "limit": {"100"}}
+		form := tokenForm(token) + "&limit=100"
 		if after != "" {
-			form.Set("after", after)
+			form += "&after=" + url.QueryEscape(after)
 		}
-		resp, err := c.do(http.MethodGet, "/"+objectID+"/likes", form, "")
+		resp, err := c.do(nil, http.MethodGet, "/"+objectID+"/likes", form, "")
 		if err != nil {
 			return nil, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			err := c.apiError(resp)
-			resp.Body.Close()
+			closeBody(resp)
 			return nil, err
 		}
 		var body struct {
@@ -444,7 +436,7 @@ func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 			} `json:"paging"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
+		closeBody(resp)
 		if err != nil {
 			return nil, err
 		}
@@ -461,11 +453,11 @@ func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 
 // FeedOf implements Client via GET /me/feed.
 func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
-	resp, err := c.do(http.MethodGet, "/me/feed", url.Values{"access_token": {token}}, "")
+	resp, err := c.do(nil, http.MethodGet, "/me/feed", tokenForm(token), "")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.apiError(resp)
 	}
@@ -490,11 +482,11 @@ func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
 // FriendsOf lists the token account's friends via the /me/friends edge
 // (requires the user_friends scope).
 func (c *HTTPClient) FriendsOf(token, ip string) ([]Profile, error) {
-	resp, err := c.do(http.MethodGet, "/me/friends", url.Values{"access_token": {token}}, ip)
+	resp, err := c.do(nil, http.MethodGet, "/me/friends", tokenForm(token), ip)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.apiError(resp)
 	}
@@ -520,17 +512,17 @@ func (c *HTTPClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
 	var out []CommentRecord
 	after := ""
 	for {
-		form := url.Values{"access_token": {token}, "limit": {"100"}}
+		form := tokenForm(token) + "&limit=100"
 		if after != "" {
-			form.Set("after", after)
+			form += "&after=" + url.QueryEscape(after)
 		}
-		resp, err := c.do(http.MethodGet, "/"+postID+"/comments", form, "")
+		resp, err := c.do(nil, http.MethodGet, "/"+postID+"/comments", form, "")
 		if err != nil {
 			return nil, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			err := c.apiError(resp)
-			resp.Body.Close()
+			closeBody(resp)
 			return nil, err
 		}
 		var body struct {
@@ -547,7 +539,7 @@ func (c *HTTPClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
 			} `json:"paging"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
+		closeBody(resp)
 		if err != nil {
 			return nil, err
 		}
