@@ -107,14 +107,14 @@ func TestAllocGateProviderCheckToken(t *testing.T) {
 }
 
 // TestAllocGateProviderRoutedValidate repeats the warm-token validation
-// gate through the provider-routed construction path (platform.NewFor
-// with the non-default provider, token minted via the code flow). The
-// provider indirection must not add per-call allocations over the
-// default platform's budget.
+// gate through the provider-routed construction path
+// (platform.NewWithConfig with the non-default provider, token minted
+// via the code flow). The provider indirection must not add per-call
+// allocations over the default platform's budget.
 func TestAllocGateProviderRoutedValidate(t *testing.T) {
 	prov := provider.MustGet("pictogram")
 	clock := simclock.NewSimulated(benchEpoch)
-	p := platform.NewFor(prov, clock, nil)
+	p := platform.NewWithConfig(clock, nil, platform.Config{Provider: prov})
 	app := p.Apps.RegisterUnreviewed(apps.Config{
 		Name:        "gate companion",
 		RedirectURI: "https://gate-companion.example/cb",
@@ -155,7 +155,7 @@ func TestAllocGateProviderRoutedValidate(t *testing.T) {
 // closure) is a regression against the chunked-history design.
 func TestAllocGateAddLikeBatchSteadyState(t *testing.T) {
 	const burst = 50
-	graph := socialgraph.NewWithShards(8)
+	graph := socialgraph.New(8, 0)
 	graph.SetRetentionWindow(30 * time.Minute)
 	now := benchEpoch
 	accounts := make([]string, burst)
@@ -199,7 +199,7 @@ func TestAllocGateAddLikeBatchSteadyState(t *testing.T) {
 // a collusion network on nearly every request, so they must return
 // preformatted sentinel errors, never build fmt.Errorf values per call.
 func TestAllocGateStoreDenialErrors(t *testing.T) {
-	graph := socialgraph.NewWithShards(8)
+	graph := socialgraph.New(8, 0)
 	now := benchEpoch
 	liker := graph.CreateAccount("liker", "IN", now)
 	susp := graph.CreateAccount("suspended", "IN", now)

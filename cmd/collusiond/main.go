@@ -77,7 +77,7 @@ func main() {
 		},
 	}
 	network := collusion.NewNetwork(cfg, simclock.NewReal(), client)
-	observer := obs.New(simclock.NewReal())
+	observer := obs.New(simclock.NewReal(), obs.DefaultPlatformLabel)
 	network.SetObserver(observer)
 	sampler := runtimestats.Register(observer.M(), simclock.NewReal())
 	if *metricsAddr != "" {

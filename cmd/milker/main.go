@@ -57,7 +57,7 @@ func main() {
 
 	// The campaign's own telemetry: progress counters plus pprof, so a
 	// long milking run can be watched and profiled while it works.
-	observer := obs.New(simclock.NewReal())
+	observer := obs.New(simclock.NewReal(), obs.DefaultPlatformLabel)
 	milked := observer.M().Counter("milker_posts_milked_total",
 		"Honeypot posts successfully milked.").With()
 	observed := observer.M().Counter("milker_likes_observed_total",

@@ -27,12 +27,6 @@ type Pool interface {
 	Token(accountID string) (string, bool)
 }
 
-// FriendLister is the slice of the platform client the harvester needs
-// beyond profile reads.
-type FriendLister interface {
-	FriendsOf(token, ip string) ([]platform.Profile, error)
-}
-
 // HarvestResult summarises an information-harvesting run.
 type HarvestResult struct {
 	// TokensTried is the number of pooled tokens replayed.
@@ -54,7 +48,7 @@ type HarvestResult struct {
 
 // Harvest replays every pooled token to read the member's profile and
 // friend list. ip is the source address the reads appear from.
-func Harvest(client platform.Client, lister FriendLister, pool Pool, ip string) HarvestResult {
+func Harvest(client platform.Client, pool Pool, ip string) HarvestResult {
 	res := HarvestResult{Countries: make(map[string]int)}
 	members := make(map[string]bool)
 	exposedFriends := make(map[string]bool)
@@ -72,7 +66,7 @@ func Harvest(client platform.Client, lister FriendLister, pool Pool, ip string) 
 		res.ProfilesRead++
 		res.Countries[profile.Country]++
 		members[profile.ID] = true
-		friends, err := lister.FriendsOf(token, ip)
+		friends, err := client.FriendsOf(token, ip)
 		if err != nil {
 			continue // token lacks user_friends
 		}

@@ -42,7 +42,7 @@ func newWorld(t *testing.T) *world {
 
 func TestHarvestReadsProfilesAndFriends(t *testing.T) {
 	w := newWorld(t)
-	res := Harvest(w.client, w.client, w.ni.Net.Pool(), "192.0.2.99")
+	res := Harvest(w.client, w.ni.Net.Pool(), "192.0.2.99")
 	if res.TokensTried == 0 || res.TokensLive != res.TokensTried {
 		t.Fatalf("tokens: %+v", res)
 	}
@@ -71,7 +71,7 @@ func TestHarvestSkipsDeadTokens(t *testing.T) {
 			w.scenario.Platform.OAuth.InvalidateAccount(m, "sweep")
 		}
 	}
-	res := Harvest(w.client, w.client, w.ni.Net.Pool(), "")
+	res := Harvest(w.client, w.ni.Net.Pool(), "")
 	if res.TokensLive >= res.TokensTried {
 		t.Fatalf("dead tokens not skipped: %+v", res)
 	}
@@ -98,7 +98,7 @@ func TestHarvestToleratesMissingTokens(t *testing.T) {
 	w := newWorld(t)
 	members := w.ni.Net.Pool().Members()
 	hidden := map[string]bool{members[0]: true, members[1]: true}
-	res := Harvest(w.client, w.client, poolWithout{Pool: w.ni.Net.Pool(), hide: hidden}, "")
+	res := Harvest(w.client, poolWithout{Pool: w.ni.Net.Pool(), hide: hidden}, "")
 	if res.TokensTried != len(members)-2 {
 		t.Fatalf("tried = %d, want %d", res.TokensTried, len(members)-2)
 	}

@@ -1,7 +1,5 @@
 package collusion
 
-import "context"
-
 // Premium auto-delivery (Sec. 5.1): paid plans "automatically provide
 // likes without requiring users to manually login to collusion network
 // sites for each request". The network holds the subscriber's token, so
@@ -56,10 +54,7 @@ func (n *Network) RunAutoDelivery() int {
 			ctx, span := n.obs.T().StartSpan(nil, "collusion.autodeliver")
 			span.SetAttr("network", n.cfg.Name)
 			span.SetAttr("subscriber", s.accountID)
-			tgt := n.primary()
-			n.deliver(ctx, tgt, quota, s.accountID, false, p.ID, func(ctx context.Context, smp Sampled, ip string) error {
-				return n.like(ctx, tgt, smp.Token, p.ID, ip)
-			})
+			n.deliver(ctx, n.primary(), quota, s.accountID, p.ID, nil)
 			span.End()
 			served++
 		}

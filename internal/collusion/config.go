@@ -108,10 +108,9 @@ type Config struct {
 	PremiumPlans []Plan
 
 	// DeliveryBatchSize is how many likes of a burst are coalesced into
-	// one batched transport call when the client supports batching
-	// (platform.BatchClient). 0 selects the default of 50, the Graph
-	// API's batch cap; negative disables batching so every like takes
-	// its own round trip.
+	// one platform.Client.LikeBatch call. 0 selects the default of 50,
+	// the Graph API's batch cap; negative disables batching so every like
+	// takes its own round trip.
 	DeliveryBatchSize int
 	// DeliveryWorkers bounds the goroutines firing one burst's batches
 	// in parallel. 0 selects the default of 4; 1 keeps bursts

@@ -1,7 +1,6 @@
 package collusion
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/platform"
@@ -30,44 +29,27 @@ var ErrBadCode = fmt.Errorf("collusion: authorization code did not exchange")
 // strictly per platform — a token minted by B is never fired at A.
 type crossBinding struct {
 	target
-	exchanger   platform.CodeExchanger
 	appID       string
 	appSecret   string
 	redirectURI string
 }
 
 // LinkPlatform registers a companion platform under name. client is the
-// transport to that platform; it must implement platform.CodeExchanger
-// (both built-in transports do) so the network can swap submitted codes
-// for tokens. appID/appSecret/redirectURI identify the network's own
-// companion application registered on that platform.
-func (n *Network) LinkPlatform(name string, client platform.Client, appID, appSecret, redirectURI string) error {
-	exchanger, ok := client.(platform.CodeExchanger)
-	if !ok {
-		return fmt.Errorf("collusion: transport for %q cannot exchange authorization codes", name)
-	}
-	ctxClient, _ := client.(platform.ContextClient)
-	batchClient, _ := client.(platform.BatchClient)
+// transport to that platform, through which the network swaps submitted
+// codes for tokens. appID/appSecret/redirectURI identify the network's
+// own companion application registered on that platform.
+func (n *Network) LinkPlatform(name string, client platform.Client, appID, appSecret, redirectURI string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.cross == nil {
 		n.cross = make(map[string]*crossBinding, 1)
 	}
 	n.cross[name] = &crossBinding{
-		target: target{
-			name:        name,
-			client:      client,
-			ctxClient:   ctxClient,
-			batchClient: batchClient,
-			pool:        NewTokenPool(),
-			cross:       true,
-		},
-		exchanger:   exchanger,
+		target:      target{name: name, client: client, pool: NewTokenPool(), cross: true},
 		appID:       appID,
 		appSecret:   appSecret,
 		redirectURI: redirectURI,
 	}
-	return nil
 }
 
 // binding looks up a linked platform. Callers must not hold n.mu.
@@ -107,7 +89,7 @@ func (n *Network) SubmitLinkedCode(platformName, accountID, code string) error {
 	if err != nil {
 		return err
 	}
-	token, err := b.exchanger.ExchangeCode(b.appID, b.appSecret, b.redirectURI, code)
+	token, err := b.client.ExchangeCode(b.appID, b.appSecret, b.redirectURI, code)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadCode, err)
 	}
@@ -141,12 +123,7 @@ func (n *Network) RequestCrossLikes(platformName, accountID, postID, captchaAnsw
 	n.mu.Lock()
 	n.stats.CrossLikeRequests++
 	n.mu.Unlock()
-	quota := n.likesFor(accountID)
-	t := b.target
-	delivered := n.deliver(nil, t, quota, accountID, false, postID, func(ctx context.Context, s Sampled, ip string) error {
-		return n.like(ctx, t, s.Token, postID, ip)
-	})
-	return delivered, nil
+	return n.deliver(nil, b.target, n.likesFor(accountID), accountID, postID, nil), nil
 }
 
 // CrossPool exposes a linked platform's token pool, or nil (the

@@ -57,18 +57,16 @@ type Stats struct {
 }
 
 // target identifies the platform surface one delivery burst fires at: the
-// transport views, the token pool sampled, and whether the burst counts
-// as cross-platform activity. The primary platform and every linked
+// transport, the token pool sampled, and whether the burst counts as
+// cross-platform activity. The primary platform and every linked
 // companion platform are both expressed as targets, so the delivery
 // engine — sampling, attempt budget, batching, outcome bookkeeping — is
 // written once and runs identically against either.
 type target struct {
-	name        string // platform name; "" for the primary platform
-	client      platform.Client
-	ctxClient   platform.ContextClient
-	batchClient platform.BatchClient
-	pool        *TokenPool
-	cross       bool
+	name   string // platform name; "" for the primary platform
+	client platform.Client
+	pool   *TokenPool
+	cross  bool
 }
 
 // Network is one collusion network instance: token pool plus delivery
@@ -77,15 +75,7 @@ type Network struct {
 	cfg    Config
 	clock  simclock.Clock
 	client platform.Client
-	// ctxClient is client's ContextClient view when the transport supports
-	// trace propagation (both built-in transports do), else nil.
-	ctxClient platform.ContextClient
-	// batchClient is client's BatchClient view when the transport can
-	// deliver homogeneous like bursts in one call, else nil. Delivery
-	// falls back to per-call likes when nil or when the config disables
-	// batching.
-	batchClient platform.BatchClient
-	epoch       time.Time
+	epoch  time.Time
 
 	// Telemetry, wired by SetObserver; all instruments are nil-safe
 	// no-ops until then. Counters are pre-bound to this network's name so
@@ -125,12 +115,7 @@ type Network struct {
 
 // primary returns the target for the network's home platform.
 func (n *Network) primary() target {
-	return target{
-		client:      n.client,
-		ctxClient:   n.ctxClient,
-		batchClient: n.batchClient,
-		pool:        n.pool,
-	}
+	return target{client: n.client, pool: n.pool}
 }
 
 type captchaChallenge struct {
@@ -141,14 +126,10 @@ type captchaChallenge struct {
 // client. The construction instant becomes day 0 for outage scheduling.
 func NewNetwork(cfg Config, clock simclock.Clock, client platform.Client) *Network {
 	cfg = cfg.withDefaults()
-	ctxClient, _ := client.(platform.ContextClient)
-	batchClient, _ := client.(platform.BatchClient)
 	return &Network{
 		cfg:           cfg,
 		clock:         clock,
 		client:        client,
-		ctxClient:     ctxClient,
-		batchClient:   batchClient,
 		epoch:         clock.Now(),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		pool:          NewTokenPool(),
@@ -189,8 +170,8 @@ func (n *Network) CompleteAdWall(accountID string) error {
 
 // SetObserver wires telemetry: per-network delivery counters (the
 // likes-by-network series behind Figures 4 and 5) and a span per delivery
-// burst, with each like joining the burst's trace through the client's
-// ContextClient view.
+// burst, with each like joining the burst's trace through the context
+// the client's writes take.
 func (n *Network) SetObserver(o *obs.Observer) {
 	n.obs = o
 	n.likesDelivered = o.M().Counter("collusion_likes_delivered_total",
@@ -405,30 +386,7 @@ func (n *Network) RequestLikes(accountID, postID, captchaAnswer string) (int, er
 	n.mu.Lock()
 	n.stats.LikeRequests++
 	n.mu.Unlock()
-	quota := n.likesFor(accountID)
-	t := n.primary()
-	delivered := n.deliver(nil, t, quota, accountID, false, postID, func(ctx context.Context, s Sampled, ip string) error {
-		return n.like(ctx, t, s.Token, postID, ip)
-	})
-	return delivered, nil
-}
-
-// like fires one like through the target's transport, propagating the
-// delivery burst's trace when the transport supports it.
-func (n *Network) like(ctx context.Context, t target, token, objectID, ip string) error {
-	if t.ctxClient != nil {
-		return t.ctxClient.LikeCtx(ctx, token, objectID, ip)
-	}
-	return t.client.Like(token, objectID, ip)
-}
-
-// comment fires one comment through the target's transport, propagating
-// the trace when possible.
-func (n *Network) comment(ctx context.Context, t target, token, postID, message, ip string) (string, error) {
-	if t.ctxClient != nil {
-		return t.ctxClient.CommentCtx(ctx, token, postID, message, ip)
-	}
-	return t.client.Comment(token, postID, message, ip)
+	return n.deliver(nil, n.primary(), n.likesFor(accountID), accountID, postID, nil), nil
 }
 
 // RequestComments asks for auto-comments on a post. Comments are drawn
@@ -443,12 +401,11 @@ func (n *Network) RequestComments(accountID, postID, captchaAnswer string) (int,
 	n.mu.Lock()
 	n.stats.CommentRequests++
 	n.mu.Unlock()
-	t := n.primary()
-	delivered := n.deliver(nil, t, n.cfg.CommentsPerRequest, accountID, true, "", func(ctx context.Context, s Sampled, ip string) error {
+	delivered := n.deliver(nil, n.primary(), n.cfg.CommentsPerRequest, accountID, postID, func(ctx context.Context, s Sampled, ip string) error {
 		n.mu.Lock()
 		msg := n.cfg.CommentDictionary[n.rng.Intn(len(n.cfg.CommentDictionary))]
 		n.mu.Unlock()
-		_, err := n.comment(ctx, t, s.Token, postID, msg, ip)
+		_, err := n.client.CommentCtx(ctx, s.Token, postID, msg, ip)
 		return err
 	})
 	return delivered, nil
@@ -473,16 +430,16 @@ func (n *Network) RequestCustomComments(accountID, postID, message, captchaAnswe
 	n.mu.Lock()
 	n.stats.CommentRequests++
 	n.mu.Unlock()
-	t := n.primary()
-	delivered := n.deliver(nil, t, count, accountID, true, "", func(ctx context.Context, s Sampled, ip string) error {
-		_, err := n.comment(ctx, t, s.Token, postID, message, ip)
+	delivered := n.deliver(nil, n.primary(), count, accountID, postID, func(ctx context.Context, s Sampled, ip string) error {
+		_, err := n.client.CommentCtx(ctx, s.Token, postID, message, ip)
 		return err
 	})
 	return delivered, nil
 }
 
 // deliver samples tokens from the target's pool and fires one action per
-// token at the target's platform, handling failures: dead tokens are
+// token at objectID on the target's platform — a like, or, when comment is
+// non-nil, the comment it posts — handling failures: dead tokens are
 // dropped from that pool, rate limiting is recorded and may trigger
 // sampling adaptation. Failed draws are replaced with fresh samples
 // within a bounded attempt budget (2× the quota), which is what softens
@@ -490,13 +447,12 @@ func (n *Network) RequestCustomComments(accountID, postID, message, captchaAnswe
 // tokens to keep its per-request quota, shrinking its pool in the process
 // (the gradual-dip-then-recover dynamics of Figure 5).
 //
-// likeObject, when non-empty, names the single object every action of the
-// burst likes; if the transport supports batching and the config has not
-// disabled it, the burst is fired as ≤DeliveryBatchSize batches across a
-// bounded worker pool instead of one call per action. Sampling, the
-// attempt budget, and all per-action bookkeeping are identical in both
-// modes — batching changes only how the actions travel.
-func (n *Network) deliver(ctx context.Context, t target, quota int, requester string, comment bool, likeObject string, act func(context.Context, Sampled, string) error) int {
+// Unless the config disables batching, a like burst is fired as
+// ≤DeliveryBatchSize batches across a bounded worker pool instead of one
+// call per action. Sampling, the attempt budget, and all per-action
+// bookkeeping are identical in both modes — batching changes only how
+// the actions travel.
+func (n *Network) deliver(ctx context.Context, t target, quota int, requester, objectID string, comment func(context.Context, Sampled, string) error) int {
 	now := n.clock.Now()
 	ctx, span := n.obs.T().StartSpanAt(ctx, "collusion.deliver", now)
 	if span != nil {
@@ -520,7 +476,8 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester st
 	// suppress span creation for the rest: a burst is hundreds of
 	// identical calls, and tracing each one would dominate the round.
 	sampledCtx, restCtx := ctx, obs.UnsampledContext(ctx)
-	batched := !comment && likeObject != "" && t.batchClient != nil && n.cfg.DeliveryBatchSize > 0
+	isComment := comment != nil
+	batched := !isComment && n.cfg.DeliveryBatchSize > 0
 	delivered, attempts := 0, 0
 	// A 1.5× attempt budget: the engine replaces some failures but does
 	// not scour the pool indefinitely, so a half-invalidated pool shows a
@@ -539,7 +496,7 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester st
 			break
 		}
 		if batched {
-			delivered += n.fireBatched(sampledCtx, restCtx, span, t, likeObject, sampled, exclude, &attempts, now)
+			delivered += n.fireBatched(sampledCtx, restCtx, span, t, objectID, sampled, exclude, &attempts, now)
 			continue
 		}
 		for _, s := range sampled {
@@ -550,14 +507,20 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester st
 			if attempts == 1 {
 				actCtx = sampledCtx
 			}
-			delivered += n.applyOutcome(t, s, act(actCtx, s, ip), comment, now, span)
+			var err error
+			if isComment {
+				err = comment(actCtx, s, ip)
+			} else {
+				err = t.client.LikeCtx(actCtx, s.Token, objectID, ip)
+			}
+			delivered += n.applyOutcome(t, s, err, isComment, now, span)
 		}
 	}
 	// Scrape counters update once per burst, not once per action: a burst
 	// is hundreds of likes racing across eight workers, and per-action
 	// Incs on the shared series were the hottest contended cache line in
 	// the instrumented profile. Totals stay exact.
-	if comment {
+	if isComment {
 		n.commentsSent.Add(int64(delivered))
 	} else {
 		n.likesAttempted.Add(int64(attempts))
@@ -662,7 +625,7 @@ func (n *Network) fireBatched(sampledCtx, restCtx context.Context, span *obs.Spa
 			// sequential path traces its first action.
 			ctx = sampledCtx
 		}
-		copy(errs[start:end], t.batchClient.LikeBatch(ctx, objectID, ops[start:end]))
+		copy(errs[start:end], t.client.LikeBatch(ctx, objectID, ops[start:end]))
 	}
 	if workers := n.cfg.DeliveryWorkers; workers <= 1 || chunks <= 1 {
 		for i := 0; i < chunks; i++ {

@@ -2,6 +2,7 @@ package defense
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 )
 
@@ -20,12 +21,12 @@ type Invalidator struct {
 	reason  string
 
 	mu sync.Mutex
-	// pending holds milked tokens not yet invalidated, in submission order
-	// with duplicates removed. Deduplication is against the *pending*
-	// backlog only: a key swept earlier may be resubmitted, because when
-	// the Invalidator is keyed by account IDs a returning member mints a
-	// fresh token that deserves a fresh sweep (Sec. 6.2's daily
-	// invalidation of newly observed tokens).
+	// pending holds milked tokens not yet invalidated, with duplicates
+	// removed. Deduplication is against the *pending* backlog only: a key
+	// swept earlier may be resubmitted, because when the Invalidator is
+	// keyed by account IDs a returning member mints a fresh token that
+	// deserves a fresh sweep (Sec. 6.2's daily invalidation of newly
+	// observed tokens).
 	pending []string
 	seen    map[string]bool
 	revoked int
@@ -78,6 +79,10 @@ func (v *Invalidator) InvalidateFraction(fraction float64, rng *rand.Rand) int {
 	if k == 0 {
 		k = 1
 	}
+	// Sort first: the backlog arrives in the order concurrent delivery
+	// chunks landed in the store, so only a sorted start makes the seeded
+	// draw reproducible.
+	sort.Strings(v.pending)
 	rng.Shuffle(len(v.pending), func(i, j int) {
 		v.pending[i], v.pending[j] = v.pending[j], v.pending[i]
 	})

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPurgeLikesRemovesOnlyTargets(t *testing.T) {
-	s := socialgraph.New()
+	s := socialgraph.New(0, 0)
 	author := s.CreateAccount("author", "IN", t0)
 	bot1 := s.CreateAccount("bot1", "IN", t0)
 	bot2 := s.CreateAccount("bot2", "IN", t0)
@@ -47,7 +47,7 @@ func TestPurgeLikesRemovesOnlyTargets(t *testing.T) {
 }
 
 func TestPurgeLikesReport(t *testing.T) {
-	s := socialgraph.New()
+	s := socialgraph.New(0, 0)
 	author := s.CreateAccount("author", "IN", t0)
 	bot := s.CreateAccount("bot", "IN", t0)
 	p1, _ := s.CreatePost(author.ID, "a", socialgraph.WriteMeta{At: t0})
@@ -61,7 +61,7 @@ func TestPurgeLikesReport(t *testing.T) {
 }
 
 func TestPurgeEmptyInput(t *testing.T) {
-	s := socialgraph.New()
+	s := socialgraph.New(0, 0)
 	if got := PurgeLikes(s, nil); got != 0 {
 		t.Fatalf("purge of nothing removed %d", got)
 	}

@@ -132,7 +132,7 @@ func TestFeatureExtractionSignals(t *testing.T) {
 }
 
 func TestExtractInactiveAccount(t *testing.T) {
-	store := socialgraph.New()
+	store := socialgraph.New(0, 0)
 	acct := store.CreateAccount("idle", "IN", time.Now())
 	f := Extract(store, IPSharing{}, acct.ID)
 	for j, v := range f {

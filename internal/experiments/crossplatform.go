@@ -131,8 +131,8 @@ func runCrossPlatform(cfg CrossPlatformConfig, mode defense.SignalMode) (CrossPl
 
 	provA := provider.MustGet("facebook")
 	provB := provider.MustGet("pictogram")
-	pA := platform.NewFor(provA, clock, internet)
-	pB := platform.NewFor(provB, clock, internet)
+	pA := platform.NewWithConfig(clock, internet, platform.Config{Provider: provA})
+	pB := platform.NewWithConfig(clock, internet, platform.Config{Provider: provB})
 
 	// Identical detector parameters per platform; only the wiring differs.
 	plane := defense.NewSignalPlane(mode, func() *defense.SynchroTrap {
@@ -183,9 +183,7 @@ func runCrossPlatform(cfg CrossPlatformConfig, mode defense.SignalMode) (CrossPl
 		DeliveryWorkers: 1, // sequential bursts: bit-deterministic runs
 	}, clock, clientA)
 	net.SetObserver(pA.Obs)
-	if err := net.LinkPlatform(provB.Name(), clientB, appB.ID, appB.Secret, appB.RedirectURI); err != nil {
-		return CrossPlatformRow{}, err
-	}
+	net.LinkPlatform(provB.Name(), clientB, appB.ID, appB.Secret, appB.RedirectURI)
 
 	// Membership: each member joins on A through the implicit flow
 	// (Figure 3) and on B by pasting the companion app's one-time code.

@@ -51,7 +51,7 @@ func ExtensionPrivacy(seed int64) (ExtensionPrivacyResult, error) {
 
 	ni := s.Networks[0]
 	client := platform.NewLocalClient(s.Platform)
-	harvest := attacks.Harvest(client, client, ni.Net.Pool(), "192.0.2.250")
+	harvest := attacks.Harvest(client, ni.Net.Pool(), "192.0.2.250")
 	prop := attacks.Propagate(s.Platform.Graph, ni.Net.Pool().Members(), attacks.PropagationConfig{
 		ClickProb: 0.25,
 		MaxSteps:  10,

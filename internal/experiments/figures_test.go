@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -236,9 +237,17 @@ func TestFigure5ScaleInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("36-day campaign: skipped with -short")
 	}
-	res, err := Figure5(Figure5Config{Scale: 200, Seed: 5, Days: 36})
+	cfg := Figure5Config{Scale: 200, Seed: 5, Days: 36}
+	res, err := Figure5(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The same config must reproduce every day: the invalidation sweeps
+	// draw from a backlog filled by concurrent delivery chunks.
+	if again, err := Figure5(cfg); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(again.Daily, res.Daily) {
+		t.Fatalf("same config, different Daily:\n%v\n%v", res.Daily, again.Daily)
 	}
 	hub := res.Daily["hublaa.me"]
 	off := res.Daily["official-liker.net"]

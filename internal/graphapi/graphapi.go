@@ -313,27 +313,20 @@ var spanNames = func() (n [numOps]string) {
 	return
 }()
 
-// New wires an API for the default provider over its substrates.
-// internet may be nil, in which case ASN resolution is skipped.
-func New(clock simclock.Clock, graph *socialgraph.Store, oauth *oauthsim.Server, registry *apps.Registry, internet *netsim.Internet, chain *Chain) *API {
-	return NewFor(provider.Default(), clock, graph, oauth, registry, internet, chain)
-}
-
-// NewFor wires an API speaking the given provider's dialect: its error
-// vocabulary, scope names, and batch cap. The provider should match the
-// one the oauth server was built for — tokens minted in one format will
-// not validate against another.
-func NewFor(prov provider.Provider, clock simclock.Clock, graph *socialgraph.Store, oauth *oauthsim.Server, registry *apps.Registry, internet *netsim.Internet, chain *Chain) *API {
-	if chain == nil {
-		chain = NewChain()
-	}
+// New wires an API speaking the given provider's dialect over its
+// substrates: its error vocabulary, scope names, and batch cap. The
+// provider should match the one the oauth server was built for — tokens
+// minted in one format will not validate against another. internet may
+// be nil, in which case ASN resolution is skipped. The API starts with an
+// empty policy chain (see Chain).
+func New(prov provider.Provider, clock simclock.Clock, graph *socialgraph.Store, oauth *oauthsim.Server, registry *apps.Registry, internet *netsim.Internet) *API {
 	a := &API{
 		clock:        clock,
 		graph:        graph,
 		oauth:        oauth,
 		registry:     registry,
 		internet:     internet,
-		chain:        chain,
+		chain:        NewChain(),
 		prov:         prov,
 		provName:     prov.Name(),
 		scopePublish: prov.ScopePublish(),

@@ -32,15 +32,15 @@ func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	f := &fixture{
 		clock: simclock.NewSimulated(t0),
-		graph: socialgraph.New(),
+		graph: socialgraph.New(0, 0),
 		reg:   apps.NewRegistry(),
 		net:   netsim.NewInternet(),
 	}
 	if err := f.net.RegisterAS(netsim.AS{Number: 64500, Name: "BulletproofHost", Bulletproof: true}, "203.0.113.0/24"); err != nil {
 		t.Fatal(err)
 	}
-	f.oauth = oauthsim.NewServer(f.clock, f.reg, f.graph)
-	f.api = New(f.clock, f.graph, f.oauth, f.reg, f.net, NewChain())
+	f.oauth = oauthsim.NewServer(provider.Default(), f.clock, f.reg, f.graph)
+	f.api = New(provider.Default(), f.clock, f.graph, f.oauth, f.reg, f.net)
 	f.app = f.reg.Register(apps.Config{
 		Name:              "HTC Sense",
 		RedirectURI:       "https://htc.example/cb",

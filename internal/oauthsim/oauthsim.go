@@ -161,17 +161,12 @@ type Server struct {
 	invalidated *obs.CounterVec // oauth_tokens_invalidated_total{reason}
 }
 
-// NewServer returns an authorization server for the default provider,
-// bound to the app registry and account store.
-func NewServer(clock simclock.Clock, registry *apps.Registry, graph *socialgraph.Store) *Server {
-	return NewServerFor(provider.Default(), clock, registry, graph)
-}
-
-// NewServerFor returns an authorization server speaking the given
-// provider's dialect: its token wire format and its grant-flow menu
-// (a provider without the implicit flow refuses response_type=token
-// outright, regardless of per-app settings).
-func NewServerFor(prov provider.Provider, clock simclock.Clock, registry *apps.Registry, graph *socialgraph.Store) *Server {
+// NewServer returns an authorization server bound to the app registry
+// and account store, speaking the given provider's dialect: its token
+// wire format and its grant-flow menu (a provider without the implicit
+// flow refuses response_type=token outright, regardless of per-app
+// settings).
+func NewServer(prov provider.Provider, clock simclock.Clock, registry *apps.Registry, graph *socialgraph.Store) *Server {
 	return &Server{
 		clock:     clock,
 		prov:      prov,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/provider"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
 )
@@ -26,7 +27,7 @@ func newFixture(t *testing.T, cfg apps.Config) *fixture {
 	t.Helper()
 	clock := simclock.NewSimulated(t0)
 	reg := apps.NewRegistry()
-	graph := socialgraph.New()
+	graph := socialgraph.New(0, 0)
 	if cfg.Name == "" {
 		cfg = apps.Config{
 			Name:              "HTC Sense",
@@ -42,7 +43,7 @@ func newFixture(t *testing.T, cfg apps.Config) *fixture {
 		clock: clock,
 		reg:   reg,
 		graph: graph,
-		srv:   NewServer(clock, reg, graph),
+		srv:   NewServer(provider.Default(), clock, reg, graph),
 		app:   app,
 		user:  user,
 	}

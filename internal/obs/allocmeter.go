@@ -57,17 +57,12 @@ type AllocMeter struct {
 const DefaultPlatformLabel = "default"
 
 // NewAllocMeter registers the meter's families on r and returns a meter
-// with the default sampling stride and platform label. A nil registry
-// yields a meter whose measurements go nowhere but whose gating still
-// works (useful in tests).
-func NewAllocMeter(r *Registry) *AllocMeter {
-	return NewAllocMeterFor(r, DefaultPlatformLabel)
-}
-
-// NewAllocMeterFor is NewAllocMeter with an explicit platform label
-// value, so multi-provider deployments split allocs-per-op by platform
-// on one registry.
-func NewAllocMeterFor(r *Registry, platform string) *AllocMeter {
+// with the default sampling stride. platform is the value of the
+// families' platform label, so multi-provider deployments split
+// allocs-per-op by platform on one registry. A nil registry yields a
+// meter whose measurements go nowhere but whose gating still works
+// (useful in tests).
+func NewAllocMeter(r *Registry, platform string) *AllocMeter {
 	m := &AllocMeter{
 		platform: platform,
 		perOp: r.Gauge("allocs_per_op",

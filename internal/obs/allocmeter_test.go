@@ -33,7 +33,7 @@ var allocSink any
 // allocates must report allocs_per_op > 0 and bytes to match.
 func TestAllocMeterMeasuresForcedAllocs(t *testing.T) {
 	reg := NewRegistry()
-	m := NewAllocMeter(reg)
+	m := NewAllocMeter(reg, DefaultPlatformLabel)
 	m.SetSampleEvery(1)
 
 	const ops = 10
@@ -60,7 +60,7 @@ func TestAllocMeterMeasuresForcedAllocs(t *testing.T) {
 // meter must not allocate at all — the same guarantee tracing gives the
 // non-sampled iterations of a delivery burst.
 func TestAllocMeterUnsampledZeroOverhead(t *testing.T) {
-	m := NewAllocMeter(NewRegistry())
+	m := NewAllocMeter(NewRegistry(), DefaultPlatformLabel)
 	m.SetSampleEvery(1)
 	ctx := UnsampledContext(context.Background())
 
@@ -87,7 +87,7 @@ func TestAllocMeterUnsampledZeroOverhead(t *testing.T) {
 // windows is measured.
 func TestAllocMeterStride(t *testing.T) {
 	reg := NewRegistry()
-	m := NewAllocMeter(reg)
+	m := NewAllocMeter(reg, DefaultPlatformLabel)
 	m.SetSampleEvery(4)
 
 	for i := 0; i < 16; i++ {
@@ -123,7 +123,7 @@ func TestSampledHelper(t *testing.T) {
 // its families with it, so multi-provider registries split cleanly.
 func TestAllocMeterPlatformLabel(t *testing.T) {
 	reg := NewRegistry()
-	m := NewAllocMeterFor(reg, "pictogram")
+	m := NewAllocMeter(reg, "pictogram")
 	m.SetSampleEvery(1)
 	s := m.Begin(context.Background(), "op")
 	allocSink = make([]byte, 64)

@@ -12,7 +12,7 @@ import (
 
 func TestMiddleware(t *testing.T) {
 	clock := simclock.NewSimulated(traceEpoch)
-	o := New(clock)
+	o := New(clock, DefaultPlatformLabel)
 	handler := o.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/missing" {
 			w.WriteHeader(http.StatusNotFound)
@@ -63,7 +63,7 @@ func TestMiddleware(t *testing.T) {
 // TestMiddlewareJoinsRemoteTrace verifies a propagated X-Trace-Id /
 // X-Parent-Span pair keeps the server-side span on the caller's trace.
 func TestMiddlewareJoinsRemoteTrace(t *testing.T) {
-	o := New(simclock.NewSimulated(traceEpoch))
+	o := New(simclock.NewSimulated(traceEpoch), DefaultPlatformLabel)
 	handler := o.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// The joined span must be visible to the handler for nesting.
 		if s := SpanFromContext(r.Context()); s == nil || s.TraceID != "t0000beef" {
@@ -84,7 +84,7 @@ func TestMiddlewareJoinsRemoteTrace(t *testing.T) {
 
 func TestMiddlewareLatencyUsesInjectedClock(t *testing.T) {
 	clock := simclock.NewSimulated(traceEpoch)
-	o := New(clock)
+	o := New(clock, DefaultPlatformLabel)
 	handler := o.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		clock.Advance(250 * time.Millisecond)
 	}), "api", nil)
@@ -101,7 +101,7 @@ func TestMiddlewareLatencyUsesInjectedClock(t *testing.T) {
 }
 
 func TestRegisterDebug(t *testing.T) {
-	o := New(simclock.NewSimulated(traceEpoch))
+	o := New(simclock.NewSimulated(traceEpoch), DefaultPlatformLabel)
 	o.M().Counter("x_total", "X.").Inc()
 	_, s := o.T().StartSpan(nil, "a")
 	s.End()
@@ -163,7 +163,7 @@ func TestNilObserver(t *testing.T) {
 // TestTracesHandlerFilter: ?trace=<id> on /debug/traces pulls a single
 // request tree out of a ring holding spans from many traces.
 func TestTracesHandlerFilter(t *testing.T) {
-	o := New(simclock.NewSimulated(traceEpoch))
+	o := New(simclock.NewSimulated(traceEpoch), DefaultPlatformLabel)
 	ctx, root := o.T().StartSpan(nil, "root")
 	_, child := o.T().StartSpan(ctx, "child")
 	child.End()
@@ -205,7 +205,7 @@ func TestTracesHandlerFilter(t *testing.T) {
 // TestTracesDroppedCollector: once the span ring evicts, the loss is
 // visible on /metrics so an operator knows the JSONL export is partial.
 func TestTracesDroppedCollector(t *testing.T) {
-	o := New(simclock.NewSimulated(traceEpoch))
+	o := New(simclock.NewSimulated(traceEpoch), DefaultPlatformLabel)
 
 	scrape := func() string {
 		var b strings.Builder

@@ -43,20 +43,15 @@ type Observer struct {
 }
 
 // New returns an Observer whose tracer reads the given clock and keeps the
-// default number of finished spans.
-func New(clock simclock.Clock) *Observer {
-	return NewFor(clock, DefaultPlatformLabel)
-}
-
-// NewFor is New with an explicit platform label for the allocation
+// default number of finished spans. platform labels the allocation
 // meter's families; the composition root passes its provider's name so
 // scale-mode dashboards split allocs-per-op by platform.
-func NewFor(clock simclock.Clock, platform string) *Observer {
+func New(clock simclock.Clock, platform string) *Observer {
 	o := &Observer{
 		Tracer:  NewTracer(clock, DefaultTraceCapacity),
 		Metrics: NewRegistry(),
 	}
-	o.Allocs = NewAllocMeterFor(o.Metrics, platform)
+	o.Allocs = NewAllocMeter(o.Metrics, platform)
 	o.Metrics.Collector("traces_dropped_total",
 		"Finished spans evicted from the trace ring before export.",
 		KindCounter, nil, func() []Sample {

@@ -156,7 +156,7 @@ func (c *HTTPClient) AuthorizeImplicit(appID, redirectURI, accountID string, sco
 	return tok, nil
 }
 
-// AuthorizeCode implements CodeExchanger by walking the dialog with
+// AuthorizeCode implements Client by walking the dialog with
 // response_type=code and scraping the one-time code from the redirect
 // query. No credential leaks here: the code is single-use and bound to
 // the app, which is why code-flow-only providers resist milking.
@@ -186,7 +186,7 @@ func (c *HTTPClient) AuthorizeCode(appID, redirectURI, accountID string, scopes 
 	return code, nil
 }
 
-// ExchangeCode implements CodeExchanger against POST /oauth/access_token.
+// ExchangeCode implements Client against POST /oauth/access_token.
 func (c *HTTPClient) ExchangeCode(appID, appSecret, redirectURI, code string) (string, error) {
 	form := url.Values{
 		"client_id":     {appID},
@@ -266,12 +266,12 @@ func (c *HTTPClient) Me(token, ip string) (Profile, error) {
 	return Profile{ID: body.ID, Name: body.Name, Country: body.Country}, nil
 }
 
-// Like implements Client.
+// Like is LikeCtx without a trace context.
 func (c *HTTPClient) Like(token, objectID, ip string) error {
 	return c.LikeCtx(nil, token, objectID, ip)
 }
 
-// LikeCtx implements ContextClient: when ctx carries a span, the request
+// LikeCtx implements Client: when ctx carries a span, the request
 // ships its trace ID in the propagation headers so the server-side span
 // tree joins the caller's trace.
 func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) error {
@@ -286,7 +286,7 @@ func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) er
 	return nil
 }
 
-// LikeBatch implements BatchClient over POST /batch, chunked at the
+// LikeBatch implements Client over POST /batch, chunked at the
 // provider's batch-op cap. Each op rides as one batched POST /{object}/likes
 // with its own token, and its source IP travels in the op's source_ip
 // field so attribution survives coalescing. A transport-level failure
@@ -359,12 +359,7 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 	}
 }
 
-// Comment implements Client.
-func (c *HTTPClient) Comment(token, postID, message, ip string) (string, error) {
-	return c.CommentCtx(nil, token, postID, message, ip)
-}
-
-// CommentCtx implements ContextClient.
+// CommentCtx implements Client.
 func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {
 	form := tokenForm(token) + "&message=" + url.QueryEscape(message)
 	resp, err := c.do(ctx, http.MethodPost, "/"+postID+"/comments", form, ip)
@@ -479,8 +474,7 @@ func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
 	return out, nil
 }
 
-// FriendsOf lists the token account's friends via the /me/friends edge
-// (requires the user_friends scope).
+// FriendsOf implements Client via the /me/friends edge.
 func (c *HTTPClient) FriendsOf(token, ip string) ([]Profile, error) {
 	resp, err := c.do(nil, http.MethodGet, "/me/friends", tokenForm(token), ip)
 	if err != nil {

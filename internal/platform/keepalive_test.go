@@ -89,7 +89,7 @@ func TestHTTPClientReusesOneConnection(t *testing.T) {
 	if errs := c.LikeBatch(ctx, other.ID, []BatchLike{{Token: tok}, {Token: tok}}); errs[0] != nil || ErrorCode(errs[1]) != 520 {
 		t.Fatalf("batch of a like and its duplicate = %v, want [nil, code 520]", errs)
 	}
-	if _, err := c.Comment(tok, w.post.ID, "hi", ""); err != nil {
+	if _, err := c.CommentCtx(nil, tok, w.post.ID, "hi", ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CommentCtx(ctx, tok, w.post.ID, "hi again", ""); err != nil {

@@ -17,14 +17,16 @@ import (
 	"repro/internal/socialgraph"
 )
 
+// Both transports implement the whole Client surface, batching included.
+var (
+	_ Client = (*LocalClient)(nil)
+	_ Client = (*HTTPClient)(nil)
+)
+
 func TestLikeBatchTransportsEquivalent(t *testing.T) {
 	w := newWorld(t)
 	for name, client := range clientsUnderTest(t, w) {
 		t.Run(name, func(t *testing.T) {
-			bc, ok := client.(BatchClient)
-			if !ok {
-				t.Fatalf("%s transport does not implement BatchClient", name)
-			}
 			post, err := w.p.Graph.CreatePost(w.author.ID, "batch post "+name, socialgraph.WriteMeta{At: t0})
 			if err != nil {
 				t.Fatal(err)
@@ -46,7 +48,7 @@ func TestLikeBatchTransportsEquivalent(t *testing.T) {
 			ops = append(ops, BatchLike{Token: "bogus-token", IP: "203.0.113.250"})
 			ops = append(ops, BatchLike{Token: ops[0].Token, IP: ops[0].IP})
 
-			errs := bc.LikeBatch(context.Background(), post.ID, ops)
+			errs := client.LikeBatch(context.Background(), post.ID, ops)
 			if len(errs) != len(ops) {
 				t.Fatalf("LikeBatch returned %d errors for %d ops", len(errs), len(ops))
 			}
@@ -81,8 +83,7 @@ func TestLikeBatchEmptyAndSingle(t *testing.T) {
 	w := newWorld(t)
 	for name, client := range clientsUnderTest(t, w) {
 		t.Run(name, func(t *testing.T) {
-			bc := client.(BatchClient)
-			if errs := bc.LikeBatch(context.Background(), w.post.ID, nil); len(errs) != 0 {
+			if errs := client.LikeBatch(context.Background(), w.post.ID, nil); len(errs) != 0 {
 				t.Fatalf("empty batch returned %d errors", len(errs))
 			}
 			m := w.p.Graph.CreateAccount("single-"+name, "IN", t0)
@@ -91,7 +92,7 @@ func TestLikeBatchEmptyAndSingle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			errs := bc.LikeBatch(context.Background(), w.post.ID, []BatchLike{{Token: tok, IP: "203.0.113.1"}})
+			errs := client.LikeBatch(context.Background(), w.post.ID, []BatchLike{{Token: tok, IP: "203.0.113.1"}})
 			if len(errs) != 1 || errs[0] != nil {
 				t.Fatalf("single-op batch = %v", errs)
 			}

@@ -38,7 +38,7 @@ func NewMulti(clock simclock.Clock, internet *netsim.Internet, provs ...provider
 		if _, dup := m.platforms[name]; dup {
 			continue
 		}
-		m.platforms[name] = NewFor(prov, clock, internet)
+		m.platforms[name] = NewWithConfig(clock, internet, Config{Provider: prov})
 		if name == def {
 			m.order = append([]string{name}, m.order...)
 			continue

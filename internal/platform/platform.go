@@ -80,44 +80,35 @@ type Platform struct {
 	Obs      *obs.Observer
 }
 
-// New assembles a platform. internet may be nil to skip AS resolution.
-// The social graph is sharded with the GOMAXPROCS-scaled default stripe
-// count; use NewWithShards to pin it.
+// Config picks a platform's dialect and sizes its social graph.
+type Config struct {
+	// Provider is the dialect: token format, grant flows, scopes, error
+	// vocabulary, and batch cap. Required.
+	Provider provider.Provider
+	// Shards is the social graph's lock-stripe count; <= 0 selects the
+	// GOMAXPROCS-scaled default (see socialgraph.New).
+	Shards int
+	// AccountHint presizes the social graph's account-keyed maps for that
+	// many accounts, so the scale workload builds million-account graphs
+	// without incremental map growth.
+	AccountHint int
+}
+
+// New assembles a default-provider platform with the default stripe
+// count. internet may be nil to skip AS resolution.
 func New(clock simclock.Clock, internet *netsim.Internet) *Platform {
-	return NewWithShards(clock, internet, 0)
+	return NewWithConfig(clock, internet, Config{Provider: provider.Default()})
 }
 
-// NewWithShards assembles a platform whose social graph uses the given
-// number of lock stripes (rounded down to a power of two; <= 0 selects
-// the default). Experiments sweep this to measure how striping changes
-// contention under parallel milking.
-func NewWithShards(clock simclock.Clock, internet *netsim.Internet, shards int) *Platform {
-	return NewSized(clock, internet, shards, 0)
-}
-
-// NewSized is NewWithShards with an account-population hint: the social
-// graph's account-keyed maps are presized for accountHint accounts, which
-// the scale workload uses to build million-account graphs without
-// incremental map growth.
-func NewSized(clock simclock.Clock, internet *netsim.Internet, shards, accountHint int) *Platform {
-	return NewForSized(provider.Default(), clock, internet, shards, accountHint)
-}
-
-// NewFor assembles a platform speaking the given provider's dialect:
-// token format, grant flows, scopes, error vocabulary, and batch cap.
-// Cross-platform scenarios build one platform per provider over a shared
-// clock and Internet model.
-func NewFor(prov provider.Provider, clock simclock.Clock, internet *netsim.Internet) *Platform {
-	return NewForSized(prov, clock, internet, 0, 0)
-}
-
-// NewForSized is NewFor with explicit shard and account-population hints.
-func NewForSized(prov provider.Provider, clock simclock.Clock, internet *netsim.Internet, shards, accountHint int) *Platform {
-	graph := socialgraph.NewSized(shards, accountHint)
+// NewWithConfig assembles a platform as cfg describes. internet may be
+// nil to skip AS resolution.
+func NewWithConfig(clock simclock.Clock, internet *netsim.Internet, cfg Config) *Platform {
+	prov := cfg.Provider
+	graph := socialgraph.New(cfg.Shards, cfg.AccountHint)
 	registry := apps.NewRegistry()
-	oauth := oauthsim.NewServerFor(prov, clock, registry, graph)
-	api := graphapi.NewFor(prov, clock, graph, oauth, registry, internet, graphapi.NewChain())
-	observer := obs.NewFor(clock, prov.Name())
+	oauth := oauthsim.NewServer(prov, clock, registry, graph)
+	api := graphapi.New(prov, clock, graph, oauth, registry, internet)
+	observer := obs.New(clock, prov.Name())
 	api.SetObserver(observer)
 	oauth.SetObserver(observer)
 	registerGraphCollectors(observer, graph)
@@ -221,21 +212,40 @@ type Profile struct {
 	Country string
 }
 
-// Client is the platform operation surface collusion networks and
-// honeypots use. ip is the source address the call should appear to
-// originate from ("" lets the transport decide).
+// Client is the platform operation surface collusion networks,
+// honeypots and the Section 8 attacks use. ip is the source address the
+// call should appear to originate from ("" lets the transport decide).
+// Writes take a context first: the span it carries (if any; it may be
+// nil) becomes the parent of the platform-side span tree — LocalClient
+// passes it through CallContext.Ctx, HTTPClient in the X-Trace-Id /
+// X-Parent-Span headers.
 type Client interface {
 	// AuthorizeImplicit walks the implicit OAuth flow for the given app on
 	// behalf of accountID and returns the leaked access token. redirectURI
 	// must match the app's configured redirection endpoint — clients learn
 	// it out of band (collusion networks hardcode the install link).
 	AuthorizeImplicit(appID, redirectURI, accountID string, scopes []string) (string, error)
+	// AuthorizeCode walks the dialog with response_type=code and returns
+	// the one-time authorization code from the redirect. Providers without
+	// an implicit flow — the ones whose tokens cannot be milked from a
+	// redirect fragment — are reachable only this way, so a cross-platform
+	// collusion network needs a companion app (and its secret) on such a
+	// platform to pool tokens there.
+	AuthorizeCode(appID, redirectURI, accountID string, scopes []string) (string, error)
+	// ExchangeCode swaps the code for an access token at the token
+	// endpoint, authenticating with the application secret.
+	ExchangeCode(appID, appSecret, redirectURI, code string) (string, error)
 	// Me returns the profile of the token's account.
 	Me(token, ip string) (Profile, error)
-	// Like publishes a like.
-	Like(token, objectID, ip string) error
-	// Comment publishes a comment and returns its ID.
-	Comment(token, postID, message, ip string) (string, error)
+	// LikeCtx publishes a like.
+	LikeCtx(ctx context.Context, token, objectID, ip string) error
+	// LikeBatch delivers a burst of likes on one object in one call. The
+	// result is one error per op, aligned by index (nil = delivered), with
+	// semantics identical to N sequential LikeCtx calls — each op is still
+	// policy-checked on its own token and IP.
+	LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error
+	// CommentCtx publishes a comment and returns its ID.
+	CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error)
 	// Publish creates a status update and returns the post ID.
 	Publish(token, message, ip string) (string, error)
 	// LikesOf lists likes on an object.
@@ -245,6 +255,9 @@ type Client interface {
 	// FeedOf lists the token account's own posts (used by premium
 	// auto-delivery to find fresh posts without a member login).
 	FeedOf(token string) ([]PostRecord, error)
+	// FriendsOf lists the token account's friends (requires the
+	// user_friends scope; used by the Section 8 harvesting attack).
+	FriendsOf(token, ip string) ([]Profile, error)
 }
 
 // PostRecord is a transport-neutral view of one feed post.
@@ -254,49 +267,11 @@ type PostRecord struct {
 	At      time.Time
 }
 
-// CodeExchanger is the optional extension of Client for transports that
-// can drive the authorization-code (server-side) flow: walk the dialog
-// for a one-time code, then swap it for a token by authenticating with
-// the application secret. Providers without an implicit flow — the ones
-// whose tokens cannot be milked from a redirect fragment — are reachable
-// only this way, so a cross-platform collusion network needs a companion
-// app (and its secret) on such a platform to pool tokens there.
-type CodeExchanger interface {
-	// AuthorizeCode walks the dialog with response_type=code and returns
-	// the one-time authorization code from the redirect query.
-	AuthorizeCode(appID, redirectURI, accountID string, scopes []string) (string, error)
-	// ExchangeCode swaps the code for an access token at the token
-	// endpoint, authenticating with the application secret.
-	ExchangeCode(appID, appSecret, redirectURI, code string) (string, error)
-}
-
-// ContextClient is the optional extension of Client for transports that
-// can propagate a trace context into a write: the local transport passes
-// the caller's span through CallContext.Ctx; the HTTP transport carries it
-// in the X-Trace-Id / X-Parent-Span headers. Delivery engines type-assert
-// for it and fall back to the plain methods, so Client implementations
-// outside this package keep working unchanged.
-type ContextClient interface {
-	LikeCtx(ctx context.Context, token, objectID, ip string) error
-	CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error)
-}
-
 // BatchLike is one like in a homogeneous batch: the member token that
 // performs it and the source IP it should appear to originate from.
 type BatchLike struct {
 	Token string
 	IP    string
-}
-
-// BatchClient is the optional extension of Client for transports that can
-// deliver a burst of likes on one object in a single round trip. The
-// result is one error per op, aligned by index (nil = delivered), with
-// semantics identical to N sequential Like calls — each op is still
-// policy-checked on its own token and IP. Delivery engines type-assert
-// for it and fall back to per-call Like, so Client implementations
-// outside this package keep working unchanged.
-type BatchClient interface {
-	LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error
 }
 
 // LocalClient implements Client with direct in-process calls.
@@ -324,7 +299,7 @@ func (c *LocalClient) AuthorizeImplicit(appID, redirectURI, accountID string, sc
 	return res.AccessToken, nil
 }
 
-// AuthorizeCode implements CodeExchanger with a direct dialog call.
+// AuthorizeCode implements Client with a direct dialog call.
 func (c *LocalClient) AuthorizeCode(appID, redirectURI, accountID string, scopes []string) (string, error) {
 	res, err := c.p.OAuth.Authorize(oauthsim.AuthorizeRequest{
 		AppID:        appID,
@@ -339,8 +314,7 @@ func (c *LocalClient) AuthorizeCode(appID, redirectURI, accountID string, scopes
 	return res.Code, nil
 }
 
-// ExchangeCode implements CodeExchanger against the in-process token
-// endpoint.
+// ExchangeCode implements Client against the in-process token endpoint.
 func (c *LocalClient) ExchangeCode(appID, appSecret, redirectURI, code string) (string, error) {
 	info, err := c.p.OAuth.ExchangeCode(appID, appSecret, redirectURI, code)
 	if err != nil {
@@ -358,18 +332,12 @@ func (c *LocalClient) Me(token, ip string) (Profile, error) {
 	return Profile{ID: acct.ID, Name: acct.Name, Country: acct.Country}, nil
 }
 
-// Like implements Client.
-func (c *LocalClient) Like(token, objectID, ip string) error {
-	return c.p.API.Like(graphapi.CallContext{AccessToken: token, SourceIP: ip}, objectID)
-}
-
-// LikeCtx implements ContextClient: the like joins the trace carried by
-// ctx.
+// LikeCtx implements Client: the like joins the trace carried by ctx.
 func (c *LocalClient) LikeCtx(ctx context.Context, token, objectID, ip string) error {
 	return c.p.API.Like(graphapi.CallContext{Ctx: ctx, AccessToken: token, SourceIP: ip}, objectID)
 }
 
-// LikeBatch implements BatchClient with one direct call into the API's
+// LikeBatch implements Client with one direct call into the API's
 // batched like endpoint.
 func (c *LocalClient) LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error {
 	apiOps := make([]graphapi.BatchLikeOp, len(ops))
@@ -379,16 +347,7 @@ func (c *LocalClient) LikeBatch(ctx context.Context, objectID string, ops []Batc
 	return c.p.API.LikeBatch(ctx, objectID, apiOps)
 }
 
-// Comment implements Client.
-func (c *LocalClient) Comment(token, postID, message, ip string) (string, error) {
-	cm, err := c.p.API.Comment(graphapi.CallContext{AccessToken: token, SourceIP: ip}, postID, message)
-	if err != nil {
-		return "", err
-	}
-	return cm.ID, nil
-}
-
-// CommentCtx implements ContextClient.
+// CommentCtx implements Client.
 func (c *LocalClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {
 	cm, err := c.p.API.Comment(graphapi.CallContext{Ctx: ctx, AccessToken: token, SourceIP: ip}, postID, message)
 	if err != nil {
@@ -419,10 +378,7 @@ func (c *LocalClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 	return out, nil
 }
 
-// FriendsOf lists the token account's friends (requires the user_friends
-// scope). It is not part of the minimal Client interface — collusion
-// delivery never needs it — but both transports provide it for the
-// Section 8 harvesting attacks.
+// FriendsOf implements Client.
 func (c *LocalClient) FriendsOf(token, ip string) ([]Profile, error) {
 	friends, err := c.p.API.Friends(graphapi.CallContext{AccessToken: token, SourceIP: ip})
 	if err != nil {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/defense"
 	"repro/internal/netsim"
+	"repro/internal/provider"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
 )
@@ -82,7 +84,7 @@ func TestClientTransportsEquivalent(t *testing.T) {
 			if me.ID != member.ID || me.Country != "IN" {
 				t.Fatalf("Me = %+v", me)
 			}
-			if err := client.Like(tok, post.ID, "203.0.113.9"); err != nil {
+			if err := client.LikeCtx(context.Background(), tok, post.ID, "203.0.113.9"); err != nil {
 				t.Fatal(err)
 			}
 			likes, err := client.LikesOf(tok, post.ID)
@@ -98,7 +100,7 @@ func TestClientTransportsEquivalent(t *testing.T) {
 			if !found {
 				t.Fatalf("member like missing from %v", likes)
 			}
-			cid, err := client.Comment(tok, post.ID, "first!", "203.0.113.9")
+			cid, err := client.CommentCtx(context.Background(), tok, post.ID, "first!", "203.0.113.9")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,17 +128,17 @@ func TestClientTransportsEquivalent(t *testing.T) {
 func TestNewWithShardsPinsStripeCount(t *testing.T) {
 	clock := simclock.NewSimulated(t0)
 	for _, tc := range []struct{ in, want int }{{1, 1}, {8, 8}, {13, 16}} {
-		p := NewWithShards(clock, nil, tc.in)
+		p := NewWithConfig(clock, nil, Config{Provider: provider.Default(), Shards: tc.in})
 		if got := p.Graph.ShardCount(); got != tc.want {
-			t.Fatalf("NewWithShards(%d): ShardCount = %d, want %d", tc.in, got, tc.want)
+			t.Fatalf("Shards: %d: ShardCount = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if got := New(clock, nil).Graph.ShardCount(); got != socialgraph.New().ShardCount() {
+	if got := New(clock, nil).Graph.ShardCount(); got != socialgraph.New(0, 0).ShardCount() {
 		t.Fatalf("New: ShardCount = %d, want store default", got)
 	}
 	// A pinned single-stripe platform must behave identically end to end:
 	// run the full authorize→like→crawl path against it.
-	p := NewWithShards(clock, nil, 1)
+	p := NewWithConfig(clock, nil, Config{Provider: provider.Default(), Shards: 1})
 	app := p.Apps.Register(apps.Config{
 		Name:              "Shard Probe",
 		RedirectURI:       "https://probe.example/cb",
@@ -156,7 +158,7 @@ func TestNewWithShardsPinsStripeCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Like(tok, post.ID, ""); err != nil {
+	if err := client.LikeCtx(context.Background(), tok, post.ID, ""); err != nil {
 		t.Fatal(err)
 	}
 	likes, err := client.LikesOf(tok, post.ID)
@@ -177,17 +179,17 @@ func TestClientErrorsPropagate(t *testing.T) {
 			if _, err := client.AuthorizeImplicit(w.app.ID, "https://evil.example", member.ID, nil); err == nil {
 				t.Fatal("bad redirect URI accepted")
 			}
-			if err := client.Like("bogus-token", post.ID, ""); err == nil {
+			if err := client.LikeCtx(context.Background(), "bogus-token", post.ID, ""); err == nil {
 				t.Fatal("bogus token accepted")
 			}
 			tok, err := client.AuthorizeImplicit(w.app.ID, w.app.RedirectURI, member.ID, []string{apps.PermPublishActions})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := client.Like(tok, post.ID, ""); err != nil {
+			if err := client.LikeCtx(context.Background(), tok, post.ID, ""); err != nil {
 				t.Fatal(err)
 			}
-			err = client.Like(tok, post.ID, "")
+			err = client.LikeCtx(context.Background(), tok, post.ID, "")
 			if err == nil {
 				t.Fatal("duplicate like accepted")
 			}
@@ -217,10 +219,10 @@ func TestCountermeasuresApplyAcrossTransports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := client.Like(tok, post.ID, ""); err != nil {
+			if err := client.LikeCtx(context.Background(), tok, post.ID, ""); err != nil {
 				t.Fatal(err)
 			}
-			if err := client.Like(tok, post2.ID, ""); err == nil {
+			if err := client.LikeCtx(context.Background(), tok, post2.ID, ""); err == nil {
 				t.Fatal("rate limit not enforced")
 			}
 		})
@@ -299,10 +301,7 @@ func TestLocalClientFeedAndFriends(t *testing.T) {
 				t.Fatalf("published post missing from feed: %v", feed)
 			}
 			// FriendsOf exposes the friend edge.
-			type friendLister interface {
-				FriendsOf(token, ip string) ([]Profile, error)
-			}
-			friends, err := client.(friendLister).FriendsOf(tok, "")
+			friends, err := client.FriendsOf(tok, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,14 +314,14 @@ func TestLocalClientFeedAndFriends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := client.(friendLister).FriendsOf(bare, ""); err == nil {
+			if _, err := client.FriendsOf(bare, ""); err == nil {
 				t.Fatal("scopeless FriendsOf succeeded")
 			}
 			if _, err := client.FeedOf("dead-token"); err == nil {
 				t.Fatal("FeedOf with dead token succeeded")
 			}
-			if _, err := client.Comment("dead-token", "p", "m", ""); err == nil {
-				t.Fatal("Comment with dead token succeeded")
+			if _, err := client.CommentCtx(context.Background(), "dead-token", "p", "m", ""); err == nil {
+				t.Fatal("CommentCtx with dead token succeeded")
 			}
 			if _, err := client.Publish("dead-token", "m", ""); err == nil {
 				t.Fatal("Publish with dead token succeeded")

@@ -20,7 +20,7 @@ var batchEpoch = time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 // reference oracle: accounts (the last one suspended), posts, and pages.
 func batchWorld(t testing.TB, shards, accounts, posts, pages int) (*Store, *referenceStore, []string, []string, []string) {
 	t.Helper()
-	sharded := NewWithShards(shards)
+	sharded := New(shards, 0)
 	oracle := newReferenceStore()
 	var acctIDs, postIDs, pageIDs []string
 	for i := 0; i < accounts; i++ {
@@ -136,7 +136,7 @@ func TestAddLikeBatchMatchesSequential(t *testing.T) {
 
 // TestAddLikeBatchEmpty pins the degenerate shapes.
 func TestAddLikeBatchEmpty(t *testing.T) {
-	s := NewWithShards(4)
+	s := New(4, 0)
 	if errs := s.AddLikeBatch(nil); len(errs) != 0 {
 		t.Fatalf("AddLikeBatch(nil) = %d errors", len(errs))
 	}
@@ -154,7 +154,7 @@ func TestAddLikeBatchEmpty(t *testing.T) {
 // into one ascending acquisition pass (counted via the contention
 // counters), and every stripe must be released on exit.
 func TestApplyLikeRunLockScope(t *testing.T) {
-	s := NewWithShards(8)
+	s := New(8, 0)
 	run := []LikeOp{
 		{AccountID: "liker-a", ObjectID: "obj-x"},
 		{AccountID: "liker-b", ObjectID: "obj-x"},

@@ -36,7 +36,7 @@ func TestChunkReuseChurn(t *testing.T) {
 		rounds   = 30
 		window   = 30 * time.Minute
 	)
-	sharded := NewWithShards(4)
+	sharded := New(4, 0)
 	oracle := newReferenceStore()
 	sharded.SetRetentionWindow(window)
 	oracle.SetRetentionWindow(window)
@@ -149,7 +149,7 @@ func FuzzChunkReuse(f *testing.F) {
 			nPosts    = 3
 			window    = 30 * time.Minute
 		)
-		sharded := NewWithShards(4)
+		sharded := New(4, 0)
 		oracle := newReferenceStore()
 		sharded.SetRetentionWindow(window)
 		oracle.SetRetentionWindow(window)

@@ -102,7 +102,7 @@ func pick(rng *rand.Rand, pool []string) string {
 func runDifferential(t *testing.T, seed int64, ops int, shards int, window time.Duration) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sharded := NewWithShards(shards)
+	sharded := New(shards, 0)
 	oracle := newReferenceStore()
 	sharded.SetRetentionWindow(window)
 	oracle.SetRetentionWindow(window)
@@ -510,7 +510,7 @@ func TestDifferentialRetention(t *testing.T) {
 // TestDifferentialActivitySince pins the time-filtered crawl both
 // implementations serve to the honeypot outgoing-activity experiments.
 func TestDifferentialActivitySince(t *testing.T) {
-	sharded := NewWithShards(8)
+	sharded := New(8, 0)
 	oracle := newReferenceStore()
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 	var gA, wA Account

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAddFriendshipSymmetric(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	a := s.CreateAccount("a", "IN", t0)
 	b := s.CreateAccount("b", "IN", t0)
 	if err := s.AddFriendship(a.ID, b.ID); err != nil {
@@ -26,7 +26,7 @@ func TestAddFriendshipSymmetric(t *testing.T) {
 }
 
 func TestAddFriendshipValidation(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	a := s.CreateAccount("a", "IN", t0)
 	b := s.CreateAccount("b", "IN", t0)
 	if err := s.AddFriendship(a.ID, a.ID); !errors.Is(err, ErrInvalidReference) {
@@ -47,7 +47,7 @@ func TestAddFriendshipValidation(t *testing.T) {
 }
 
 func TestFriendsOfStranger(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	if got := s.Friends("nobody"); len(got) != 0 {
 		t.Fatalf("Friends(nobody) = %v", got)
 	}
@@ -60,7 +60,7 @@ func TestFriendsOfStranger(t *testing.T) {
 // symmetric and degree sums are even.
 func TestQuickFriendshipSymmetry(t *testing.T) {
 	f := func(pairs []uint8) bool {
-		s := New()
+		s := New(0, 0)
 		ids := make([]string, 12)
 		for i := range ids {
 			ids[i] = s.CreateAccount(fmt.Sprintf("u%d", i), "IN", t0).ID

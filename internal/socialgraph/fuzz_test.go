@@ -23,7 +23,7 @@ func FuzzShardRouting(f *testing.F) {
 	f.Add("bogus-object")
 	f.Fuzz(func(t *testing.T, id string) {
 		for _, shards := range []int{1, 4, 64} {
-			s := NewWithShards(shards)
+			s := New(shards, 0)
 			i := s.shardIndex(id)
 			if i < 0 || i >= s.ShardCount() {
 				t.Fatalf("shardIndex(%q) = %d with %d shards", id, i, s.ShardCount())

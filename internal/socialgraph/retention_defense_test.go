@@ -31,7 +31,7 @@ func TestRetentionPreservesSynchroTrapVerdicts(t *testing.T) {
 	)
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 
-	swept := socialgraph.NewWithShards(8)
+	swept := socialgraph.New(8, 0)
 	swept.SetRetentionWindow(window)
 	oracle := socialgraph.NewTestReferenceStore() // infinite retention, never swept
 

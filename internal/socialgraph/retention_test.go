@@ -19,7 +19,7 @@ type retWorld struct {
 
 func newRetWorld(t testing.TB, shards, accounts, posts int) *retWorld {
 	t.Helper()
-	w := &retWorld{s: NewWithShards(shards)}
+	w := &retWorld{s: New(shards, 0)}
 	at := retEpoch()
 	for i := 0; i < accounts; i++ {
 		w.accounts = append(w.accounts, w.s.CreateAccount(fmt.Sprintf("u%d", i), "IN", at).ID)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestShardCountDefaults(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	n := s.ShardCount()
 	if n&(n-1) != 0 || n < 1 {
 		t.Fatalf("default ShardCount = %d, want a power of two", n)
@@ -29,17 +29,17 @@ func TestNewWithShardsRounding(t *testing.T) {
 		{maxShards, maxShards},
 		{maxShards + 1, maxShards},
 	} {
-		if got := NewWithShards(tc.in).ShardCount(); got != tc.want {
-			t.Fatalf("NewWithShards(%d).ShardCount() = %d, want %d", tc.in, got, tc.want)
+		if got := New(tc.in, 0).ShardCount(); got != tc.want {
+			t.Fatalf("New(%d, 0).ShardCount() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if got := NewWithShards(0).ShardCount(); got != defaultShardCount() {
-		t.Fatalf("NewWithShards(0) = %d shards, want default %d", got, defaultShardCount())
+	if got := New(0, 0).ShardCount(); got != defaultShardCount() {
+		t.Fatalf("New(0, 0) = %d shards, want default %d", got, defaultShardCount())
 	}
 }
 
 func TestShardRoutingDeterministicAndInRange(t *testing.T) {
-	s := NewWithShards(16)
+	s := New(16, 0)
 	samples := []string{"", "a", "1000000000000001", "2000000000000042", "héllo-wörld", "\x00\xff", "acct"}
 	for _, id := range samples {
 		i := s.shardIndex(id)
@@ -56,7 +56,7 @@ func TestShardSpreadOverMintedIDs(t *testing.T) {
 	// Minted IDs are sequential decimals; FNV-1a must still spread them so
 	// striping actually relieves contention. Allow generous skew but
 	// reject degenerate clumping (all traffic on a handful of stripes).
-	s := NewWithShards(16)
+	s := New(16, 0)
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 	counts := make([]int, s.ShardCount())
 	const n = 4096
@@ -79,7 +79,7 @@ func TestShardSpreadOverMintedIDs(t *testing.T) {
 }
 
 func TestContentionCountersSequential(t *testing.T) {
-	s := NewWithShards(4)
+	s := New(4, 0)
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 	a := s.CreateAccount("a", "IN", epoch)
 	p, err := s.CreatePost(a.ID, "post", WriteMeta{At: epoch})
@@ -107,7 +107,7 @@ func TestContentionCountersSequential(t *testing.T) {
 }
 
 func TestLockOrderedCollapsesDuplicates(t *testing.T) {
-	s := NewWithShards(2)
+	s := New(2, 0)
 	// Same ID twice must lock its shard exactly once (and unlock cleanly).
 	unlock := s.lockOrdered("x", "x")
 	unlock()

@@ -153,10 +153,10 @@ type Activity struct {
 }
 
 // Store is the in-memory social graph, lock-striped across shards. The
-// zero value is not usable; use New or NewWithShards. Store is safe for
-// concurrent use, and when driven sequentially is observationally
-// identical to the single-lock reference implementation (enforced by the
-// differential tests).
+// zero value is not usable; use New. Store is safe for concurrent use,
+// and when driven sequentially is observationally identical to the
+// single-lock reference implementation (enforced by the differential
+// tests).
 type Store struct {
 	minter     *ids.Minter
 	shards     []*shard
@@ -169,20 +169,13 @@ type Store struct {
 	retention      *metrics.RetentionCounters
 }
 
-// New returns an empty Store with the default GOMAXPROCS-scaled shard
-// count.
-func New() *Store { return NewWithShards(0) }
-
-// NewWithShards returns an empty Store striped across n shards. n is
-// rounded up to a power of two and clamped to [1, 1024]; n <= 0 selects
-// the default.
-func NewWithShards(n int) *Store { return NewSized(n, 0) }
-
-// NewSized returns an empty Store striped across n shards with its
-// account-keyed maps presized for accountHint accounts. The scale
-// workload passes the target population so building a multi-million
-// account graph does not pay for incremental map rehashing.
-func NewSized(n, accountHint int) *Store {
+// New returns an empty Store striped across n shards with its
+// account-keyed maps presized for accountHint accounts. n is rounded up
+// to a power of two and clamped to [1, 1024]; n <= 0 selects the default
+// GOMAXPROCS-scaled count. The scale workload passes the target
+// population as accountHint so building a multi-million account graph
+// does not pay for incremental map rehashing; 0 presizes nothing.
+func New(n, accountHint int) *Store {
 	if n <= 0 {
 		n = defaultShardCount()
 	}

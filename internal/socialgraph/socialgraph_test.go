@@ -16,7 +16,7 @@ func meta(app, ip string, at time.Time) WriteMeta {
 }
 
 func TestCreateAndGetAccount(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	a := s.CreateAccount("alice", "IN", t0)
 	got, err := s.Account(a.ID)
 	if err != nil {
@@ -31,7 +31,7 @@ func TestCreateAndGetAccount(t *testing.T) {
 }
 
 func TestCreatePostAndFetch(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	a := s.CreateAccount("alice", "IN", t0)
 	p, err := s.CreatePost(a.ID, "hello world", meta("", "", t0))
 	if err != nil {
@@ -51,7 +51,7 @@ func TestCreatePostAndFetch(t *testing.T) {
 }
 
 func TestCreatePostValidation(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	a := s.CreateAccount("alice", "IN", t0)
 	if _, err := s.CreatePost(a.ID, "", meta("", "", t0)); !errors.Is(err, ErrEmptyMessage) {
 		t.Fatalf("empty message error = %v", err)
@@ -62,7 +62,7 @@ func TestCreatePostValidation(t *testing.T) {
 }
 
 func TestLikeIdempotence(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -82,7 +82,7 @@ func TestLikeIdempotence(t *testing.T) {
 }
 
 func TestLikeAttribution(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "EG", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -101,7 +101,7 @@ func TestLikeAttribution(t *testing.T) {
 }
 
 func TestRemoveLike(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -122,7 +122,7 @@ func TestRemoveLike(t *testing.T) {
 }
 
 func TestSuspendedAccountCannotWrite(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -147,7 +147,7 @@ func TestSuspendedAccountCannotWrite(t *testing.T) {
 }
 
 func TestComments(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -169,7 +169,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestActivityLog(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -192,7 +192,7 @@ func TestActivityLog(t *testing.T) {
 }
 
 func TestPagesAndProfileLikes(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	owner := s.CreateAccount("owner", "IN", t0)
 	fan := s.CreateAccount("fan", "IN", t0)
 	page, err := s.CreatePage(owner.ID, "MG Likers Official", t0)
@@ -232,7 +232,7 @@ func TestPagesAndProfileLikes(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	bob := s.CreateAccount("bob", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
@@ -249,7 +249,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestLikesArrivalOrder(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
 	var want []string
@@ -270,7 +270,7 @@ func TestLikesArrivalOrder(t *testing.T) {
 }
 
 func TestConcurrentLikes(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)
 	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
 	const n = 200
@@ -298,7 +298,7 @@ func TestConcurrentLikes(t *testing.T) {
 // matter the interleaving of duplicate likes.
 func TestQuickLikeCountEqualsDistinctLikers(t *testing.T) {
 	f := func(likerPicks []uint8) bool {
-		s := New()
+		s := New(0, 0)
 		author := s.CreateAccount("author", "IN", t0)
 		p, _ := s.CreatePost(author.ID, "post", meta("", "", t0))
 		pool := make([]string, 16)
@@ -329,7 +329,7 @@ func TestQuickLikeCountEqualsDistinctLikers(t *testing.T) {
 // object acted on.
 func TestQuickActivityTargetsConsistent(t *testing.T) {
 	f := func(actions []bool) bool {
-		s := New()
+		s := New(0, 0)
 		author := s.CreateAccount("author", "IN", t0)
 		actor := s.CreateAccount("actor", "IN", t0)
 		p, _ := s.CreatePost(author.ID, "post", meta("", "", t0))

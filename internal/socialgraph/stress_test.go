@@ -20,7 +20,7 @@ func TestStressMixedOpsParallel(t *testing.T) {
 	if testing.Short() {
 		perWorker = 100
 	}
-	s := NewWithShards(8) // fewer stripes than workers to force contention
+	s := New(8, 0) // fewer stripes than workers to force contention
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 
 	// Shared targets: every worker likes/comments on the same posts and
@@ -117,7 +117,7 @@ func TestStressMixedOpsParallel(t *testing.T) {
 
 func TestStressFriendshipSymmetry(t *testing.T) {
 	const n = 40
-	s := NewWithShards(4)
+	s := New(4, 0)
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 	accts := make([]string, n)
 	for i := range accts {
@@ -155,7 +155,7 @@ func TestStressFriendshipSymmetry(t *testing.T) {
 }
 
 func TestStressSuspendedWritersSettle(t *testing.T) {
-	s := New()
+	s := New(0, 0)
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 	author := s.CreateAccount("author", "IN", epoch)
 	post, err := s.CreatePost(author.ID, "p", WriteMeta{At: epoch})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/platform"
+	"repro/internal/provider"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
 )
@@ -140,7 +141,7 @@ func (w *ScaleWorld) AccountID(i int) string {
 func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	cfg = cfg.withDefaults()
 	clock := simclock.NewSimulated(cfg.Start)
-	p := platform.NewSized(clock, nil, cfg.Shards, cfg.Accounts)
+	p := platform.NewWithConfig(clock, nil, platform.Config{Provider: provider.Default(), Shards: cfg.Shards, AccountHint: cfg.Accounts})
 	if cfg.RetentionWindow > 0 {
 		p.Graph.SetRetentionWindow(cfg.RetentionWindow)
 	}

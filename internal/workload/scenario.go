@@ -9,6 +9,7 @@ import (
 	"repro/internal/collusion"
 	"repro/internal/netsim"
 	"repro/internal/platform"
+	"repro/internal/provider"
 	"repro/internal/shorturl"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
@@ -139,7 +140,7 @@ func BuildScenario(opts Options) (*Scenario, error) {
 		return nil, err
 	}
 
-	p := platform.NewWithShards(clock, internet, opts.Shards)
+	p := platform.NewWithConfig(clock, internet, platform.Config{Provider: provider.Default(), Shards: opts.Shards})
 	if opts.RetentionWindow > 0 {
 		p.Graph.SetRetentionWindow(opts.RetentionWindow)
 	}
