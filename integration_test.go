@@ -141,7 +141,7 @@ func TestFullStoryOverHTTP(t *testing.T) {
 	for _, m := range members {
 		swarm = append(swarm, m.ID)
 	}
-	removed := defense.PurgeLikes(p.Graph, swarm)
+	removed := defense.PurgeLikesReport(p.Graph, swarm).LikesRemoved
 	if removed < 70 {
 		t.Fatalf("purged %d likes", removed)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/graphapi"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/provider"
@@ -564,13 +565,13 @@ func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now
 		n.mu.Unlock()
 		return 1
 	}
-	code := platform.ErrorCode(err)
+	code := graphapi.ErrCode(err)
 	n.stats.FailuresByCode[code]++
 	n.mu.Unlock()
 	if span != nil {
 		span.Event("failure", "code", strconv.Itoa(code))
 	}
-	switch platform.ErrorKind(err) {
+	switch graphapi.ErrKindOf(err) {
 	case provider.KindInvalidToken, provider.KindAccountSuspended:
 		// Dead token: drop the member until they resubmit.
 		if t.pool.Remove(s.AccountID) {

@@ -134,40 +134,14 @@ type MilkResult struct {
 	Err       error
 }
 
-// MilkNetwork performs one milking round against the named network: the
-// honeypot posts a status, requests likes, and crawls the likers. The
-// estimator is updated and the milked accounts are queued with the
-// countermeasure pipeline (they only get invalidated when a sweep runs).
-//
-// When the site has dropped the honeypot's membership — its token expired
-// or was invalidated (the countermeasures do not spare honeypots) — the
-// honeypot re-runs the install flow and retries once, as the paper's
-// long-running automation had to.
-func (s *Study) MilkNetwork(name string) (res MilkResult) {
+// MilkNetwork performs one milking round against the named network with
+// the network's own honeypot (see MilkVia).
+func (s *Study) MilkNetwork(name string) MilkResult {
 	hp, ok := s.Honeypots[name]
 	if !ok {
 		return MilkResult{Network: name, Err: fmt.Errorf("core: unknown network %q", name)}
 	}
-	span, allocs := s.milkSpan(name)
-	defer func() { closeMilkSpan(span, allocs, res) }()
-	postID, delivered, err := hp.MilkOnce()
-	if err != nil && errors.Is(err, collusion.ErrNotMember) {
-		span.Event("rejoin")
-		if rerr := hp.Rejoin(); rerr == nil {
-			postID, delivered, err = hp.MilkOnce()
-		}
-	}
-	if err != nil {
-		return MilkResult{Network: name, PostID: postID, Err: err}
-	}
-	likes := s.Scenario.Platform.Graph.Likes(postID)
-	likers := make([]string, len(likes))
-	for i, l := range likes {
-		likers[i] = l.AccountID
-	}
-	s.Estimators[name].ObservePost(likers)
-	s.counter.noteMilked(likers)
-	return MilkResult{Network: name, PostID: postID, Delivered: delivered, Likers: likers}
+	return s.MilkVia(hp, name)
 }
 
 // AddHoneypot registers an additional honeypot on the named network and
@@ -194,10 +168,17 @@ func (s *Study) AddHoneypot(network string) (*honeypot.Honeypot, error) {
 	return hp, nil
 }
 
-// MilkVia performs one milking round with a specific honeypot, updating
-// the network's shared estimator and the countermeasure backlog exactly
-// like MilkNetwork. Use with AddHoneypot to spread a campaign across a
-// fleet.
+// MilkVia performs one milking round against network with the given
+// honeypot: the honeypot posts a status, requests likes, and crawls the
+// likers. The network's shared estimator is updated and the milked
+// accounts are queued with the countermeasure pipeline (they only get
+// invalidated when a sweep runs). Use with AddHoneypot to spread a
+// campaign across a fleet.
+//
+// When the site has dropped the honeypot's membership — its token expired
+// or was invalidated (the countermeasures do not spare honeypots) — the
+// honeypot re-runs the install flow and retries once, as the paper's
+// long-running automation had to.
 func (s *Study) MilkVia(hp *honeypot.Honeypot, network string) (res MilkResult) {
 	est, ok := s.Estimators[network]
 	if !ok {

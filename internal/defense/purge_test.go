@@ -26,7 +26,7 @@ func TestPurgeLikesRemovesOnlyTargets(t *testing.T) {
 			}
 		}
 	}
-	removed := PurgeLikes(s, []string{bot1.ID, bot2.ID})
+	removed := PurgeLikesReport(s, []string{bot1.ID, bot2.ID}).LikesRemoved
 	if removed != 6 {
 		t.Fatalf("removed = %d, want 6", removed)
 	}
@@ -37,7 +37,7 @@ func TestPurgeLikesRemovesOnlyTargets(t *testing.T) {
 		}
 	}
 	// Idempotent: a second purge removes nothing.
-	if again := PurgeLikes(s, []string{bot1.ID, bot2.ID}); again != 0 {
+	if again := PurgeLikesReport(s, []string{bot1.ID, bot2.ID}).LikesRemoved; again != 0 {
 		t.Fatalf("second purge removed %d", again)
 	}
 	// Forensic record survives.
@@ -62,7 +62,7 @@ func TestPurgeLikesReport(t *testing.T) {
 
 func TestPurgeEmptyInput(t *testing.T) {
 	s := socialgraph.New(0, 0)
-	if got := PurgeLikes(s, nil); got != 0 {
+	if got := PurgeLikesReport(s, nil).LikesRemoved; got != 0 {
 		t.Fatalf("purge of nothing removed %d", got)
 	}
 }

@@ -48,30 +48,6 @@ func newSlidingWindow(clock simclock.Clock, window time.Duration) *slidingWindow
 	}
 }
 
-// incr records one event for key and returns the new in-window total.
-func (s *slidingWindow) incr(key string) int {
-	now := s.clock.Now()
-	cur := now.UnixNano() / int64(s.bucket)
-	oldest := cur - 8
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	buckets := s.counts[key]
-	if buckets == nil {
-		buckets = map[int64]int{}
-		s.counts[key] = buckets
-	}
-	total := 0
-	for b, c := range buckets {
-		if b <= oldest {
-			delete(buckets, b)
-			continue
-		}
-		total += c
-	}
-	buckets[cur]++
-	return total + 1
-}
-
 // allow admits one event for key iff the in-window total is below limit,
 // recording it only on admission. Denied attempts do not consume quota —
 // a throttled token regains capacity as its window slides, rather than
@@ -100,22 +76,6 @@ func (s *slidingWindow) allow(key string, limit int) bool {
 	}
 	buckets[cur]++
 	return true
-}
-
-// total returns the current in-window count without recording an event.
-func (s *slidingWindow) total(key string) int {
-	now := s.clock.Now()
-	cur := now.UnixNano() / int64(s.bucket)
-	oldest := cur - 8
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for b, c := range s.counts[key] {
-		if b > oldest && b <= cur {
-			total += c
-		}
-	}
-	return total
 }
 
 // TokenRateLimiter caps write actions per access token in a trailing

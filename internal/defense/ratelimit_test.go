@@ -197,18 +197,29 @@ func TestASBlockerSkipsReadsAndUnknownAS(t *testing.T) {
 func TestSlidingWindowTotal(t *testing.T) {
 	clock := simclock.NewSimulated(t0)
 	w := newSlidingWindow(clock, time.Hour)
+	// Counting within the window: four events fill a limit of four.
 	for i := 0; i < 4; i++ {
-		w.incr("k")
+		if !w.allow("k", 4) {
+			t.Fatalf("event %d denied under the limit", i+1)
+		}
 	}
-	if got := w.total("k"); got != 4 {
-		t.Fatalf("total = %d, want 4", got)
+	if w.allow("k", 4) {
+		t.Fatal("fifth in-window event admitted at limit 4")
 	}
+	// Key isolation: a full key leaves every other key's count at zero.
+	if !w.allow("other", 1) {
+		t.Fatal("unknown key denied")
+	}
+	// Expiry: once the window slides past the four events, the key
+	// admits a full limit again.
 	clock.Advance(2 * time.Hour)
-	if got := w.total("k"); got != 0 {
-		t.Fatalf("total after window = %d, want 0", got)
+	for i := 0; i < 4; i++ {
+		if !w.allow("k", 4) {
+			t.Fatalf("event %d denied after the window slid", i+1)
+		}
 	}
-	if got := w.total("other"); got != 0 {
-		t.Fatalf("total unknown key = %d", got)
+	if w.allow("k", 4) {
+		t.Fatal("fifth event admitted after the window slid")
 	}
 }
 

@@ -31,7 +31,7 @@ const (
 // per delivery burst is eligible for measurement, the unsampled remainder
 // costs a pointer compare, and exact counters elsewhere are untouched.
 //
-// Two caveats are inherent and documented rather than fought:
+// Three caveats are inherent and documented rather than fought:
 //
 //   - The counters are process-global, so allocations by concurrent
 //     goroutines land inside the window. The emitted gauges are sampled
@@ -40,6 +40,12 @@ const (
 //   - The measurement itself may allocate a few objects (the
 //     metrics.Read sample buffer), biasing small windows upward by
 //     O(1) allocs. Per-op figures over a 50-like burst absorb this.
+//   - The runtime credits small objects (32 KiB and under) to its
+//     counters only when a P's cached span is swapped out or flushed,
+//     so a window misses the small objects still in cached spans when
+//     it closes (and credits earlier ones whose span it swaps out),
+//     which can bias small windows downward. Large objects are counted
+//     as they are allocated.
 //
 // A nil *AllocMeter is a valid no-op.
 type AllocMeter struct {

@@ -30,26 +30,29 @@ func scrapeValue(t *testing.T, reg *Registry, series string) float64 {
 var allocSink any
 
 // TestAllocMeterMeasuresForcedAllocs: a window around an op that
-// allocates must report allocs_per_op > 0 and bytes to match.
+// allocates must report allocs_per_op > 0 and bytes to match. The forced
+// objects are large (over 32 KiB), which the runtime counts as it
+// allocates them; small objects reach its counters only when their span
+// leaves the P's cache, so a short window can miss some of them.
 func TestAllocMeterMeasuresForcedAllocs(t *testing.T) {
 	reg := NewRegistry()
 	m := NewAllocMeter(reg, DefaultPlatformLabel)
 	m.SetSampleEvery(1)
 
-	const ops = 10
+	const ops, size = 10, 64 << 10
 	s := m.Begin(context.Background(), "forced")
 	for i := 0; i < ops; i++ {
-		allocSink = make([]byte, 4096)
+		allocSink = make([]byte, size)
 	}
 	s.End(ops)
 
 	if got := scrapeValue(t, reg, `allocs_per_op{platform="default",op="forced"}`); got <= 0 {
 		t.Errorf("allocs_per_op = %v, want > 0 after %d forced allocations", got, ops)
 	}
-	// Each op allocated 4096 bytes; the per-op byte figure must at least
+	// Each op allocated size bytes; the per-op byte figure must at least
 	// reflect that (concurrent test allocations can only push it up).
-	if got := scrapeValue(t, reg, `alloc_bytes_per_op{platform="default",op="forced"}`); got < 4096 {
-		t.Errorf("alloc_bytes_per_op = %v, want >= 4096", got)
+	if got := scrapeValue(t, reg, `alloc_bytes_per_op{platform="default",op="forced"}`); got < size {
+		t.Errorf("alloc_bytes_per_op = %v, want >= %d", got, size)
 	}
 	if got := scrapeValue(t, reg, `allocmeter_windows_total{platform="default",op="forced"}`); got != 1 {
 		t.Errorf("allocmeter_windows_total = %v, want 1", got)

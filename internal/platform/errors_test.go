@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graphapi"
+	"repro/internal/provider"
 )
 
 // brokenServer simulates a platform returning malformed responses — the
@@ -68,9 +69,14 @@ func TestHTTPClientConnectionRefused(t *testing.T) {
 }
 
 func TestErrorCodeDispatch(t *testing.T) {
-	remote := &RemoteAPIError{Code: 613, Type: "PolicyException", Message: "limit"}
+	srv := brokenServer(t, http.StatusTooManyRequests,
+		`{"error":{"message":"limit","type":"PolicyException","code":613}}`)
+	remote := NewHTTPClient(srv.URL).Like("tok", "post", "")
 	if got := ErrorCode(remote); got != 613 {
 		t.Fatalf("remote code = %d", got)
+	}
+	if got := graphapi.ErrKindOf(remote); got != provider.KindRateLimited {
+		t.Fatalf("remote kind = %v, want %v", got, provider.KindRateLimited)
 	}
 	local := &graphapi.APIError{Code: 190, Type: "OAuthException", Message: "dead"}
 	if got := ErrorCode(local); got != 190 {

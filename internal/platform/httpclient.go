@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/graphapi"
 	"repro/internal/obs"
 	"repro/internal/provider"
 	"repro/internal/redact"
@@ -65,21 +66,6 @@ func NewHTTPClientFor(prov provider.Provider, baseURL string) *HTTPClient {
 	}
 }
 
-// RemoteAPIError is a Graph API error received over HTTP. Code and Type
-// are in the issuing provider's vocabulary; Kind is the provider-neutral
-// classification the receiving client derived from Code.
-type RemoteAPIError struct {
-	Code    int
-	Type    string
-	Message string
-	Kind    provider.ErrKind
-}
-
-// Error implements error.
-func (e *RemoteAPIError) Error() string {
-	return fmt.Sprintf("platform: (#%d) %s: %s", e.Code, e.Type, e.Message)
-}
-
 // apiError decodes a Graph API error response into an error value.
 func (c *HTTPClient) apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, drainLimit))
@@ -87,8 +73,9 @@ func (c *HTTPClient) apiError(resp *http.Response) error {
 }
 
 // envelopeError decodes a Graph API error envelope, standalone or embedded
-// in a batch result, into an error value, classifying the
-// provider-specific code into a neutral kind.
+// in a batch result, into the *graphapi.APIError a LocalClient call
+// returns, classifying the provider-specific code into a neutral kind. A
+// body that is not an envelope becomes a plain HTTP error.
 func (c *HTTPClient) envelopeError(status int, body []byte) error {
 	var env struct {
 		Error struct {
@@ -100,17 +87,14 @@ func (c *HTTPClient) envelopeError(status int, body []byte) error {
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Message == "" {
 		return fmt.Errorf("platform: HTTP %d: %s", status, strings.TrimSpace(string(body)))
 	}
-	return &RemoteAPIError{
-		Code:    env.Error.Code,
-		Type:    env.Error.Type,
-		Message: env.Error.Message,
-		Kind:    c.prov.KindOfCode(env.Error.Code),
-	}
+	e := env.Error
+	return &graphapi.APIError{Code: e.Code, Type: e.Type, Message: e.Message, Kind: c.prov.KindOfCode(e.Code)}
 }
 
 // closeBody reads what is left of resp's body, up to drainLimit, and
 // closes it, so the connection goes back to the idle pool instead of
-// being torn down. Every call path releases its response through it.
+// being torn down. call and authorize are its only callers: every request
+// goes through one of them.
 func closeBody(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
 	_ = resp.Body.Close() // a read-only body; nothing to lose on Close
@@ -121,25 +105,32 @@ func tokenForm(token string) string {
 	return "access_token=" + url.QueryEscape(token)
 }
 
+// authorize walks the OAuth dialog with the given response_type and
+// returns the redirect target, from which the caller scrapes the
+// credential.
+func (c *HTTPClient) authorize(appID, redirectURI, accountID, responseType string, scopes []string) (*url.URL, error) {
+	q := url.Values{}
+	q.Set("client_id", appID)
+	q.Set("redirect_uri", redirectURI)
+	q.Set("response_type", responseType)
+	q.Set("account_id", accountID)
+	q.Set("scope", strings.Join(scopes, ","))
+	resp, err := c.do(nil, http.MethodGet, "/dialog/oauth", q.Encode(), "")
+	if err != nil {
+		return nil, err
+	}
+	defer closeBody(resp)
+	if resp.StatusCode != http.StatusFound {
+		return nil, c.apiError(resp)
+	}
+	return url.Parse(resp.Header.Get("Location"))
+}
+
 // AuthorizeImplicit implements Client by scraping the token from the
 // dialog redirect fragment — the "copy the token from the address bar"
 // workflow of Figure 3.
 func (c *HTTPClient) AuthorizeImplicit(appID, redirectURI, accountID string, scopes []string) (string, error) {
-	q := url.Values{}
-	q.Set("client_id", appID)
-	q.Set("redirect_uri", redirectURI)
-	q.Set("response_type", "token")
-	q.Set("account_id", accountID)
-	q.Set("scope", strings.Join(scopes, ","))
-	resp, err := c.http.Get(c.base + "/dialog/oauth?" + q.Encode())
-	if err != nil {
-		return "", err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusFound {
-		return "", c.apiError(resp)
-	}
-	loc, err := url.Parse(resp.Header.Get("Location"))
+	loc, err := c.authorize(appID, redirectURI, accountID, "token", scopes)
 	if err != nil {
 		return "", err
 	}
@@ -161,21 +152,7 @@ func (c *HTTPClient) AuthorizeImplicit(appID, redirectURI, accountID string, sco
 // query. No credential leaks here: the code is single-use and bound to
 // the app, which is why code-flow-only providers resist milking.
 func (c *HTTPClient) AuthorizeCode(appID, redirectURI, accountID string, scopes []string) (string, error) {
-	q := url.Values{}
-	q.Set("client_id", appID)
-	q.Set("redirect_uri", redirectURI)
-	q.Set("response_type", "code")
-	q.Set("account_id", accountID)
-	q.Set("scope", strings.Join(scopes, ","))
-	resp, err := c.http.Get(c.base + "/dialog/oauth?" + q.Encode())
-	if err != nil {
-		return "", err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusFound {
-		return "", c.apiError(resp)
-	}
-	loc, err := url.Parse(resp.Header.Get("Location"))
+	loc, err := c.authorize(appID, redirectURI, accountID, "code", scopes)
 	if err != nil {
 		return "", err
 	}
@@ -194,18 +171,10 @@ func (c *HTTPClient) ExchangeCode(appID, appSecret, redirectURI, code string) (s
 		"redirect_uri":  {redirectURI},
 		"code":          {code},
 	}
-	resp, err := c.do(nil, http.MethodPost, "/oauth/access_token", form.Encode(), "")
-	if err != nil {
-		return "", err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return "", c.apiError(resp)
-	}
 	var body struct {
 		AccessToken string `json:"access_token"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := c.call(nil, http.MethodPost, "/oauth/access_token", form.Encode(), "", &body); err != nil {
 		return "", err
 	}
 	return body.AccessToken, nil
@@ -245,25 +214,32 @@ func (c *HTTPClient) do(ctx context.Context, method, path, form, ip string) (*ht
 	return c.http.Do(req)
 }
 
-// Me implements Client.
-func (c *HTTPClient) Me(token, ip string) (Profile, error) {
-	resp, err := c.do(nil, http.MethodGet, "/me", tokenForm(token), ip)
+// call sends one request through do and releases the response through
+// closeBody on every path. A non-200 answer becomes its decoded error
+// envelope; a 200 answer is decoded into out, or, when out is nil (a
+// like's ack), only drained.
+func (c *HTTPClient) call(ctx context.Context, method, path, form, ip string, out any) error {
+	resp, err := c.do(ctx, method, path, form, ip)
 	if err != nil {
-		return Profile{}, err
+		return err
 	}
 	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
-		return Profile{}, c.apiError(resp)
+		return c.apiError(resp)
 	}
-	var body struct {
-		ID      string `json:"id"`
-		Name    string `json:"name"`
-		Country string `json:"country"`
+	if out == nil {
+		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// Me implements Client.
+func (c *HTTPClient) Me(token, ip string) (Profile, error) {
+	var p Profile
+	if err := c.call(nil, http.MethodGet, "/me", tokenForm(token), ip, &p); err != nil {
 		return Profile{}, err
 	}
-	return Profile{ID: body.ID, Name: body.Name, Country: body.Country}, nil
+	return p, nil
 }
 
 // Like is LikeCtx without a trace context.
@@ -275,15 +251,7 @@ func (c *HTTPClient) Like(token, objectID, ip string) error {
 // ships its trace ID in the propagation headers so the server-side span
 // tree joins the caller's trace.
 func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) error {
-	resp, err := c.do(ctx, http.MethodPost, "/"+objectID+"/likes", tokenForm(token), ip)
-	if err != nil {
-		return err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return c.apiError(resp)
-	}
-	return nil
+	return c.call(ctx, http.MethodPost, "/"+objectID+"/likes", tokenForm(token), ip, nil)
 }
 
 // LikeBatch implements Client over POST /batch, chunked at the
@@ -330,21 +298,11 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 		fail(err)
 		return
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/batch", "batch="+url.QueryEscape(string(payload)), "")
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		fail(c.apiError(resp))
-		return
-	}
 	var results []struct {
 		Code int    `json:"code"`
 		Body string `json:"body"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/batch", "batch="+url.QueryEscape(string(payload)), "", &results); err != nil {
 		fail(err)
 		return
 	}
@@ -359,191 +317,87 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 	}
 }
 
-// CommentCtx implements Client.
-func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {
-	form := tokenForm(token) + "&message=" + url.QueryEscape(message)
-	resp, err := c.do(ctx, http.MethodPost, "/"+postID+"/comments", form, ip)
-	if err != nil {
-		return "", err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return "", c.apiError(resp)
-	}
+// create POSTs a message to path and returns the ID of the post or
+// comment the platform created.
+func (c *HTTPClient) create(ctx context.Context, path, token, message, ip string) (string, error) {
 	var body struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	form := tokenForm(token) + "&message=" + url.QueryEscape(message)
+	if err := c.call(ctx, http.MethodPost, path, form, ip, &body); err != nil {
 		return "", err
 	}
 	return body.ID, nil
+}
+
+// CommentCtx implements Client.
+func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {
+	return c.create(ctx, "/"+postID+"/comments", token, message, ip)
 }
 
 // Publish implements Client.
 func (c *HTTPClient) Publish(token, message, ip string) (string, error) {
-	form := tokenForm(token) + "&message=" + url.QueryEscape(message)
-	resp, err := c.do(nil, http.MethodPost, "/me/feed", form, ip)
-	if err != nil {
-		return "", err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return "", c.apiError(resp)
-	}
-	var body struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return "", err
-	}
-	return body.ID, nil
+	return c.create(nil, "/me/feed", token, message, ip)
 }
 
-// LikesOf implements Client. The likes edge is paginated server-side
-// (Facebook-style `after` cursors); the client walks every page, the way
+// page is one {"data":[…]} page of an edge; paginated edges add the
+// cursor of the next page.
+type page[T any] struct {
+	Data   []T `json:"data"`
+	Paging struct {
+		Cursors struct {
+			After string `json:"after"`
+		} `json:"cursors"`
+	} `json:"paging"`
+}
+
+// walkPages reads every page of the paginated edge at path, following
+// Facebook-style `after` cursors until the platform sends none — the way
 // the paper's crawlers collected complete liker lists.
-func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
-	var out []LikeRecord
+func walkPages[T any](c *HTTPClient, token, path string) ([]T, error) {
+	var out []T
 	after := ""
 	for {
 		form := tokenForm(token) + "&limit=100"
 		if after != "" {
 			form += "&after=" + url.QueryEscape(after)
 		}
-		resp, err := c.do(nil, http.MethodGet, "/"+objectID+"/likes", form, "")
-		if err != nil {
+		var p page[T]
+		if err := c.call(nil, http.MethodGet, path, form, "", &p); err != nil {
 			return nil, err
 		}
-		if resp.StatusCode != http.StatusOK {
-			err := c.apiError(resp)
-			closeBody(resp)
-			return nil, err
-		}
-		var body struct {
-			Data []struct {
-				ID   string `json:"id"`
-				Time string `json:"time"`
-			} `json:"data"`
-			Paging struct {
-				Cursors struct {
-					After string `json:"after"`
-				} `json:"cursors"`
-			} `json:"paging"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		closeBody(resp)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range body.Data {
-			at, _ := time.Parse("2006-01-02T15:04:05Z", d.Time)
-			out = append(out, LikeRecord{AccountID: d.ID, At: at})
-		}
-		if body.Paging.Cursors.After == "" {
+		out = append(out, p.Data...)
+		if p.Paging.Cursors.After == "" {
 			return out, nil
 		}
-		after = body.Paging.Cursors.After
+		after = p.Paging.Cursors.After
 	}
 }
 
-// FeedOf implements Client via GET /me/feed.
-func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
-	resp, err := c.do(nil, http.MethodGet, "/me/feed", tokenForm(token), "")
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, c.apiError(resp)
-	}
-	var body struct {
-		Data []struct {
-			ID      string `json:"id"`
-			Message string `json:"message"`
-			Time    string `json:"time"`
-		} `json:"data"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	out := make([]PostRecord, len(body.Data))
-	for i, d := range body.Data {
-		at, _ := time.Parse("2006-01-02T15:04:05Z", d.Time)
-		out[i] = PostRecord{ID: d.ID, Message: d.Message, At: at}
-	}
-	return out, nil
-}
-
-// FriendsOf implements Client via the /me/friends edge.
-func (c *HTTPClient) FriendsOf(token, ip string) ([]Profile, error) {
-	resp, err := c.do(nil, http.MethodGet, "/me/friends", tokenForm(token), ip)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, c.apiError(resp)
-	}
-	var body struct {
-		Data []struct {
-			ID      string `json:"id"`
-			Name    string `json:"name"`
-			Country string `json:"country"`
-		} `json:"data"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	out := make([]Profile, len(body.Data))
-	for i, d := range body.Data {
-		out[i] = Profile{ID: d.ID, Name: d.Name, Country: d.Country}
-	}
-	return out, nil
+// LikesOf implements Client, walking the paginated likes edge.
+func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
+	return walkPages[LikeRecord](c, token, "/"+objectID+"/likes")
 }
 
 // CommentsOf implements Client, walking the paginated comments edge.
 func (c *HTTPClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
-	var out []CommentRecord
-	after := ""
-	for {
-		form := tokenForm(token) + "&limit=100"
-		if after != "" {
-			form += "&after=" + url.QueryEscape(after)
-		}
-		resp, err := c.do(nil, http.MethodGet, "/"+postID+"/comments", form, "")
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			err := c.apiError(resp)
-			closeBody(resp)
-			return nil, err
-		}
-		var body struct {
-			Data []struct {
-				ID      string `json:"id"`
-				From    string `json:"from"`
-				Message string `json:"message"`
-				Time    string `json:"time"`
-			} `json:"data"`
-			Paging struct {
-				Cursors struct {
-					After string `json:"after"`
-				} `json:"cursors"`
-			} `json:"paging"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		closeBody(resp)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range body.Data {
-			at, _ := time.Parse("2006-01-02T15:04:05Z", d.Time)
-			out = append(out, CommentRecord{ID: d.ID, AccountID: d.From, Message: d.Message, At: at})
-		}
-		if body.Paging.Cursors.After == "" {
-			return out, nil
-		}
-		after = body.Paging.Cursors.After
+	return walkPages[CommentRecord](c, token, "/"+postID+"/comments")
+}
+
+// FeedOf implements Client via GET /me/feed.
+func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
+	var p page[PostRecord]
+	if err := c.call(nil, http.MethodGet, "/me/feed", tokenForm(token), "", &p); err != nil {
+		return nil, err
 	}
+	return p.Data, nil
+}
+
+// FriendsOf implements Client via the /me/friends edge.
+func (c *HTTPClient) FriendsOf(token, ip string) ([]Profile, error) {
+	var p page[Profile]
+	if err := c.call(nil, http.MethodGet, "/me/friends", tokenForm(token), ip, &p); err != nil {
+		return nil, err
+	}
+	return p.Data, nil
 }

@@ -15,7 +15,6 @@ package platform
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -31,42 +30,9 @@ import (
 	"repro/internal/socialgraph"
 )
 
-// ErrorCode extracts the Graph API error code from an error returned by
-// either Client transport, or 0 when the error is not a Graph API error.
-// The code is in the issuing provider's numeric space; code that talks to
-// more than one platform should dispatch on ErrorKind instead.
-func ErrorCode(err error) int {
-	if code := graphapi.ErrCode(err); code != 0 {
-		return code
-	}
-	if re, ok := err.(*RemoteAPIError); ok {
-		return re.Code
-	}
-	var re *RemoteAPIError
-	if errors.As(err, &re) {
-		return re.Code
-	}
-	return 0
-}
-
-// ErrorKind extracts the provider-neutral error classification from an
-// error returned by either Client transport, or KindNone. Collusion
-// network delivery engines dispatch on this to distinguish dead tokens
-// (invalidate-and-drop) from rate limiting (keep and adapt), identically
-// across platforms whose numeric error spaces differ.
-func ErrorKind(err error) provider.ErrKind {
-	if k := graphapi.ErrKindOf(err); k != provider.KindNone {
-		return k
-	}
-	if re, ok := err.(*RemoteAPIError); ok {
-		return re.Kind
-	}
-	var re *RemoteAPIError
-	if errors.As(err, &re) {
-		return re.Kind
-	}
-	return provider.KindNone
-}
+// ErrorCode is graphapi.ErrCode: both Client transports return Graph API
+// errors as *graphapi.APIError.
+func ErrorCode(err error) int { return graphapi.ErrCode(err) }
 
 // Platform aggregates all platform-side subsystems.
 type Platform struct {
@@ -191,25 +157,27 @@ func (p *Platform) Chain() *graphapi.Chain {
 	return p.API.Chain()
 }
 
-// LikeRecord is a transport-neutral view of one like.
+// LikeRecord is a transport-neutral view of one like. The json tags name
+// the fields of a likes page entry, so HTTPClient decodes straight into
+// it; the same holds for CommentRecord, Profile and PostRecord.
 type LikeRecord struct {
-	AccountID string
-	At        time.Time
+	AccountID string    `json:"id"`
+	At        time.Time `json:"time"`
 }
 
 // CommentRecord is a transport-neutral view of one comment.
 type CommentRecord struct {
-	ID        string
-	AccountID string
-	Message   string
-	At        time.Time
+	ID        string    `json:"id"`
+	AccountID string    `json:"from"`
+	Message   string    `json:"message"`
+	At        time.Time `json:"time"`
 }
 
 // Profile is a transport-neutral view of /me.
 type Profile struct {
-	ID      string
-	Name    string
-	Country string
+	ID      string `json:"id"`
+	Name    string `json:"name"`
+	Country string `json:"country"`
 }
 
 // Client is the platform operation surface collusion networks,
@@ -262,9 +230,9 @@ type Client interface {
 
 // PostRecord is a transport-neutral view of one feed post.
 type PostRecord struct {
-	ID      string
-	Message string
-	At      time.Time
+	ID      string    `json:"id"`
+	Message string    `json:"message"`
+	At      time.Time `json:"time"`
 }
 
 // BatchLike is one like in a homogeneous batch: the member token that
@@ -284,34 +252,28 @@ func NewLocalClient(p *Platform) *LocalClient {
 	return &LocalClient{p: p}
 }
 
-// AuthorizeImplicit implements Client.
-func (c *LocalClient) AuthorizeImplicit(appID, redirectURI, accountID string, scopes []string) (string, error) {
-	res, err := c.p.OAuth.Authorize(oauthsim.AuthorizeRequest{
+// authorize walks the in-process dialog with the given response type.
+// Authorize returns a zero result with every error.
+func (c *LocalClient) authorize(appID, redirectURI, accountID string, scopes []string, rt oauthsim.ResponseType) (oauthsim.AuthorizeResult, error) {
+	return c.p.OAuth.Authorize(oauthsim.AuthorizeRequest{
 		AppID:        appID,
 		RedirectURI:  redirectURI,
-		ResponseType: oauthsim.ResponseToken,
+		ResponseType: rt,
 		Scopes:       scopes,
 		AccountID:    accountID,
 	})
-	if err != nil {
-		return "", err
-	}
-	return res.AccessToken, nil
+}
+
+// AuthorizeImplicit implements Client.
+func (c *LocalClient) AuthorizeImplicit(appID, redirectURI, accountID string, scopes []string) (string, error) {
+	res, err := c.authorize(appID, redirectURI, accountID, scopes, oauthsim.ResponseToken)
+	return res.AccessToken, err
 }
 
 // AuthorizeCode implements Client with a direct dialog call.
 func (c *LocalClient) AuthorizeCode(appID, redirectURI, accountID string, scopes []string) (string, error) {
-	res, err := c.p.OAuth.Authorize(oauthsim.AuthorizeRequest{
-		AppID:        appID,
-		RedirectURI:  redirectURI,
-		ResponseType: oauthsim.ResponseCode,
-		Scopes:       scopes,
-		AccountID:    accountID,
-	})
-	if err != nil {
-		return "", err
-	}
-	return res.Code, nil
+	res, err := c.authorize(appID, redirectURI, accountID, scopes, oauthsim.ResponseCode)
+	return res.Code, err
 }
 
 // ExchangeCode implements Client against the in-process token endpoint.

@@ -2,12 +2,14 @@ package platform
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/defense"
+	"repro/internal/graphapi"
 	"repro/internal/netsim"
 	"repro/internal/provider"
 	"repro/internal/simclock"
@@ -84,6 +86,10 @@ func TestClientTransportsEquivalent(t *testing.T) {
 			if me.ID != member.ID || me.Country != "IN" {
 				t.Fatalf("Me = %+v", me)
 			}
+			// The like and comment land after the post, on a whole second:
+			// the wire carries timestamps at second precision.
+			w.clock.Advance(90 * time.Second)
+			now := w.clock.Now()
 			if err := client.LikeCtx(context.Background(), tok, post.ID, "203.0.113.9"); err != nil {
 				t.Fatal(err)
 			}
@@ -95,6 +101,9 @@ func TestClientTransportsEquivalent(t *testing.T) {
 			for _, l := range likes {
 				if l.AccountID == member.ID {
 					found = true
+					if !l.At.Equal(now) {
+						t.Fatalf("like At = %v, want %v", l.At, now)
+					}
 				}
 			}
 			if !found {
@@ -113,6 +122,9 @@ func TestClientTransportsEquivalent(t *testing.T) {
 			}
 			if len(comments) == 0 || comments[len(comments)-1].Message != "first!" {
 				t.Fatalf("comments = %+v", comments)
+			}
+			if at := comments[len(comments)-1].At; !at.Equal(now) {
+				t.Fatalf("comment At = %v, want %v", at, now)
 			}
 			pid, err := client.Publish(tok, "hello from "+name, "")
 			if err != nil {
@@ -169,6 +181,9 @@ func TestNewWithShardsPinsStripeCount(t *testing.T) {
 
 func TestClientErrorsPropagate(t *testing.T) {
 	w := newWorld(t)
+	// Both transports must deny with the same *graphapi.APIError.
+	type denials struct{ bogus, dup *graphapi.APIError }
+	got := map[string]denials{}
 	for name, client := range clientsUnderTest(t, w) {
 		t.Run(name, func(t *testing.T) {
 			member := w.p.Graph.CreateAccount("err-member-"+name, "IN", t0)
@@ -179,8 +194,13 @@ func TestClientErrorsPropagate(t *testing.T) {
 			if _, err := client.AuthorizeImplicit(w.app.ID, "https://evil.example", member.ID, nil); err == nil {
 				t.Fatal("bad redirect URI accepted")
 			}
-			if err := client.LikeCtx(context.Background(), "bogus-token", post.ID, ""); err == nil {
-				t.Fatal("bogus token accepted")
+			var d denials
+			err = client.LikeCtx(context.Background(), "bogus-token", post.ID, "")
+			if !errors.As(err, &d.bogus) {
+				t.Fatalf("bogus token: err = %v, want *graphapi.APIError", err)
+			}
+			if d.bogus.Code != graphapi.CodeInvalidToken || d.bogus.Kind != provider.KindInvalidToken {
+				t.Fatalf("bogus token denial = %+v", d.bogus)
 			}
 			tok, err := client.AuthorizeImplicit(w.app.ID, w.app.RedirectURI, member.ID, []string{apps.PermPublishActions})
 			if err != nil {
@@ -190,13 +210,27 @@ func TestClientErrorsPropagate(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = client.LikeCtx(context.Background(), tok, post.ID, "")
-			if err == nil {
-				t.Fatal("duplicate like accepted")
+			if !errors.As(err, &d.dup) {
+				t.Fatalf("duplicate like: err = %v, want *graphapi.APIError", err)
+			}
+			if d.dup.Code != graphapi.CodeDuplicate || d.dup.Kind != provider.KindDuplicate {
+				t.Fatalf("duplicate denial = %+v", d.dup)
 			}
 			if !strings.Contains(err.Error(), "duplicate") {
 				t.Fatalf("duplicate error text = %v", err)
 			}
+			got[name] = d
 		})
+	}
+	local, remote := got["local"], got["http"]
+	if local.bogus == nil || remote.bogus == nil {
+		t.Fatal("a transport produced no denials")
+	}
+	if *local.bogus != *remote.bogus {
+		t.Errorf("bogus token: local %+v, http %+v", *local.bogus, *remote.bogus)
+	}
+	if *local.dup != *remote.dup {
+		t.Errorf("duplicate like: local %+v, http %+v", *local.dup, *remote.dup)
 	}
 }
 
