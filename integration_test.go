@@ -113,9 +113,9 @@ func TestFullStoryOverHTTP(t *testing.T) {
 
 	// Act 5 — countermeasures (Sec. 6): invalidate every milked account's
 	// tokens; the next milking request delivers almost nothing.
-	inv := defense.NewInvalidator(defense.AccountRevokerFunc(func(id, reason string) bool {
+	inv := defense.NewInvalidator(func(id, reason string) bool {
 		return p.OAuth.InvalidateAccount(id, reason) > 0
-	}), "honeypot-milked")
+	}, "honeypot-milked")
 	for _, post := range hp.PostIDs() {
 		var ids []string
 		for _, l := range hp.IncomingLikes()[post] {

@@ -111,11 +111,8 @@ func (a App) HasPermission(perm string) bool {
 	return false
 }
 
-// Errors returned by the registry.
-var (
-	ErrNotFound  = errors.New("apps: application not found")
-	ErrSuspended = errors.New("apps: application suspended")
-)
+// ErrNotFound is returned by the registry for an unknown application.
+var ErrNotFound = errors.New("apps: application not found")
 
 // Registry is the platform's application directory. It is safe for
 // concurrent use.

@@ -112,10 +112,6 @@ type Config struct {
 	// the Graph API's batch cap; negative disables batching so every like
 	// takes its own round trip.
 	DeliveryBatchSize int
-	// DeliveryWorkers bounds the goroutines firing one burst's batches
-	// in parallel. 0 selects the default of 4; 1 keeps bursts
-	// sequential. Irrelevant when batching is disabled.
-	DeliveryWorkers int
 
 	// Seed makes the network's sampling deterministic.
 	Seed int64
@@ -140,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeliveryBatchSize == 0 {
 		c.DeliveryBatchSize = 50
-	}
-	if c.DeliveryWorkers <= 0 {
-		c.DeliveryWorkers = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

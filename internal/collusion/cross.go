@@ -63,16 +63,6 @@ func (n *Network) binding(name string) (*crossBinding, error) {
 	return b, nil
 }
 
-// CrossInstallURL returns the companion app's dialog URL on the linked
-// platform — response_type=code, because that is all the platform grants.
-func (n *Network) CrossInstallURL(name string) (string, error) {
-	b, err := n.binding(name)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("/dialog/oauth?client_id=%s&redirect_uri=%s&response_type=code", b.appID, b.redirectURI), nil
-}
-
 // SubmitLinkedCode is the cross-platform analogue of SubmitToken: the
 // member pastes the one-time authorization code from the companion app's
 // redirect, the network exchanges it with its app secret, verifies the
@@ -124,25 +114,4 @@ func (n *Network) RequestCrossLikes(platformName, accountID, postID, captchaAnsw
 	n.stats.CrossLikeRequests++
 	n.mu.Unlock()
 	return n.deliver(nil, b.target, n.likesFor(accountID), accountID, postID, nil), nil
-}
-
-// CrossPool exposes a linked platform's token pool, or nil (the
-// measurement harness samples its size).
-func (n *Network) CrossPool(platformName string) *TokenPool {
-	b, err := n.binding(platformName)
-	if err != nil {
-		return nil
-	}
-	return b.pool
-}
-
-// LinkedPlatforms lists the names of linked companion platforms.
-func (n *Network) LinkedPlatforms() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.cross))
-	for name := range n.cross {
-		out = append(out, name)
-	}
-	return out
 }

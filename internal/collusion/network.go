@@ -449,8 +449,8 @@ func (n *Network) RequestCustomComments(accountID, postID, message, captchaAnswe
 // (the gradual-dip-then-recover dynamics of Figure 5).
 //
 // Unless the config disables batching, a like burst is fired as
-// ≤DeliveryBatchSize batches across a bounded worker pool instead of one
-// call per action. Sampling, the attempt budget, and all per-action
+// ≤DeliveryBatchSize batches, in sample order, instead of one call per
+// action. Sampling, the attempt budget, and all per-action
 // bookkeeping are identical in both modes — batching changes only how
 // the actions travel.
 func (n *Network) deliver(ctx context.Context, t target, quota int, requester, objectID string, comment func(context.Context, Sampled, string) error) int {
@@ -597,12 +597,19 @@ func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now
 }
 
 // fireBatched delivers one sampled slice as ≤DeliveryBatchSize chunks,
-// fanned across at most DeliveryWorkers goroutines, then replays every
-// per-action outcome through applyOutcome in sample order. The IPs for
-// the whole slice are drawn up front under one n.mu scope, consuming the
-// rng stream exactly as per-action pickIP calls would.
+// fired one after another in sample order, then replays every per-action
+// outcome through applyOutcome in sample order. The platform therefore
+// evaluates the likes in exactly the per-call order, so a saturated
+// limiter admits the same likes in both modes. The IPs for the whole
+// slice are drawn up front under one n.mu scope, consuming the rng stream
+// exactly as per-action pickIP calls would.
 func (n *Network) fireBatched(sampledCtx, restCtx context.Context, span *obs.Span, t target, objectID string, sampled []Sampled, exclude map[string]bool, attempts *int, now time.Time) int {
-	first := *attempts == 0
+	ctx := restCtx
+	if *attempts == 0 {
+		// Trace the first chunk of the burst end to end, like the
+		// sequential path traces its first action.
+		ctx = sampledCtx
+	}
 	ips := n.pickIPs(len(sampled))
 	ops := make([]platform.BatchLike, len(sampled))
 	for i, s := range sampled {
@@ -611,40 +618,11 @@ func (n *Network) fireBatched(sampledCtx, restCtx context.Context, span *obs.Spa
 	}
 	*attempts += len(sampled)
 
-	size := n.cfg.DeliveryBatchSize
-	chunks := (len(ops) + size - 1) / size
 	errs := make([]error, len(ops))
-	fire := func(i int) {
-		start := i * size
-		end := start + size
-		if end > len(ops) {
-			end = len(ops)
-		}
-		ctx := restCtx
-		if first && i == 0 {
-			// Trace the first chunk of the burst end to end, like the
-			// sequential path traces its first action.
-			ctx = sampledCtx
-		}
+	for start := 0; start < len(ops); start += n.cfg.DeliveryBatchSize {
+		end := min(start+n.cfg.DeliveryBatchSize, len(ops))
 		copy(errs[start:end], t.client.LikeBatch(ctx, objectID, ops[start:end]))
-	}
-	if workers := n.cfg.DeliveryWorkers; workers <= 1 || chunks <= 1 {
-		for i := 0; i < chunks; i++ {
-			fire(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := 0; i < chunks; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fire(i)
-			}(i)
-		}
-		wg.Wait()
+		ctx = restCtx
 	}
 
 	delivered := 0

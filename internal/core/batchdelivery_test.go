@@ -8,15 +8,10 @@ package core
 // seed must agree on every defense observable — the Figure 5 semantics
 // may not move.
 //
-// Two grades of equivalence:
-//
-//   - DeliveryWorkers=1 fires chunks in order, so evaluation order is
-//     identical to per-call and every observable — including *which*
-//     likes a saturated limiter denies — must match bit for bit.
-//   - With concurrent chunks (the default), interleaving decides which
-//     specific likes cross a limiter's threshold, so liker identity may
-//     differ; the aggregate counts (delivered, attempted, per-policy
-//     denials, failure codes, clustering verdicts) still may not.
+// Batched delivery fires a burst's chunks one after another in sample
+// order, so evaluation order is identical to per-call and every
+// observable — including *which* likes a saturated limiter denies — must
+// match bit for bit at the default configuration.
 
 import (
 	"reflect"
@@ -26,7 +21,7 @@ import (
 	"repro/internal/workload"
 )
 
-func deliveryStudy(t *testing.T, batch, workers int) *Study {
+func deliveryStudy(t *testing.T, batch int) *Study {
 	t.Helper()
 	s, err := NewStudy(workload.Options{
 		Scale:             5000,
@@ -34,7 +29,6 @@ func deliveryStudy(t *testing.T, batch, workers int) *Study {
 		Networks:          parallelNets,
 		Seed:              41,
 		DeliveryBatchSize: batch,
-		DeliveryWorkers:   workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,13 +108,13 @@ func compareDefenses(t *testing.T, perCall, batched *Study, pcRes, bRes []MilkRe
 
 func TestBatchedDeliveryDefenseEquivalenceSequentialChunks(t *testing.T) {
 	const rounds = 4
-	perCall := deliveryStudy(t, -1, 1)
-	batched := deliveryStudy(t, 0, 1)
+	perCall := deliveryStudy(t, -1)
+	batched := deliveryStudy(t, 0)
 	pcRes := milkDefended(t, perCall, rounds)
 	bRes := milkDefended(t, batched, rounds)
 
-	// Chunks fire in order, so this grade also pins liker identity: the
-	// same likes must survive the limiters in both modes.
+	// Chunks fire in order, so liker identity is pinned too: the same
+	// likes must survive the limiters in both modes.
 	_, pcLikers := byNetwork(pcRes)
 	_, bLikers := byNetwork(bRes)
 	for _, net := range parallelNets {
@@ -128,14 +122,5 @@ func TestBatchedDeliveryDefenseEquivalenceSequentialChunks(t *testing.T) {
 			t.Errorf("%s liker sets diverge between delivery modes", net)
 		}
 	}
-	compareDefenses(t, perCall, batched, pcRes, bRes)
-}
-
-func TestBatchedDeliveryDefenseEquivalenceConcurrentChunks(t *testing.T) {
-	const rounds = 4
-	perCall := deliveryStudy(t, -1, 0)
-	batched := deliveryStudy(t, 0, 0)
-	pcRes := milkDefended(t, perCall, rounds)
-	bRes := milkDefended(t, batched, rounds)
 	compareDefenses(t, perCall, batched, pcRes, bRes)
 }

@@ -286,9 +286,9 @@ type Countermeasures struct {
 }
 
 func newCountermeasures(s *Study) *Countermeasures {
-	inv := defense.NewInvalidator(defense.AccountRevokerFunc(func(accountID, reason string) bool {
+	inv := defense.NewInvalidator(func(accountID, reason string) bool {
 		return s.Scenario.Platform.OAuth.InvalidateAccount(accountID, reason) > 0
-	}), "honeypot-milked")
+	}, "honeypot-milked")
 	actions := s.Observer().M().Counter("defense_actions_total",
 		"Defense actions taken, by countermeasure and action.",
 		"countermeasure", "action")

@@ -22,7 +22,6 @@ func retentionStudy(t *testing.T, window time.Duration) *Study {
 		MinMembers:      60,
 		Networks:        parallelNets,
 		Seed:            41,
-		DeliveryWorkers: 1, // sequential chunks: liker identity is pinned
 		RetentionWindow: window,
 	})
 	if err != nil {

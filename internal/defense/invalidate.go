@@ -6,19 +6,13 @@ import (
 	"sync"
 )
 
-// TokenRevoker is the slice of the authorization server the Invalidator
-// needs; *oauthsim.Server satisfies it.
-type TokenRevoker interface {
-	Invalidate(token, reason string) bool
-}
-
 // Invalidator implements the honeypot-fed token invalidation of Sec. 6.2.
 // Honeypots submit the tokens they milk; the operator then invalidates
 // them — first 50% of the backlog, then all of it, then fractions of the
 // daily inflow — matching the escalation schedule of Figure 5.
 type Invalidator struct {
-	revoker TokenRevoker
-	reason  string
+	revoke func(key, reason string) bool
+	reason string
 
 	mu sync.Mutex
 	// pending holds milked tokens not yet invalidated, with duplicates
@@ -32,13 +26,17 @@ type Invalidator struct {
 	revoked int
 }
 
-// NewInvalidator returns an Invalidator feeding the given revoker. reason
-// is recorded on every invalidated token.
-func NewInvalidator(revoker TokenRevoker, reason string) *Invalidator {
+// NewInvalidator returns an Invalidator that revokes each swept key
+// through revoke, which reports whether it revoked anything. A key is a
+// raw token (oauthsim.Server.Invalidate) or, in the platform-side view
+// where a milked account's tokens are revoked in bulk, an account ID
+// (oauthsim.Server.InvalidateAccount). reason is recorded on every
+// revocation.
+func NewInvalidator(revoke func(key, reason string) bool, reason string) *Invalidator {
 	return &Invalidator{
-		revoker: revoker,
-		reason:  reason,
-		seen:    make(map[string]bool),
+		revoke: revoke,
+		reason: reason,
+		seen:   make(map[string]bool),
 	}
 }
 
@@ -79,9 +77,9 @@ func (v *Invalidator) InvalidateFraction(fraction float64, rng *rand.Rand) int {
 	if k == 0 {
 		k = 1
 	}
-	// Sort first: the backlog arrives in the order concurrent delivery
-	// chunks landed in the store, so only a sorted start makes the seeded
-	// draw reproducible.
+	// Sort first: parallel milking (core.Study.MilkAllParallel) submits
+	// the networks' milked keys in scheduling order, so only a sorted
+	// start makes the seeded draw reproducible.
 	sort.Strings(v.pending)
 	rng.Shuffle(len(v.pending), func(i, j int) {
 		v.pending[i], v.pending[j] = v.pending[j], v.pending[i]
@@ -91,7 +89,7 @@ func (v *Invalidator) InvalidateFraction(fraction float64, rng *rand.Rand) int {
 	n := 0
 	for _, t := range chosen {
 		delete(v.seen, t)
-		if v.revoker.Invalidate(t, v.reason) {
+		if v.revoke(t, v.reason) {
 			n++
 		}
 	}
@@ -108,7 +106,7 @@ func (v *Invalidator) InvalidateAll() int {
 	n := 0
 	for _, t := range v.pending {
 		delete(v.seen, t)
-		if v.revoker.Invalidate(t, v.reason) {
+		if v.revoke(t, v.reason) {
 			n++
 		}
 	}

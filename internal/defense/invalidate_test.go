@@ -37,7 +37,7 @@ func tokens(n int) []string {
 }
 
 func TestInvalidatorSubmitDedupes(t *testing.T) {
-	v := NewInvalidator(newFakeRevoker(), "honeypot")
+	v := NewInvalidator(newFakeRevoker().Invalidate, "honeypot")
 	if n := v.Submit(tokens(10)); n != 10 {
 		t.Fatalf("Submit = %d, want 10", n)
 	}
@@ -52,9 +52,29 @@ func TestInvalidatorSubmitDedupes(t *testing.T) {
 	}
 }
 
+// TestInvalidatorRevokeFunc drives the Invalidator with a bare func keyed
+// by account ID, the shape core's countermeasures pass.
+func TestInvalidatorRevokeFunc(t *testing.T) {
+	revoked := map[string]string{}
+	inv := NewInvalidator(func(id, reason string) bool {
+		if _, ok := revoked[id]; ok {
+			return false
+		}
+		revoked[id] = reason
+		return true
+	}, "milked")
+	inv.Submit([]string{"acct-1", "acct-2"})
+	if n := inv.InvalidateAll(); n != 2 {
+		t.Fatalf("InvalidateAll = %d", n)
+	}
+	if revoked["acct-1"] != "milked" {
+		t.Fatalf("revoked = %v", revoked)
+	}
+}
+
 func TestInvalidateAll(t *testing.T) {
 	r := newFakeRevoker()
-	v := NewInvalidator(r, "sweep")
+	v := NewInvalidator(r.Invalidate, "sweep")
 	v.Submit(tokens(20))
 	if n := v.InvalidateAll(); n != 20 {
 		t.Fatalf("InvalidateAll = %d, want 20", n)
@@ -75,7 +95,7 @@ func TestInvalidateAll(t *testing.T) {
 
 func TestInvalidateFractionHalf(t *testing.T) {
 	r := newFakeRevoker()
-	v := NewInvalidator(r, "half")
+	v := NewInvalidator(r.Invalidate, "half")
 	v.Submit(tokens(100))
 	rng := rand.New(rand.NewSource(7))
 	if n := v.InvalidateFraction(0.5, rng); n != 50 {
@@ -92,7 +112,7 @@ func TestInvalidateFractionHalf(t *testing.T) {
 
 func TestInvalidateFractionEdges(t *testing.T) {
 	r := newFakeRevoker()
-	v := NewInvalidator(r, "x")
+	v := NewInvalidator(r.Invalidate, "x")
 	rng := rand.New(rand.NewSource(1))
 	if n := v.InvalidateFraction(0.5, rng); n != 0 {
 		t.Fatalf("fraction of empty backlog = %d", n)
@@ -116,7 +136,7 @@ func TestInvalidateFractionEdges(t *testing.T) {
 func TestQuickInvalidatorConservation(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		r := newFakeRevoker()
-		v := NewInvalidator(r, "q")
+		v := NewInvalidator(r.Invalidate, "q")
 		rng := rand.New(rand.NewSource(seed))
 		distinct := make(map[string]bool)
 		next := 0

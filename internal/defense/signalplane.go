@@ -89,9 +89,6 @@ func NewSignalPlane(mode SignalMode, newTrap func() *SynchroTrap) *SignalPlane {
 	}
 }
 
-// Mode returns the plane's signal-sharing mode.
-func (p *SignalPlane) Mode() SignalMode { return p.mode }
-
 // TapFor returns the chain policy for the named platform. In shared mode
 // every platform's tap writes into the same detector instance; in siloed
 // mode each platform gets its own.

@@ -31,14 +31,3 @@ func (t *SynchroTap) Evaluate(req graphapi.Request) graphapi.Decision {
 
 // Trap returns the wrapped detector.
 func (t *SynchroTap) Trap() *SynchroTrap { return t.trap }
-
-// AccountRevokerFunc adapts a function to the TokenRevoker interface so
-// the Invalidator can operate on *account IDs* rather than raw token
-// strings — the platform-side view, where a milked account's tokens are
-// looked up and revoked in bulk (oauthsim.Server.InvalidateAccount).
-type AccountRevokerFunc func(accountID, reason string) bool
-
-// Invalidate implements TokenRevoker.
-func (f AccountRevokerFunc) Invalidate(accountID, reason string) bool {
-	return f(accountID, reason)
-}

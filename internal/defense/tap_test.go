@@ -37,22 +37,3 @@ func TestSynchroTapRecordsLikes(t *testing.T) {
 		t.Fatal("Trap() identity")
 	}
 }
-
-func TestAccountRevokerFunc(t *testing.T) {
-	revoked := map[string]string{}
-	rv := AccountRevokerFunc(func(id, reason string) bool {
-		if _, ok := revoked[id]; ok {
-			return false
-		}
-		revoked[id] = reason
-		return true
-	})
-	inv := NewInvalidator(rv, "milked")
-	inv.Submit([]string{"acct-1", "acct-2"})
-	if n := inv.InvalidateAll(); n != 2 {
-		t.Fatalf("InvalidateAll = %d", n)
-	}
-	if revoked["acct-1"] != "milked" {
-		t.Fatalf("revoked = %v", revoked)
-	}
-}

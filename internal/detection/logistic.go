@@ -20,9 +20,7 @@ type LogisticModel struct {
 type TrainConfig struct {
 	Epochs       int
 	LearningRate float64
-	// L2 is the ridge penalty.
-	L2   float64
-	Seed int64
+	Seed         int64
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -31,9 +29,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.1
-	}
-	if c.L2 < 0 {
-		c.L2 = 0
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -108,7 +103,7 @@ func Train(ds Dataset, cfg TrainConfig) (*LogisticModel, error) {
 			gradB += err
 		}
 		for j := 0; j < d; j++ {
-			m.Weights[j] -= cfg.LearningRate * (gradW[j]/float64(n) + cfg.L2*m.Weights[j])
+			m.Weights[j] -= cfg.LearningRate * (gradW[j] / float64(n))
 		}
 		m.Bias -= cfg.LearningRate * gradB / float64(n)
 	}

@@ -29,26 +29,19 @@ import (
 
 // CrossPlatformConfig parameterises the scenario.
 type CrossPlatformConfig struct {
-	// Members is the network's membership on each platform.
-	Members int
-	// PostsPerPlatform is how many target posts receive a like burst on
-	// each platform.
-	PostsPerPlatform int
-	// DeliveryIPs is the size of the network's shared IP pool.
-	DeliveryIPs int
-	Seed        int64
+	Seed int64
 }
 
+// The scenario's size: the network's membership on each platform, how
+// many target posts receive a like burst on each platform, and the size
+// of the network's shared IP pool.
+const (
+	crossMembers          = 30
+	crossPostsPerPlatform = 6
+	crossDeliveryIPs      = 4
+)
+
 func (c CrossPlatformConfig) withDefaults() CrossPlatformConfig {
-	if c.Members <= 0 {
-		c.Members = 30
-	}
-	if c.PostsPerPlatform <= 0 {
-		c.PostsPerPlatform = 6
-	}
-	if c.DeliveryIPs <= 0 {
-		c.DeliveryIPs = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -99,7 +92,7 @@ func CrossPlatform(cfg CrossPlatformConfig) (CrossPlatformResult, error) {
 			"one network: implicit-flow harvest on facebook, code-flow companion app on pictogram",
 			"detector: IP-keyed SynchroTrap; shared mode pools both platforms' like streams",
 			fmt.Sprintf("%d members/platform, %d posts/platform, %d delivery IPs, seed %d",
-				cfg.Members, cfg.PostsPerPlatform, cfg.DeliveryIPs, cfg.Seed),
+				crossMembers, crossPostsPerPlatform, crossDeliveryIPs, cfg.Seed),
 		},
 	}
 	for _, r := range rows {
@@ -162,7 +155,7 @@ func runCrossPlatform(cfg CrossPlatformConfig, mode defense.SignalMode) (CrossPl
 	clientA := platform.NewLocalClient(pA)
 	clientB := platform.NewLocalClient(pB)
 
-	addrs, err := internet.AllocateN(crossASN, cfg.DeliveryIPs)
+	addrs, err := internet.AllocateN(crossASN, crossDeliveryIPs)
 	if err != nil {
 		return CrossPlatformRow{}, err
 	}
@@ -180,15 +173,14 @@ func runCrossPlatform(cfg CrossPlatformConfig, mode defense.SignalMode) (CrossPl
 		LikesPerRequest: 20,
 		IPs:             ips,
 		Seed:            cfg.Seed,
-		DeliveryWorkers: 1, // sequential bursts: bit-deterministic runs
 	}, clock, clientA)
 	net.SetObserver(pA.Obs)
 	net.LinkPlatform(provB.Name(), clientB, appB.ID, appB.Secret, appB.RedirectURI)
 
 	// Membership: each member joins on A through the implicit flow
 	// (Figure 3) and on B by pasting the companion app's one-time code.
-	members := make([]crossMember, 0, cfg.Members)
-	for i := 0; i < cfg.Members; i++ {
+	members := make([]crossMember, 0, crossMembers)
+	for i := 0; i < crossMembers; i++ {
 		var m crossMember
 		acctA := pA.Graph.CreateAccount(fmt.Sprintf("xp-member-%d", i), "PK", clock.Now())
 		m.idA = acctA.ID
@@ -224,7 +216,7 @@ func runCrossPlatform(cfg CrossPlatformConfig, mode defense.SignalMode) (CrossPl
 
 	// Campaign: alternating bursts — a post on A, a post on B — one hour
 	// apart, rotating the requesting member.
-	for p := 0; p < cfg.PostsPerPlatform; p++ {
+	for p := 0; p < crossPostsPerPlatform; p++ {
 		m := members[p%len(members)]
 		postA, err := clientA.Publish(m.tokA, fmt.Sprintf("boost-me-a-%d", p), "")
 		if err != nil {

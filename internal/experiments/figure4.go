@@ -11,10 +11,10 @@ type Figure4Config struct {
 	PostsDivisor int
 	MinPosts     int
 	Seed         int64
-	// Networks defaults to the paper's three panels: official-liker.net,
-	// mg-likers.com, f8-autoliker.com.
-	Networks []string
 }
+
+// figure4Networks are the paper's three panels.
+var figure4Networks = []string{"official-liker.net", "mg-likers.com", "f8-autoliker.com"}
 
 func (c Figure4Config) withDefaults() Figure4Config {
 	if c.Scale <= 0 {
@@ -28,9 +28,6 @@ func (c Figure4Config) withDefaults() Figure4Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Networks == nil {
-		c.Networks = []string{"official-liker.net", "mg-likers.com", "f8-autoliker.com"}
 	}
 	return c
 }
@@ -58,7 +55,7 @@ func Figure4(cfg Figure4Config) (Figure4Result, error) {
 	cfg = cfg.withDefaults()
 	study, err := core.NewStudy(workload.Options{
 		Scale:    cfg.Scale,
-		Networks: cfg.Networks,
+		Networks: figure4Networks,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {

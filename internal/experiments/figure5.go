@@ -99,6 +99,9 @@ type Figure5Result struct {
 	Study *core.Study
 }
 
+// plottedNetworks are the two networks Figures 5–8 plot.
+var plottedNetworks = []string{"hublaa.me", "official-liker.net"}
+
 // Figure5 reproduces Figure 5: honeypots milk hublaa.me and
 // official-liker.net daily for 75 days while the countermeasures of
 // Section 6 deploy on the paper's schedule. The per-day average number
@@ -107,7 +110,7 @@ func Figure5(cfg Figure5Config) (Figure5Result, error) {
 	cfg = cfg.withDefaults()
 	networks := cfg.Networks
 	if networks == nil {
-		networks = []string{"hublaa.me", "official-liker.net"}
+		networks = plottedNetworks
 	}
 	study, err := core.NewStudy(workload.Options{
 		Scale:    cfg.Scale,

@@ -11,8 +11,6 @@ type Figure6Config struct {
 	Seed  int64
 	// Posts is how many posts each honeypot submits during the window.
 	Posts int
-	// Networks defaults to the paper's two panels.
-	Networks []string
 }
 
 func (c Figure6Config) withDefaults() Figure6Config {
@@ -27,9 +25,6 @@ func (c Figure6Config) withDefaults() Figure6Config {
 		// paper measured in (its pools were ~600–850× the quota over
 		// ~1,500 posts).
 		c.Posts = 8
-	}
-	if c.Networks == nil {
-		c.Networks = []string{"hublaa.me", "official-liker.net"}
 	}
 	return c
 }
@@ -59,7 +54,7 @@ func Figure6(cfg Figure6Config) (Figure6Result, error) {
 	cfg = cfg.withDefaults()
 	study, err := core.NewStudy(workload.Options{
 		Scale:    cfg.Scale,
-		Networks: cfg.Networks,
+		Networks: plottedNetworks,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {

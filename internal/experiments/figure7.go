@@ -15,7 +15,6 @@ type Figure7Config struct {
 	// BackgroundPerHour is the member like-request load that spends
 	// pooled tokens (including the honeypots').
 	BackgroundPerHour int
-	Networks          []string
 }
 
 func (c Figure7Config) withDefaults() Figure7Config {
@@ -30,9 +29,6 @@ func (c Figure7Config) withDefaults() Figure7Config {
 	}
 	if c.BackgroundPerHour <= 0 {
 		c.BackgroundPerHour = 20
-	}
-	if c.Networks == nil {
-		c.Networks = []string{"hublaa.me", "official-liker.net"}
 	}
 	return c
 }
@@ -61,7 +57,7 @@ func Figure7(cfg Figure7Config) (Figure7Result, error) {
 	cfg = cfg.withDefaults()
 	study, err := core.NewStudy(workload.Options{
 		Scale:    cfg.Scale,
-		Networks: cfg.Networks,
+		Networks: plottedNetworks,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {

@@ -18,7 +18,6 @@ type Figure8Config struct {
 	Days int
 	// MilksPerDay is the honeypot posting rate.
 	MilksPerDay int
-	Networks    []string
 }
 
 func (c Figure8Config) withDefaults() Figure8Config {
@@ -33,9 +32,6 @@ func (c Figure8Config) withDefaults() Figure8Config {
 	}
 	if c.MilksPerDay <= 0 {
 		c.MilksPerDay = 10
-	}
-	if c.Networks == nil {
-		c.Networks = []string{"hublaa.me", "official-liker.net"}
 	}
 	return c
 }
@@ -74,7 +70,7 @@ func Figure8(cfg Figure8Config) (Figure8Result, error) {
 	cfg = cfg.withDefaults()
 	study, err := core.NewStudy(workload.Options{
 		Scale:    cfg.Scale,
-		Networks: cfg.Networks,
+		Networks: plottedNetworks,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {

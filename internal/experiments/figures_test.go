@@ -243,7 +243,7 @@ func TestFigure5ScaleInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The same config must reproduce every day: the invalidation sweeps
-	// draw from a backlog filled by concurrent delivery chunks.
+	// draw a seeded sample from the backlog the honeypots filled.
 	if again, err := Figure5(cfg); err != nil {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(again.Daily, res.Daily) {
@@ -276,14 +276,26 @@ func TestFigure5ScaleInvariance(t *testing.T) {
 // TestFigure5AllNetworks runs the fleet-wide campaign: every network
 // ceases operating, and hublaa.me is the sole survivor until the AS
 // block — the paper's "other popular collusion networks also stopped
-// working" outcome.
+// working" outcome. The campaign runs twice and must reproduce every
+// network's daily series, clustering era included.
 func TestFigure5AllNetworks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("22-network 75-day campaign: skipped with -short")
 	}
-	res, err := Figure5AllNetworks(Figure5Config{Scale: 100, Seed: 1})
+	cfg := Figure5Config{Scale: 100, Seed: 1}
+	res, err := Figure5AllNetworks(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if again, err := Figure5AllNetworks(cfg); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(again.Fig.Daily, res.Fig.Daily) {
+		for name, s := range res.Fig.Daily {
+			if !reflect.DeepEqual(again.Fig.Daily[name], s) {
+				t.Errorf("%s: same config, different Daily:\n%v\n%v", name, s, again.Fig.Daily[name])
+			}
+		}
+		t.Fatal("same config, different Daily")
 	}
 	if len(res.DeathDay) != 22 {
 		t.Fatalf("networks = %d", len(res.DeathDay))

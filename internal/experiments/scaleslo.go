@@ -17,29 +17,22 @@ import (
 // ScaleSLOConfig parameterises the run. The zero value is the golden
 // profile.
 type ScaleSLOConfig struct {
-	Accounts        int
-	TargetRPS       int
-	Duration        time.Duration
-	SweepEvery      time.Duration
-	RetentionWindow time.Duration
-	Seed            int64
+	Accounts int
+	Seed     int64
 }
+
+// The golden profile's load: offered rate, simulated length, sweep
+// period and retention window.
+const (
+	sloTargetRPS       = 200
+	sloDuration        = 90 * time.Second
+	sloSweepEvery      = 20 * time.Second
+	sloRetentionWindow = 30 * time.Second
+)
 
 func (c ScaleSLOConfig) withDefaults() ScaleSLOConfig {
 	if c.Accounts <= 0 {
 		c.Accounts = 5000
-	}
-	if c.TargetRPS <= 0 {
-		c.TargetRPS = 200
-	}
-	if c.Duration <= 0 {
-		c.Duration = 90 * time.Second
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = 20 * time.Second
-	}
-	if c.RetentionWindow <= 0 {
-		c.RetentionWindow = 30 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -59,16 +52,16 @@ func ScaleSLO(cfg ScaleSLOConfig) (ScaleSLOResult, error) {
 	cfg = cfg.withDefaults()
 	w, err := workload.BuildScale(workload.ScaleConfig{
 		Accounts:        cfg.Accounts,
-		RetentionWindow: cfg.RetentionWindow,
+		RetentionWindow: sloRetentionWindow,
 		Seed:            cfg.Seed,
 	})
 	if err != nil {
 		return ScaleSLOResult{}, err
 	}
 	rep := w.RunLoad(workload.LoadConfig{
-		TargetRPS:        cfg.TargetRPS,
-		Duration:         cfg.Duration,
-		SweepEvery:       cfg.SweepEvery,
+		TargetRPS:        sloTargetRPS,
+		Duration:         sloDuration,
+		SweepEvery:       sloSweepEvery,
 		DrainBeforeSweep: true,
 		Seed:             cfg.Seed,
 	})
@@ -79,9 +72,9 @@ func ScaleSLO(cfg ScaleSLOConfig) (ScaleSLOResult, error) {
 		Columns: []string{"Metric", "Value"},
 		Notes: []string{
 			"accounts " + fmtInt(cfg.Accounts) +
-				", target " + fmtInt(cfg.TargetRPS) + " rps over " + cfg.Duration.String() +
-				", retention " + cfg.RetentionWindow.String() +
-				", sweep every " + cfg.SweepEvery.String(),
+				", target " + fmtInt(sloTargetRPS) + " rps over " + sloDuration.String() +
+				", retention " + sloRetentionWindow.String() +
+				", sweep every " + sloSweepEvery.String(),
 			"timing clock frozen: latency quantiles collapse to the histogram floor",
 		},
 	}

@@ -30,14 +30,17 @@ type SweepContentionConfig struct {
 	// Scale is the population divisor; 0 selects 4000 (the benchmark
 	// fleet's scale — small memberships, so the sweep runs in seconds).
 	Scale int
-	// Rounds is how many hourly milking rounds each cell runs.
-	Rounds int
-	// Shards and Workers are the axes; nil selects {1, 4, 16, 64} and
-	// {1, 4, 8}.
-	Shards  []int
-	Workers []int
-	Seed    int64
+	Seed  int64
 }
+
+// sweepRounds is how many hourly milking rounds each cell runs.
+const sweepRounds = 4
+
+// sweepShards and sweepWorkers are the sweep's axes.
+var (
+	sweepShards  = []int{1, 4, 16, 64}
+	sweepWorkers = []int{1, 4, 8}
+)
 
 // SweepContention runs the shards × workers × delivery-mode grid and
 // returns one row per cell: likes per round (which must not move across
@@ -46,15 +49,6 @@ type SweepContentionConfig struct {
 func SweepContention(cfg SweepContentionConfig) (Table, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 4000
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 4
-	}
-	if len(cfg.Shards) == 0 {
-		cfg.Shards = []int{1, 4, 16, 64}
-	}
-	if len(cfg.Workers) == 0 {
-		cfg.Workers = []int{1, 4, 8}
 	}
 	table := Table{
 		ID:      "sweep-contention",
@@ -73,8 +67,8 @@ func SweepContention(cfg SweepContentionConfig) (Table, error) {
 		{"per-call", -1},
 		{"batched", 0},
 	}
-	for _, shards := range cfg.Shards {
-		for _, workers := range cfg.Workers {
+	for _, shards := range sweepShards {
+		for _, workers := range sweepWorkers {
 			for _, mode := range modes {
 				study, err := core.NewStudy(workload.Options{
 					Scale:             cfg.Scale,
@@ -89,7 +83,7 @@ func SweepContention(cfg SweepContentionConfig) (Table, error) {
 				}
 				likes := 0
 				start := time.Now() //collusionvet:allow simclock -- rounds/s measures host wall-clock, not simulated time
-				for r := 0; r < cfg.Rounds; r++ {
+				for r := 0; r < sweepRounds; r++ {
 					for _, res := range study.MilkAllParallel(1, workers) {
 						if res.Err != nil {
 							return Table{}, res.Err
@@ -101,7 +95,7 @@ func SweepContention(cfg SweepContentionConfig) (Table, error) {
 				elapsed := time.Since(start) //collusionvet:allow simclock -- wall-clock throughput measurement
 				roundsPerSec := 0.0
 				if elapsed > 0 {
-					roundsPerSec = float64(cfg.Rounds) / elapsed.Seconds()
+					roundsPerSec = float64(sweepRounds) / elapsed.Seconds()
 				}
 				contended := 0.0
 				if acq, cont := study.Scenario.Platform.Graph.Contention().Totals(); acq > 0 {
@@ -111,7 +105,7 @@ func SweepContention(cfg SweepContentionConfig) (Table, error) {
 					fmtInt(study.Scenario.Platform.Graph.ShardCount()),
 					fmtInt(workers),
 					mode.name,
-					fmtFloat(float64(likes)/float64(cfg.Rounds), 1),
+					fmtFloat(float64(likes)/float64(sweepRounds), 1),
 					fmtFloat(roundsPerSec, 1),
 					fmtFloat(contended, 2),
 				})

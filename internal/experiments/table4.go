@@ -19,9 +19,6 @@ type Table4Config struct {
 	PostsDivisor int
 	// MinPosts floors the scaled post count.
 	MinPosts int
-	// BackgroundPerRound is how many member like-requests run per milking
-	// round, generating the outgoing activity of Table 4's right half.
-	BackgroundPerRound int
 	// Networks selects a subset; nil = all 22.
 	Networks []string
 	Seed     int64
@@ -32,6 +29,10 @@ type Table4Config struct {
 	RetentionWindow time.Duration
 }
 
+// table4BackgroundPerRound is how many member like-requests run per
+// milking round, generating the outgoing activity of Table 4's right half.
+const table4BackgroundPerRound = 2
+
 func (c Table4Config) withDefaults() Table4Config {
 	if c.Scale <= 0 {
 		c.Scale = 100
@@ -41,9 +42,6 @@ func (c Table4Config) withDefaults() Table4Config {
 	}
 	if c.MinPosts <= 0 {
 		c.MinPosts = 10
-	}
-	if c.BackgroundPerRound <= 0 {
-		c.BackgroundPerRound = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -129,7 +127,7 @@ func Table4(cfg Table4Config) (Table4Result, error) {
 			default:
 				return Table4Result{}, res.Err
 			}
-			ni.BackgroundRequests(cfg.BackgroundPerRound)
+			ni.BackgroundRequests(table4BackgroundPerRound)
 			if hour%5 == 0 {
 				ni.BackgroundPageRequests(1)
 			}

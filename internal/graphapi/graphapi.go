@@ -339,9 +339,6 @@ func New(prov provider.Provider, clock simclock.Clock, graph *socialgraph.Store,
 	return a
 }
 
-// Provider returns the platform identity this API speaks for.
-func (a *API) Provider() provider.Provider { return a.prov }
-
 // SetObserver wires telemetry into the API: a span tree per request
 // (graphapi.<op> → oauth.validate / defense.chain / shard.apply), request
 // counters by op and error code, and per-op latency histograms. Policy
@@ -366,9 +363,6 @@ func (a *API) SetObserver(o *obs.Observer) {
 		}
 	}
 }
-
-// Observer returns the API's observer (nil until SetObserver).
-func (a *API) Observer() *obs.Observer { return a.obs }
 
 // begin opens the root span for one API call, reading the clock once. The
 // returned context carries the span for the children authenticate,
@@ -444,9 +438,6 @@ func (a *API) applyShard(ctx context.Context, at time.Time, objectID string, wri
 
 // Chain returns the policy chain, for countermeasure deployment.
 func (a *API) Chain() *Chain { return a.chain }
-
-// Graph returns the underlying social graph store.
-func (a *API) Graph() *socialgraph.Store { return a.graph }
 
 // OAuth returns the underlying authorization server.
 func (a *API) OAuth() *oauthsim.Server { return a.oauth }

@@ -42,11 +42,8 @@ type Site interface {
 	CompleteAdWall(accountID string) error
 }
 
-// CaptchaSolver answers CAPTCHA challenges; the paper used a commercial
-// solving service. SolveArithmetic handles the simulated "a+b=" captchas.
-type CaptchaSolver func(challenge string) string
-
-// SolveArithmetic solves "a+b=" challenges; it returns "" on anything it
+// SolveArithmetic answers the simulated "a+b=" CAPTCHA challenges (the
+// paper used a commercial solving service); it returns "" on anything it
 // cannot parse.
 func SolveArithmetic(challenge string) string {
 	var a, b int
@@ -64,7 +61,6 @@ type Honeypot struct {
 	graph   *socialgraph.Store
 	client  platform.Client
 	site    Site
-	solver  CaptchaSolver
 	app     apps.App
 	token   string
 	postIDs []string
@@ -83,8 +79,7 @@ type Config struct {
 	Site   Site
 	// App is the application the collusion network exploits; the honeypot
 	// installs it during Join.
-	App    apps.App
-	Solver CaptchaSolver
+	App apps.App
 	// Name and Country label the honeypot account (in-process mode).
 	Name    string
 	Country string
@@ -97,9 +92,6 @@ type Config struct {
 // loop, so everything that happens to it is attributable to the collusion
 // network (paper footnote 3).
 func New(cfg Config) *Honeypot {
-	if cfg.Solver == nil {
-		cfg.Solver = SolveArithmetic
-	}
 	name := cfg.Name
 	if name == "" {
 		name = "honeypot"
@@ -116,7 +108,6 @@ func New(cfg Config) *Honeypot {
 		graph:   cfg.Graph,
 		client:  cfg.Client,
 		site:    cfg.Site,
-		solver:  cfg.Solver,
 		app:     cfg.App,
 	}
 }
@@ -214,7 +205,7 @@ func (h *Honeypot) requestWithCaptcha(postID string, request func(string, string
 				return 0, werr
 			}
 		case strings.Contains(err.Error(), "CAPTCHA"):
-			answer = h.solver(h.site.Challenge(h.Account.ID))
+			answer = SolveArithmetic(h.site.Challenge(h.Account.ID))
 		default:
 			return delivered, err
 		}

@@ -178,9 +178,6 @@ func NewServer(prov provider.Provider, clock simclock.Clock, registry *apps.Regi
 	}
 }
 
-// Provider returns the platform identity this server speaks for.
-func (s *Server) Provider() provider.Provider { return s.prov }
-
 // SetObserver wires telemetry: token grant/revocation counters and a span
 // per issued token (the root of the oauth → graphapi trace when issuance
 // itself is what's being followed).

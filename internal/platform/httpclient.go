@@ -34,10 +34,9 @@ func NewHTTPClient(baseURL string) *HTTPClient {
 }
 
 // idleConnsPerHost is how many idle keep-alive connections a client keeps
-// to its platform: one per collusion delivery worker
-// (collusion.Config.DeliveryWorkers, 4 by default). With net/http's
-// default of 2, every burst of 4 concurrent /batch calls dials new
-// connections.
+// to its platform. One client serves concurrent callers (collusiond
+// handles member requests in parallel); with net/http's default of 2,
+// every burst of 4 concurrent /batch calls dials new connections.
 const idleConnsPerHost = 4
 
 // drainLimit caps how much of an unread response body closeBody reads.

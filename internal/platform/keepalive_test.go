@@ -120,9 +120,10 @@ func TestHTTPClientReusesOneConnection(t *testing.T) {
 	}
 }
 
-// TestHTTPClientPoolsDeliveryFanOut replays collusion delivery's pattern
-// — bursts of concurrent /batch calls, one per delivery worker — and
-// requires the client to keep a connection idle for every worker.
+// TestHTTPClientPoolsDeliveryFanOut replays concurrent callers sharing one
+// client — bursts of concurrent /batch calls, as parallel member requests
+// make them — and requires the client to keep a connection idle for
+// every caller.
 func TestHTTPClientPoolsDeliveryFanOut(t *testing.T) {
 	const bursts, workers = 100, 4
 	w := newWorld(t)

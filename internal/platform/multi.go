@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"net/http"
 	"sort"
 
 	"repro/internal/netsim"
@@ -67,22 +66,4 @@ func (m *Multi) Names() []string {
 	out := make([]string, len(m.order))
 	copy(out, m.order)
 	return out
-}
-
-// Handler serves every registered platform from one mux. The default
-// provider keeps the historical root mount — existing clients work
-// unchanged — and every platform (default included) is also reachable
-// under /<provider>/, which is the prefix NewHTTPClientFor clients use
-// for provider selection on both single-op and /batch paths.
-func (m *Multi) Handler() http.Handler {
-	mux := http.NewServeMux()
-	for i, name := range m.order {
-		p := m.platforms[name]
-		h := p.Handler()
-		mux.Handle("/"+name+"/", http.StripPrefix("/"+name, h))
-		if i == 0 && name == provider.Default().Name() {
-			mux.Handle("/", h)
-		}
-	}
-	return mux
 }

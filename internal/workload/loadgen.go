@@ -38,11 +38,6 @@ type LoadConfig struct {
 	Duration time.Duration
 	// Workers is the apply-pool size; 0 selects GOMAXPROCS.
 	Workers int
-	// CommentPermille and PostPermille set the operation mix per
-	// thousand arrivals (comments on hot posts, background posts);
-	// the rest are likes. Defaults: 50 and 20.
-	CommentPermille int
-	PostPermille    int
 	// SweepEvery triggers a retention sweep each time simulated time
 	// crosses a multiple of it; 0 disables sweeping.
 	SweepEvery time.Duration
@@ -56,9 +51,6 @@ type LoadConfig struct {
 	// the deterministic mode golden tests use. cmd/repro passes
 	// simclock.Real{} to measure wall-clock SLOs.
 	Timing simclock.Clock
-	// QueueDepth bounds the arrival queue (how far the open-loop schedule
-	// may run ahead of the appliers); 0 selects 4096.
-	QueueDepth int
 	// Seed drives the operation mix; 0 selects the world's seed.
 	Seed int64
 	// Warmup is the leading stretch of simulated time excluded from the
@@ -81,23 +73,25 @@ func (c LoadConfig) withDefaults(w *ScaleWorld) LoadConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.CommentPermille <= 0 {
-		c.CommentPermille = 50
-	}
-	if c.PostPermille <= 0 {
-		c.PostPermille = 20
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
 	if c.Timing == nil {
-		c.Timing = frozenClock{t: w.Config.Start}
+		c.Timing = frozenClock{t: epoch}
 	}
 	if c.Seed == 0 {
 		c.Seed = w.Config.Seed
 	}
 	return c
 }
+
+const (
+	// commentPermille and postPermille set the operation mix per thousand
+	// arrivals (comments on hot posts, background posts); the rest are
+	// likes.
+	commentPermille = 50
+	postPermille    = 20
+	// queueDepth bounds the arrival queue: how far the open-loop schedule
+	// may run ahead of the appliers.
+	queueDepth = 4096
+)
 
 // RetentionSample is one post-sweep observation of the retained edge
 // history — the series whose flattening demonstrates the memory plateau.
@@ -210,7 +204,7 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 
 	var likes, dups, comments, posts atomic.Int64
 	var pending atomic.Int64
-	jobs := make(chan job, cfg.QueueDepth)
+	jobs := make(chan job, queueDepth)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)
@@ -224,8 +218,8 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	targets := rand.NewZipf(rng, w.Config.ZipfS, 1, uint64(len(w.Posts)-1))
-	start := w.Config.Start
+	targets := rand.NewZipf(rng, scaleZipfS, 1, uint64(len(w.Posts)-1))
+	start := epoch
 	wallStart := cfg.Timing.Now()
 	steadyAt := start.Add(cfg.Warmup)
 	steady := false
@@ -262,9 +256,9 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 		}
 		j := job{kind: opLike, at: at, actor: rng.Intn(w.Config.Accounts)}
 		switch roll := rng.Intn(1000); {
-		case roll < cfg.CommentPermille:
+		case roll < commentPermille:
 			j.kind = opComment
-		case roll < cfg.CommentPermille+cfg.PostPermille:
+		case roll < commentPermille+postPermille:
 			j.kind = opPost
 		}
 		if j.kind != opPost {

@@ -32,32 +32,17 @@ type ScaleConfig struct {
 	// Accounts is the population size (the ROADMAP regime is 1e6–1e7;
 	// tests use a few thousand). Minimum 100.
 	Accounts int
-	// Pages is the number of fan pages; 0 derives Accounts/1000 (min 8).
-	Pages int
-	// HotPosts is the pool of posts the load generator targets; 0
-	// derives 4*Pages (min 64).
-	HotPosts int
 	// AvgFriends is the mean friend degree; friendship endpoints are
 	// drawn from a Zipf distribution over the population, so early
 	// accounts become hubs and the degree distribution is heavy-tailed.
 	// 0 disables friendship edges entirely (they are not needed by the
 	// load generator and dominate memory at full scale).
 	AvgFriends float64
-	// ZipfS is the skew (> 1) of the popularity distributions (hub
-	// selection, hot-post targeting); 0 selects 1.2.
-	ZipfS float64
-	// MaxHubIndex caps how deep into the population the Zipf hub/actor
-	// sampling reaches; 0 means the whole population.
-	MaxHubIndex int
 	// Shards pins the store's stripe count; 0 selects the default.
 	Shards int
-	// BatchSize is the account-construction chunk; 0 selects 8192.
-	BatchSize int
 	// RetentionWindow bounds the store's edge-history retention; 0 keeps
 	// the default infinite window.
 	RetentionWindow time.Duration
-	// Start is the simulation epoch; zero means November 1, 2015.
-	Start time.Time
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -66,35 +51,19 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.Accounts < 100 {
 		c.Accounts = 100
 	}
-	if c.Pages <= 0 {
-		c.Pages = c.Accounts / 1000
-		if c.Pages < 8 {
-			c.Pages = 8
-		}
-	}
-	if c.HotPosts <= 0 {
-		c.HotPosts = 4 * c.Pages
-		if c.HotPosts < 64 {
-			c.HotPosts = 64
-		}
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.MaxHubIndex <= 0 || c.MaxHubIndex > c.Accounts {
-		c.MaxHubIndex = c.Accounts
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 8192
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
+
+const (
+	// scaleZipfS is the skew of the popularity distributions (hub
+	// selection, hot-post targeting).
+	scaleZipfS = 1.2
+	// scaleBatchSize is the account-construction chunk.
+	scaleBatchSize = 8192
+)
 
 // scaleCountries is the shared-string country rotation; roughly the
 // paper's Table 2 visitor geography.
@@ -107,7 +76,8 @@ type ScaleWorld struct {
 	Platform *platform.Platform
 	Graph    *socialgraph.Store
 
-	// Pages and Posts are the pre-built target pools.
+	// Pages and Posts are the pre-built target pools: Accounts/1000 fan
+	// pages (min 8) and four hot posts per page (min 64).
 	Pages []string
 	Posts []string
 	// FriendEdges is the number of friendship edges actually inserted.
@@ -140,7 +110,7 @@ func (w *ScaleWorld) AccountID(i int) string {
 // BuildScale constructs the world.
 func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	cfg = cfg.withDefaults()
-	clock := simclock.NewSimulated(cfg.Start)
+	clock := simclock.NewSimulated(epoch)
 	p := platform.NewWithConfig(clock, nil, platform.Config{Provider: provider.Default(), Shards: cfg.Shards, AccountHint: cfg.Accounts})
 	if cfg.RetentionWindow > 0 {
 		p.Graph.SetRetentionWindow(cfg.RetentionWindow)
@@ -149,18 +119,15 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Accounts, in batches. One seed slice is reused across chunks so
-	// construction memory is O(BatchSize), not O(Accounts).
-	seeds := make([]socialgraph.AccountSeed, cfg.BatchSize)
+	// construction memory is O(scaleBatchSize), not O(Accounts).
+	seeds := make([]socialgraph.AccountSeed, scaleBatchSize)
 	created := 0
 	for created < cfg.Accounts {
-		n := cfg.Accounts - created
-		if n > cfg.BatchSize {
-			n = cfg.BatchSize
-		}
+		n := min(cfg.Accounts-created, scaleBatchSize)
 		for j := 0; j < n; j++ {
 			seeds[j] = socialgraph.AccountSeed{Country: scaleCountries[(created+j)%len(scaleCountries)]}
 		}
-		batch := p.Graph.CreateAccountBatch(seeds[:n], cfg.Start)
+		batch := p.Graph.CreateAccountBatch(seeds[:n], epoch)
 		if created == 0 {
 			first, err := strconv.ParseUint(batch[0].ID, 10, 64)
 			if err != nil {
@@ -184,16 +151,17 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	// Fan pages, owned by Zipf-sampled hub accounts, and the hot posts
 	// the load generator concentrates likes on (posted by the pages, as
 	// viral fan-page content is).
-	owners := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.MaxHubIndex-1))
-	for i := 0; i < cfg.Pages; i++ {
-		page, err := p.Graph.CreatePage(w.AccountID(int(owners.Uint64())), "page", cfg.Start)
+	owners := rand.NewZipf(rng, scaleZipfS, 1, uint64(cfg.Accounts-1))
+	pages := max(cfg.Accounts/1000, 8)
+	for i := 0; i < pages; i++ {
+		page, err := p.Graph.CreatePage(w.AccountID(int(owners.Uint64())), "page", epoch)
 		if err != nil {
 			return nil, fmt.Errorf("workload: scale page %d: %w", i, err)
 		}
 		w.Pages = append(w.Pages, page.ID)
 	}
-	for i := 0; i < cfg.HotPosts; i++ {
-		post, err := p.Graph.CreatePost(w.Pages[i%len(w.Pages)], "p", socialgraph.WriteMeta{At: cfg.Start})
+	for i := 0; i < max(4*pages, 64); i++ {
+		post, err := p.Graph.CreatePost(w.Pages[i%len(w.Pages)], "p", socialgraph.WriteMeta{At: epoch})
 		if err != nil {
 			return nil, fmt.Errorf("workload: scale post %d: %w", i, err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/collusion"
+	"repro/internal/honeypot"
 	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/provider"
@@ -21,6 +22,10 @@ const (
 	ASBulletproofB netsim.ASN = 64501 // hublaa.me's second bulletproof AS
 	ASGenericHost  netsim.ASN = 65000 // everyone else's hosting
 )
+
+// epoch is November 1, 2015, the start of the paper's milking campaign:
+// the default Options.Start, and the start of every scale profile.
+var epoch = time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 
 // Options parameterises scenario construction.
 type Options struct {
@@ -44,13 +49,11 @@ type Options struct {
 	// Shards pins the platform's social-graph stripe count; 0 selects
 	// the GOMAXPROCS-scaled default. Experiments sweep this.
 	Shards int
-	// DeliveryBatchSize and DeliveryWorkers are passed through to every
-	// network's delivery engine: 0 selects the collusion defaults
-	// (batched, 50-op chunks, 4 workers); a negative batch size disables
-	// batching so every like takes its own transport call. A/B
-	// benchmarks and the contention sweep flip these.
+	// DeliveryBatchSize is passed through to every network's delivery
+	// engine: 0 selects the collusion default (batched, 50-op chunks); a
+	// negative size disables batching so every like takes its own
+	// transport call. A/B benchmarks and the contention sweep flip this.
 	DeliveryBatchSize int
-	DeliveryWorkers   int
 	// RetentionWindow bounds the social graph's edge-history retention
 	// (see socialgraph.SetRetentionWindow); 0 keeps the default infinite
 	// window, so nothing is ever evicted and Table-4 outputs are
@@ -67,7 +70,7 @@ func (o Options) withDefaults() Options {
 		o.MinMembers = 40
 	}
 	if o.Start.IsZero() {
-		o.Start = time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
+		o.Start = epoch
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -250,7 +253,6 @@ func (s *Scenario) buildNetwork(spec NetworkSpec, ordinal int64) (*NetworkInstan
 		Seed:               s.Opts.Seed*1000 + ordinal,
 		AdsPerVisit:        3,
 		DeliveryBatchSize:  s.Opts.DeliveryBatchSize,
-		DeliveryWorkers:    s.Opts.DeliveryWorkers,
 	}
 	if spec.CommentsPerRequest > 0 {
 		cfg.CommentDictionary = GenerateCommentDictionary(spec.Name, spec.UniqueComments, s.Opts.Seed)
@@ -387,7 +389,7 @@ func (ni *NetworkInstance) BackgroundRequests(count int) {
 		}
 		answer := ""
 		if ni.Net.Config().CaptchaRequired {
-			answer = solveChallenge(ni.Net.Challenge(m.ID))
+			answer = honeypot.SolveArithmetic(ni.Net.Challenge(m.ID))
 		}
 		_, _ = ni.Net.RequestLikes(m.ID, post.ID, answer)
 	}
@@ -406,7 +408,7 @@ func (ni *NetworkInstance) BackgroundPageRequests(count int) {
 		}
 		answer := ""
 		if ni.Net.Config().CaptchaRequired {
-			answer = solveChallenge(ni.Net.Challenge(m.ID))
+			answer = honeypot.SolveArithmetic(ni.Net.Challenge(m.ID))
 		}
 		_, _ = ni.Net.RequestLikes(m.ID, page.ID, answer)
 	}
@@ -424,14 +426,6 @@ func (s *Scenario) FindNetwork(name string) (*NetworkInstance, bool) {
 
 func (ni *NetworkInstance) sampleCountry() string {
 	return ni.mix.Sample(ni.rng)
-}
-
-func solveChallenge(challenge string) string {
-	var a, b int
-	if _, err := fmt.Sscanf(challenge, "%d+%d=", &a, &b); err != nil {
-		return ""
-	}
-	return fmt.Sprintf("%d", a+b)
 }
 
 // sanitizeHost turns a network/app name into a hostname-ish label.
