@@ -455,10 +455,9 @@ func BenchmarkCollusionDelivery(b *testing.B) {
 	b.ReportMetric(float64(likes)/float64(b.N), "likes/request")
 }
 
-// milkingBenchNetworks is the fleet used by the sequential/parallel
-// milking pair: enough networks that a worker pool has real fan-out,
-// all chosen without a DailyRequestLimit so hourly rounds can run for
-// an arbitrary number of iterations.
+// milkingBenchNetworks is the fleet used by the sequential/batched
+// milking pair: eight networks, all chosen without a DailyRequestLimit
+// so hourly rounds can run for an arbitrary number of iterations.
 var milkingBenchNetworks = []string{
 	"mg-likers.com", "fast-liker.com", "autolikesgroups.com", "4liker.com",
 	"f8-autoliker.com", "myliker.com", "kdliker.com", "oneliker.com",
@@ -482,21 +481,21 @@ func newMilkingBenchStudy(b *testing.B, batch int) *core.Study {
 	return study
 }
 
-// milkRounds drives one milking round per iteration through milk and
-// reports likes/round (which must not move with the delivery mode: 464
-// on this fleet), the store's contended lock fraction, and shard-lock
+// milkRounds drives one MilkAll round per iteration and reports
+// likes/round (which must not move with the delivery mode: 464 on this
+// fleet), the store's contended lock fraction, and shard-lock
 // acquisitions per round. The acquisition count is the deterministic
 // A/B signal between delivery modes: wall-clock differences drown in
 // host jitter on an uncontended box, but batched delivery takes one
 // lock scope per run instead of two stripes per like, which this metric
 // shows directly.
-func milkRounds(b *testing.B, study *core.Study, milk func() []core.MilkResult) {
+func milkRounds(b *testing.B, study *core.Study) {
 	b.Helper()
 	acq0, _ := study.Scenario.Platform.Graph.Contention().Totals()
 	b.ResetTimer()
 	likes := 0
 	for i := 0; i < b.N; i++ {
-		for _, res := range milk() {
+		for _, res := range study.MilkAll(1) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
@@ -513,12 +512,10 @@ func milkRounds(b *testing.B, study *core.Study, milk func() []core.MilkResult) 
 }
 
 // BenchmarkMilkingSequential milks every network of the fleet one after
-// another with batching disabled — the pre-batch, pre-parallel driver
-// and the historical baseline: one transport call and two lock scopes
-// per like.
+// another with batching disabled — the pre-batch driver and the
+// historical baseline: one transport call and two lock scopes per like.
 func BenchmarkMilkingSequential(b *testing.B) {
-	study := newMilkingBenchStudy(b, -1)
-	milkRounds(b, study, func() []core.MilkResult { return study.MilkAll(1) })
+	milkRounds(b, newMilkingBenchStudy(b, -1))
 }
 
 // BenchmarkMilkingBatched is the same sequential round with batched
@@ -526,16 +523,7 @@ func BenchmarkMilkingSequential(b *testing.B) {
 // AddLikeBatch apply. Against BenchmarkMilkingSequential this isolates
 // what batching alone buys, with identical likes/round.
 func BenchmarkMilkingBatched(b *testing.B) {
-	study := newMilkingBenchStudy(b, 0)
-	milkRounds(b, study, func() []core.MilkResult { return study.MilkAll(1) })
-}
-
-// BenchmarkMilkingParallel is the full production configuration: all
-// networks milked concurrently within each round by a GOMAXPROCS-bounded
-// worker pool, each burst batched, against the sharded store.
-func BenchmarkMilkingParallel(b *testing.B) {
-	study := newMilkingBenchStudy(b, 0)
-	milkRounds(b, study, func() []core.MilkResult { return study.MilkAllParallel(1, 0) })
+	milkRounds(b, newMilkingBenchStudy(b, 0))
 }
 
 func BenchmarkHTTPGraphAPILike(b *testing.B) {

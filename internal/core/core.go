@@ -21,9 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/collusion"
@@ -214,53 +212,6 @@ func (s *Study) MilkAll(rounds int) []MilkResult {
 		for _, ni := range s.Scenario.Networks {
 			out = append(out, s.MilkNetwork(ni.Spec.Name))
 		}
-	}
-	return out
-}
-
-// MilkAllParallel runs rounds milking rounds against every network,
-// milking all networks' honeypots concurrently within each round through
-// a bounded worker pool — the paper's 22 honeypots posted and requested
-// likes simultaneously every hour, not one network after another, and on
-// the sharded store the concurrent rounds scale with cores instead of
-// serializing on a single graph mutex.
-//
-// workers <= 0 uses GOMAXPROCS. Each network is milked by exactly one
-// worker per round (honeypots and estimators are single-writer state),
-// and a barrier between rounds preserves the round structure the
-// estimators' Figure 4 curves depend on. Results are returned in the
-// same order MilkAll produces: network order within each round.
-func (s *Study) MilkAllParallel(rounds, workers int) []MilkResult {
-	nets := s.Scenario.Networks
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(nets) {
-		workers = len(nets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]MilkResult, 0, rounds*len(nets))
-	for r := 0; r < rounds; r++ {
-		results := make([]MilkResult, len(nets))
-		tasks := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range tasks {
-					results[i] = s.MilkNetwork(nets[i].Spec.Name)
-				}
-			}()
-		}
-		for i := range nets {
-			tasks <- i
-		}
-		close(tasks)
-		wg.Wait()
-		out = append(out, results...)
 	}
 	return out
 }

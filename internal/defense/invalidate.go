@@ -77,9 +77,9 @@ func (v *Invalidator) InvalidateFraction(fraction float64, rng *rand.Rand) int {
 	if k == 0 {
 		k = 1
 	}
-	// Sort first: parallel milking (core.Study.MilkAllParallel) submits
-	// the networks' milked keys in scheduling order, so only a sorted
-	// start makes the seeded draw reproducible.
+	// Sort first: the seeded draw then depends on the backlog's set, not
+	// its submission order. EXPERIMENTS.md's Figure 5 day-23+ numbers
+	// were drawn from a sorted backlog; dropping the sort moves them.
 	sort.Strings(v.pending)
 	rng.Shuffle(len(v.pending), func(i, j int) {
 		v.pending[i], v.pending[j] = v.pending[j], v.pending[i]

@@ -166,21 +166,6 @@ var Registry = map[string]Runner{
 		}
 		return Output{Tables: []Table{res.Table}}, nil
 	},
-	"sweep-contention": func(scale int, seed int64) (Output, error) {
-		// The population flag is a divisor, so the CLI default of 100
-		// would build a fleet ~40× larger than the sweep needs; the
-		// sweep pins its own benchmark-fleet scale unless the caller
-		// asks for an even smaller population (a larger divisor).
-		cfg := SweepContentionConfig{Seed: seed}
-		if scale > 4000 {
-			cfg.Scale = scale
-		}
-		tbl, err := SweepContention(cfg)
-		if err != nil {
-			return Output{}, err
-		}
-		return Output{Tables: []Table{tbl}}, nil
-	},
 	"scale-slo": func(scale int, seed int64) (Output, error) {
 		// The population flag is a divisor for the paper experiments; the
 		// scale profile wants an absolute account count, so only an

@@ -59,11 +59,10 @@ func ScaleSLO(cfg ScaleSLOConfig) (ScaleSLOResult, error) {
 		return ScaleSLOResult{}, err
 	}
 	rep := w.RunLoad(workload.LoadConfig{
-		TargetRPS:        sloTargetRPS,
-		Duration:         sloDuration,
-		SweepEvery:       sloSweepEvery,
-		DrainBeforeSweep: true,
-		Seed:             cfg.Seed,
+		TargetRPS:  sloTargetRPS,
+		Duration:   sloDuration,
+		SweepEvery: sloSweepEvery,
+		Seed:       cfg.Seed,
 	})
 
 	table := Table{

@@ -300,7 +300,7 @@ func TestRegistryRunAndIDs(t *testing.T) {
 		"cross-platform",
 		"extension-detection", "extension-economics", "extension-privacy",
 		"figure4", "figure5", "figure5-all", "figure6", "figure7", "figure8",
-		"scale-slo", "sweep-contention",
+		"scale-slo",
 		"table1", "table2", "table3", "table4", "table5", "table6"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)

@@ -8,7 +8,7 @@
 // runtime: one like request can be followed from OAuth token validation
 // through Graph API dispatch, shard locking, collusion-network delivery,
 // and the defense stack, and every hot-path subsystem exports counters the
-// perf work (batched delivery, adaptive shards, contention sweeps) reports
+// perf work (batched delivery, adaptive shards, retention sweeps) reports
 // against.
 //
 // Three design rules hold everywhere:

@@ -17,10 +17,10 @@
 //
 // The store is lock-striped: state is partitioned across power-of-two
 // shards keyed by the FNV-1a hash of each object's primary ID, so
-// simulated Graph API traffic from many goroutines (the parallel milking
-// driver, the organic background workload) scales with cores instead of
+// simulated Graph API traffic from many goroutines (the HTTP server, the
+// scale-mode load generator's apply pool) scales with cores instead of
 // serializing on one mutex. See shard.go for the routing and lock-ordering
-// rules, and reference.go for the single-lock oracle the differential
+// rules, and reference_test.go for the single-lock oracle the differential
 // tests check this implementation against.
 package socialgraph
 

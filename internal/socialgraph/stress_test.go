@@ -9,7 +9,9 @@ package socialgraph
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -185,5 +187,95 @@ func TestStressSuspendedWritersSettle(t *testing.T) {
 	}
 	if !s.HasLiked(actor.ID, post.ID) {
 		t.Fatal("HasLiked = false after successful AddLike")
+	}
+}
+
+// TestRetentionSweepRacesWriters runs a sweeper goroutine against 8
+// writers whose likes and comments carry advancing timestamps. Writers
+// pause at their midpoint until a sweep has evicted a like, so sweeps
+// overlap writes on every schedule. Every applied edge must end up
+// either evicted by one sweep or retained.
+func TestRetentionSweepRacesWriters(t *testing.T) {
+	const (
+		writers = 8
+		step    = 20 * time.Millisecond // timestamp advance per write
+	)
+	perWriter := 2000
+	if testing.Short() {
+		perWriter = 800
+	}
+	w := newRetWorld(t, 8, writers, perWriter)
+	w.s.SetRetentionWindow(5 * time.Second)
+	epoch := retEpoch()
+
+	mid := len(w.posts) / 2
+	var written atomic.Int64 // writes finished, over all writers
+	released := make(chan struct{})
+	stop := make(chan struct{})
+	swept := make(chan SweepResult)
+	go func() {
+		release := released
+		var sum SweepResult
+		for {
+			select {
+			case <-stop:
+				swept <- sum
+				return
+			default:
+			}
+			// Sweep at the writers' mean progress. Once every writer is
+			// parked at mid, mid*step lies past the window, so the sweep
+			// must evict; release the writers either way.
+			n := written.Load()
+			res := w.s.RetentionSweep(epoch.Add(time.Duration(n/writers) * step))
+			if release != nil && (res.Likes > 0 || n == writers*int64(mid)) {
+				if res.Likes == 0 {
+					t.Error("no sweep evicted a like while every writer was parked")
+				}
+				close(release)
+				release = nil
+			}
+			sum.Likes += res.Likes
+			sum.Comments += res.Comments
+			runtime.Gosched()
+		}
+	}()
+
+	var likes, comments atomic.Int64
+	var wg sync.WaitGroup
+	for _, me := range w.accounts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, post := range w.posts {
+				if i == mid {
+					<-released
+				}
+				meta := WriteMeta{At: epoch.Add(time.Duration(i) * step)}
+				if i%4 == 3 {
+					if _, err := w.s.AddComment(me, post, "c", meta); err != nil {
+						t.Error(err)
+					} else {
+						comments.Add(1)
+					}
+				} else if err := w.s.AddLike(me, post, meta); err != nil {
+					t.Error(err)
+				} else {
+					likes.Add(1)
+				}
+				written.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	sum := <-swept
+
+	retained := w.s.RetainedEdges()
+	if sum.Likes+retained.Likes != likes.Load() {
+		t.Fatalf("likes: %d evicted + %d retained != %d applied", sum.Likes, retained.Likes, likes.Load())
+	}
+	if sum.Comments+retained.Comments != comments.Load() {
+		t.Fatalf("comments: %d evicted + %d retained != %d applied", sum.Comments, retained.Comments, comments.Load())
 	}
 }

@@ -25,10 +25,13 @@ import (
 //
 // Determinism: the generator samples every operation (actor, target,
 // kind, arrival time) from one seeded RNG before handing it to the
-// worker pool, and likes are idempotent per (account, object) — so the
-// number of successful likes equals the number of distinct sampled
-// pairs, independent of worker count and interleaving. Two runs at the
-// same target RPS and seed therefore report identical like totals.
+// worker pool, likes are idempotent per (account, object), and every
+// retention sweep waits until the pool has applied all earlier arrivals.
+// So each sweep evicts from the same history, and two runs at the same
+// target RPS and seed report identical like, duplicate and eviction
+// counts, independent of worker count and interleaving. (One case stays
+// open: two arrivals of one pair in flight together may store either
+// arrival time, which can move a later eviction by one.)
 
 // LoadConfig parameterises RunLoad.
 type LoadConfig struct {
@@ -39,13 +42,9 @@ type LoadConfig struct {
 	// Workers is the apply-pool size; 0 selects GOMAXPROCS.
 	Workers int
 	// SweepEvery triggers a retention sweep each time simulated time
-	// crosses a multiple of it; 0 disables sweeping.
+	// crosses a multiple of it; 0 disables sweeping. A sweep first waits
+	// for the pool to apply every earlier arrival.
 	SweepEvery time.Duration
-	// DrainBeforeSweep makes the generator wait for the worker pool to
-	// drain before each sweep, so exactly which edges a sweep evicts is
-	// deterministic (the golden SLO report needs this; a production-style
-	// run does not).
-	DrainBeforeSweep bool
 	// Timing is the clock latencies are measured on. nil freezes timing
 	// at the simulation epoch so every observed latency is exactly zero —
 	// the deterministic mode golden tests use. cmd/repro passes
@@ -203,7 +202,9 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 		nil).With()
 
 	var likes, dups, comments, posts atomic.Int64
-	var pending atomic.Int64
+	// inflight counts arrivals not yet applied. Only the generator adds
+	// to it and waits on it, so each Add follows the last Wait.
+	var inflight sync.WaitGroup
 	jobs := make(chan job, queueDepth)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
@@ -212,7 +213,7 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 			defer wg.Done()
 			for j := range jobs {
 				w.apply(j, cfg.Timing, hist, &likes, &dups, &comments, &posts)
-				pending.Add(-1)
+				inflight.Done()
 			}
 		}()
 	}
@@ -224,17 +225,10 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 	steadyAt := start.Add(cfg.Warmup)
 	steady := false
 	nextSweep := start.Add(cfg.SweepEvery)
-	drain := func() {
-		for pending.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
 	for i := int64(0); i < total; i++ {
 		at := start.Add(time.Duration(i) * time.Second / time.Duration(cfg.TargetRPS))
 		for cfg.SweepEvery > 0 && !at.Before(nextSweep) {
-			if cfg.DrainBeforeSweep {
-				drain()
-			}
+			inflight.Wait()
 			w.Clock.AdvanceTo(nextSweep)
 			res := w.Graph.RetentionSweep(nextSweep)
 			rep.Sweeps++
@@ -264,7 +258,7 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 		if j.kind != opPost {
 			j.target = int(targets.Uint64())
 		}
-		pending.Add(1)
+		inflight.Add(1)
 		jobs <- j
 		rep.Offered++
 	}

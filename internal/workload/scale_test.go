@@ -66,12 +66,11 @@ func TestRunLoadDeterministicTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		return w.RunLoad(LoadConfig{
-			TargetRPS:        300,
-			Duration:         30 * time.Second,
-			Workers:          workers,
-			SweepEvery:       10 * time.Second,
-			DrainBeforeSweep: true,
-			Seed:             11,
+			TargetRPS:  300,
+			Duration:   30 * time.Second,
+			Workers:    workers,
+			SweepEvery: 10 * time.Second,
+			Seed:       11,
 		})
 	}
 	a, b := run(2), run(8)
@@ -88,7 +87,9 @@ func TestRunLoadDeterministicTotals(t *testing.T) {
 
 // TestRunLoadRaceStress hammers the worker pool; its value is running
 // under -race in CI (the scale-smoke job), where any unsynchronized
-// store or histogram access trips the detector.
+// store or histogram access trips the detector. Sweeps drain the pool,
+// so they never race the appliers here; TestRetentionSweepRacesWriters
+// (internal/socialgraph) races a sweeper against writers instead.
 func TestRunLoadRaceStress(t *testing.T) {
 	w, err := BuildScale(ScaleConfig{Accounts: 1000, RetentionWindow: 20 * time.Second, Seed: 5})
 	if err != nil {
@@ -98,7 +99,7 @@ func TestRunLoadRaceStress(t *testing.T) {
 		TargetRPS:  500,
 		Duration:   12 * time.Second,
 		Workers:    8,
-		SweepEvery: 5 * time.Second, // no drain: sweeps race the appliers on purpose
+		SweepEvery: 5 * time.Second,
 		Seed:       5,
 	})
 	if got := rep.Likes + rep.DuplicateLikes + rep.Comments + rep.Posts; got != rep.Offered {
@@ -124,11 +125,10 @@ func TestRunLoadRetentionPlateau(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := w.RunLoad(LoadConfig{
-		TargetRPS:        rps,
-		Duration:         10 * time.Minute,
-		SweepEvery:       sweep,
-		DrainBeforeSweep: true,
-		Seed:             9,
+		TargetRPS:  rps,
+		Duration:   10 * time.Minute,
+		SweepEvery: sweep,
+		Seed:       9,
 	})
 	if rep.Evicted.Likes == 0 {
 		t.Fatal("nothing evicted; plateau claim is vacuous")

@@ -46,13 +46,11 @@ type Options struct {
 	// (e.g. hublaa.me's day 45–50 shutdown during the countermeasure
 	// campaign).
 	ExtraOutageDays map[string][]int
-	// Shards pins the platform's social-graph stripe count; 0 selects
-	// the GOMAXPROCS-scaled default. Experiments sweep this.
-	Shards int
 	// DeliveryBatchSize is passed through to every network's delivery
 	// engine: 0 selects the collusion default (batched, 50-op chunks); a
 	// negative size disables batching so every like takes its own
-	// transport call. A/B benchmarks and the contention sweep flip this.
+	// transport call. The milking benchmarks and the delivery
+	// equivalence tests flip this.
 	DeliveryBatchSize int
 	// RetentionWindow bounds the social graph's edge-history retention
 	// (see socialgraph.SetRetentionWindow); 0 keeps the default infinite
@@ -143,7 +141,7 @@ func BuildScenario(opts Options) (*Scenario, error) {
 		return nil, err
 	}
 
-	p := platform.NewWithConfig(clock, internet, platform.Config{Provider: provider.Default(), Shards: opts.Shards})
+	p := platform.NewWithConfig(clock, internet, platform.Config{Provider: provider.Default()})
 	if opts.RetentionWindow > 0 {
 		p.Graph.SetRetentionWindow(opts.RetentionWindow)
 	}
