@@ -54,7 +54,7 @@ func main() {
 
 	// All diagnostics flow through the redacting leveled logger — member
 	// tokens must never reach stderr intact, even inside error strings.
-	logger := obs.NewLogger("collusiond", os.Stderr, obs.LevelInfo).WithClock(simclock.NewReal())
+	logger := obs.NewLogger("collusiond", os.Stderr, obs.LevelInfo).WithClock(simclock.Real{})
 
 	if *appID == "" || *redirect == "" {
 		logger.Fatalf("-app and -redirect are required (see platformd output)")
@@ -76,10 +76,10 @@ func main() {
 			{Name: "gold", PriceUSD: 29.99, LikesPerPost: 2000, AutoDelivery: true, NoRestriction: true},
 		},
 	}
-	network := collusion.NewNetwork(cfg, simclock.NewReal(), client)
-	observer := obs.New(simclock.NewReal(), obs.DefaultPlatformLabel)
+	network := collusion.NewNetwork(cfg, simclock.Real{}, client)
+	observer := obs.New(simclock.Real{}, obs.DefaultPlatformLabel)
 	network.SetObserver(observer)
-	sampler := runtimestats.Register(observer.M(), simclock.NewReal())
+	sampler := runtimestats.Register(observer.M(), simclock.Real{})
 	if *metricsAddr != "" {
 		serveMetrics(*metricsAddr, observer, logger)
 		sampler.Start(5 * time.Second)

@@ -53,16 +53,16 @@ func main() {
 
 	// All diagnostics flow through the redacting leveled logger — a
 	// token in an error string is masked before it can reach stderr.
-	logger := obs.NewLogger("milker", os.Stderr, obs.LevelInfo).WithClock(simclock.NewReal())
+	logger := obs.NewLogger("milker", os.Stderr, obs.LevelInfo).WithClock(simclock.Real{})
 
 	// The campaign's own telemetry: progress counters plus pprof, so a
 	// long milking run can be watched and profiled while it works.
-	observer := obs.New(simclock.NewReal(), obs.DefaultPlatformLabel)
+	observer := obs.New(simclock.Real{}, obs.DefaultPlatformLabel)
 	milked := observer.M().Counter("milker_posts_milked_total",
 		"Honeypot posts successfully milked.").With()
 	observed := observer.M().Counter("milker_likes_observed_total",
 		"Likes observed on milked honeypot posts.").With()
-	sampler := runtimestats.Register(observer.M(), simclock.NewReal())
+	sampler := runtimestats.Register(observer.M(), simclock.Real{})
 	if *metricsAddr != "" {
 		serveMetrics(*metricsAddr, observer, logger)
 		sampler.Start(5 * time.Second)
@@ -92,7 +92,7 @@ func main() {
 	client := platform.NewHTTPClient(*platformURL)
 	site := honeypot.NewHTTPSite(*siteURL, *siteURL)
 	hp := honeypot.New(honeypot.Config{
-		Clock:     simclock.NewReal(),
+		Clock:     simclock.Real{},
 		Client:    client,
 		Site:      site,
 		App:       apps.App{ID: *appID, RedirectURI: *redirect},

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -34,27 +35,38 @@ func main() {
 	members := flag.Int("members", 50, "demo member accounts to create")
 	printSecret := flag.Bool("print-secret", false, "print the secure app's full secret (needed to drive the code flow by hand)")
 	providers := flag.String("providers", strings.Join(provider.Names(), ","),
-		"comma-separated providers to serve; the default provider mounts at /, every provider also at /<name>/")
+		"comma-separated providers to serve; the default provider (else the first listed) mounts at /, every provider also at /<name>/")
 	flag.Parse()
 
 	internet := netsim.NewInternet()
 	must(internet.RegisterAS(netsim.AS{Number: 64500, Name: "BP-HOSTING-A", Country: "RU", Bulletproof: true}, "203.0.0.0/16"))
 	must(internet.RegisterAS(netsim.AS{Number: 65000, Name: "GENERIC-HOSTING", Country: "US"}, "192.168.0.0/16"))
 
-	var provs []provider.Provider
+	// One platform per listed provider over a shared clock and Internet,
+	// the default provider's first: ps[0] is served at /.
+	var names []string
 	for _, name := range strings.Split(*providers, ",") {
-		prov, ok := provider.Get(strings.TrimSpace(name))
-		if !ok {
+		name = strings.TrimSpace(name)
+		if _, ok := provider.Get(name); !ok {
 			log.Fatalf("platformd: unknown provider %q (known: %s)", name, strings.Join(provider.Names(), ", "))
 		}
-		provs = append(provs, prov)
+		switch {
+		case slices.Contains(names, name): // listed twice
+		case name == provider.Default().Name():
+			names = slices.Insert(names, 0, name)
+		default:
+			names = append(names, name)
+		}
 	}
-	m := platform.NewMulti(simclock.NewReal(), internet, provs...)
-	p := m.Default()
+	ps := make([]*platform.Platform, len(names))
+	for i, name := range names {
+		ps[i] = platform.NewWithConfig(simclock.Real{}, internet, platform.Config{Provider: provider.MustGet(name)})
+	}
+	p := ps[0]
 
 	// Runtime/GC families on /metrics, sampled in the background so the
 	// GC-pause histogram and alloc-rate gauge stay fresh between scrapes.
-	sampler := runtimestats.Register(p.Obs.M(), simclock.NewReal())
+	sampler := runtimestats.Register(p.Obs.M(), simclock.Real{})
 	sampler.Start(5 * time.Second)
 	defer sampler.Stop()
 
@@ -79,7 +91,7 @@ func main() {
 		DAU:               500_000,
 	})
 
-	fmt.Printf("platformd listening on http://%s (providers: %s)\n", *addr, strings.Join(m.Names(), ", "))
+	fmt.Printf("platformd listening on http://%s (providers: %s)\n", *addr, strings.Join(names, ", "))
 	fmt.Printf("susceptible app: id=%s redirect=%s\n", susceptible.ID, susceptible.RedirectURI)
 	fmt.Printf("secure app:      id=%s redirect=%s (secret=%s; pass -print-secret for the full value)\n",
 		secure.ID, secure.RedirectURI, redact.Token(secure.Secret))
@@ -99,12 +111,9 @@ func main() {
 	// Every non-default platform gets its own demo world: a companion-style
 	// app (code-flow only where the provider demands it) and member
 	// accounts, reachable under /<provider>/.
-	for _, name := range m.Names() {
-		sp := m.Get(name)
-		if sp == p {
-			continue
-		}
+	for _, sp := range ps[1:] {
 		prov := sp.Provider
+		name := prov.Name()
 		app := sp.Apps.RegisterUnreviewed(apps.Config{
 			Name:        "Demo Companion",
 			RedirectURI: "https://demo-companion.example/callback",
@@ -118,7 +127,7 @@ func main() {
 		}
 	}
 
-	serve(*addr, buildMultiHandler(m))
+	serve(*addr, buildMultiHandler(ps...))
 }
 
 // buildHandler mounts one platform's Graph API (wrapped in request
@@ -132,17 +141,16 @@ func buildHandler(p *platform.Platform) http.Handler {
 	return mux
 }
 
-// buildMultiHandler mounts every registered platform: the default
-// provider keeps the historical root mount, and each provider (default
-// included) is also served — API plus its own /metrics, /debug/traces,
-// and pprof — under /<provider>/.
-func buildMultiHandler(m *platform.Multi) http.Handler {
+// buildMultiHandler mounts every platform — API plus its own /metrics,
+// /debug/traces, and pprof — under /<provider>/, and the first one also
+// at the root.
+func buildMultiHandler(ps ...*platform.Platform) http.Handler {
 	mux := http.NewServeMux()
-	for _, name := range m.Names() {
-		sp := m.Get(name)
+	for _, sp := range ps {
+		name := sp.Provider.Name()
 		mux.Handle("/"+name+"/", http.StripPrefix("/"+name, buildHandler(sp)))
 	}
-	mux.Handle("/", buildHandler(m.Default()))
+	mux.Handle("/", buildHandler(ps[0]))
 	return mux
 }
 

@@ -117,11 +117,11 @@ func TestMultiProviderMounts(t *testing.T) {
 	if err := internet.RegisterAS(netsim.AS{Number: 65000, Name: "GENERIC-HOSTING", Country: "US"}, "192.168.0.0/16"); err != nil {
 		t.Fatal(err)
 	}
-	m := platform.NewMulti(simclock.NewReal(), internet, provider.MustGet("facebook"), provider.MustGet("pictogram"))
-	srv := httptest.NewServer(buildMultiHandler(m))
+	fb := platform.NewWithConfig(simclock.Real{}, internet, platform.Config{Provider: provider.MustGet("facebook")})
+	pg := platform.NewWithConfig(simclock.Real{}, internet, platform.Config{Provider: provider.MustGet("pictogram")})
+	srv := httptest.NewServer(buildMultiHandler(fb, pg))
 	defer srv.Close()
 
-	pg := m.Get("pictogram")
 	app := pg.Apps.RegisterUnreviewed(apps.Config{
 		Name:        "Demo Companion",
 		RedirectURI: "https://demo-companion.example/callback",

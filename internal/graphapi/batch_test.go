@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/oauthsim"
@@ -29,59 +31,19 @@ func postBatch(t *testing.T, srvURL, token, batchJSON string) []batchResult {
 	return results
 }
 
-func TestBatchMixedOperations(t *testing.T) {
+func TestBatchPartialFailures(t *testing.T) {
 	f, srv := newHTTPFixture(t)
 	tok := httpToken(t, f, srv)
-	post2, err := f.graph.CreatePost(f.post.AuthorID, "second post", socialgraph.WriteMeta{At: t0})
+	other := f.graph.CreateAccount("second-member", "IN", t0)
+	resB, err := f.oauth.Authorize(authorizeReqFor(f, other.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := fmt.Sprintf(`[
-		{"method":"GET","relative_url":"me"},
 		{"method":"POST","relative_url":"%s/likes"},
 		{"method":"POST","relative_url":"%s/likes"},
-		{"method":"POST","relative_url":"%s/comments","body":"message=batched+comment"},
-		{"method":"GET","relative_url":"%s/likes"}
-	]`, f.post.ID, post2.ID, f.post.ID, f.post.ID)
-	results := postBatch(t, srv.URL, tok, batch)
-	if len(results) != 5 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r.Code != http.StatusOK {
-			t.Fatalf("op %d: code %d body %s", i, r.Code, r.Body)
-		}
-	}
-	// The writes landed.
-	if f.graph.LikeCount(f.post.ID) != 1 || f.graph.LikeCount(post2.ID) != 1 {
-		t.Fatal("batched likes missing")
-	}
-	comments := f.graph.Comments(f.post.ID)
-	if len(comments) != 1 || comments[0].Message != "batched comment" {
-		t.Fatalf("batched comment = %+v", comments)
-	}
-	// The final read sees the like placed earlier in the same batch.
-	var readBody struct {
-		Data []struct {
-			ID string `json:"id"`
-		} `json:"data"`
-	}
-	if err := json.Unmarshal([]byte(results[4].Body), &readBody); err != nil {
-		t.Fatal(err)
-	}
-	if len(readBody.Data) != 1 || readBody.Data[0].ID != f.user.ID {
-		t.Fatalf("batched read = %s", results[4].Body)
-	}
-}
-
-func TestBatchPartialFailures(t *testing.T) {
-	f, srv := newHTTPFixture(t)
-	tok := httpToken(t, f, srv)
-	batch := fmt.Sprintf(`[
-		{"method":"POST","relative_url":"%s/likes"},
-		{"method":"POST","relative_url":"%s/likes"},
-		{"method":"GET","relative_url":"me"}
-	]`, f.post.ID, f.post.ID)
+		{"method":"POST","relative_url":"%s/likes","body":"access_token=%s"}
+	]`, f.post.ID, f.post.ID, f.post.ID, resB.AccessToken)
 	results := postBatch(t, srv.URL, tok, batch)
 	if results[0].Code != http.StatusOK {
 		t.Fatalf("first like failed: %+v", results[0])
@@ -100,6 +62,76 @@ func TestBatchPartialFailures(t *testing.T) {
 	}
 	if results[2].Code != http.StatusOK {
 		t.Fatalf("trailing op failed: %+v", results[2])
+	}
+}
+
+// serveBatch answers one POST /batch carrying token as the outer
+// access_token, in process.
+func serveBatch(api *API, token, batch string) *httptest.ResponseRecorder {
+	form := url.Values{"access_token": {token}, "batch": {batch}}
+	req := httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	Handler(api).ServeHTTP(rec, req)
+	return rec
+}
+
+// batchError answers one batch and decodes its error envelope.
+func batchError(api *API, token, batch string) (int, errorEnvelope) {
+	rec := serveBatch(api, token, batch)
+	var env errorEnvelope
+	_ = json.Unmarshal(rec.Body.Bytes(), &env)
+	return rec.Code, env
+}
+
+// TestBatchRejectsNonLikeOperations: /batch serves only likes on one
+// object. Any other batch is refused whole, so not even its like ops
+// are applied.
+func TestBatchRejectsNonLikeOperations(t *testing.T) {
+	for _, tc := range []struct{ name, batch string }{
+		{"read", `[{"method":"POST","relative_url":"{post}/likes"},{"method":"GET","relative_url":"me"}]`},
+		{"comment", `[{"method":"POST","relative_url":"{post}/likes"},{"method":"POST","relative_url":"{post}/comments","body":"message=hi"}]`},
+		{"two objects", `[{"method":"POST","relative_url":"{post}/likes"},{"method":"POST","relative_url":"{post2}/likes"}]`},
+		{"extra parameter", `[{"method":"POST","relative_url":"{post}/likes","body":"message=hi"}]`},
+		{"delete", `[{"method":"DELETE","relative_url":"{liked}/likes?access_token={token}"}]`},
+	} {
+		f := newFixture(t)
+		tok := f.token(t)
+		post2, err := f.graph.CreatePost(f.post.AuthorID, "second post", socialgraph.WriteMeta{At: t0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		liked, err := f.graph.CreatePost(f.post.AuthorID, "liked post", socialgraph.WriteMeta{At: t0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.graph.AddLike(f.user.ID, liked.ID, socialgraph.WriteMeta{At: t0}); err != nil {
+			t.Fatal(err)
+		}
+		batch := strings.NewReplacer("{post}", f.post.ID, "{post2}", post2.ID, "{liked}", liked.ID, "{token}", tok).Replace(tc.batch)
+		before := f.graph.Stats()
+		status, env := batchError(f.api, tok, batch)
+		if status != http.StatusBadRequest || env.Error.Code != CodeInvalidParam {
+			t.Errorf("%s batch: status %d, envelope %+v; want 400 code %d", tc.name, status, env, CodeInvalidParam)
+		}
+		if after := f.graph.Stats(); after != before {
+			t.Errorf("%s batch applied: store %+v → %+v", tc.name, before, after)
+		}
+	}
+}
+
+// TestBatchBodyBound: a /batch body over MaxBatchOps × 4 KiB is refused
+// before its op array is decoded, even when the batch inside is valid.
+func TestBatchBodyBound(t *testing.T) {
+	f := newFixture(t)
+	tok := f.token(t)
+	pad := strings.Repeat(" ", f.api.prov.Limits().MaxBatchOps*maxBatchOpBytes)
+	batch := fmt.Sprintf(`[{"method":"POST","relative_url":"%s/likes"}%s]`, f.post.ID, pad)
+	if status, env := batchError(f.api, tok, batch); status != http.StatusBadRequest {
+		t.Fatalf("oversized batch: status %d, envelope %+v; want 400", status, env)
+	}
+	if n := f.graph.LikeCount(f.post.ID); n != 0 {
+		t.Fatalf("oversized batch stored %d likes", n)
 	}
 }
 
@@ -280,30 +312,5 @@ func TestBatchLikeFastPathSourceIP(t *testing.T) {
 	}
 	if likes[1].SourceIP == "198.51.100.7" {
 		t.Fatal("op without source_ip inherited a sibling's IP")
-	}
-}
-
-func TestBatchLikesAcrossObjectsFallsBack(t *testing.T) {
-	// All-POST-likes batches spanning different objects don't fit the
-	// single-object LikeBatch lowering; they must still succeed via the
-	// per-op replay path with identical results.
-	f, srv := newHTTPFixture(t)
-	tok := httpToken(t, f, srv)
-	post2, err := f.graph.CreatePost(f.post.AuthorID, "other post", socialgraph.WriteMeta{At: t0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := fmt.Sprintf(`[
-		{"method":"POST","relative_url":"%s/likes"},
-		{"method":"POST","relative_url":"%s/likes"}
-	]`, f.post.ID, post2.ID)
-	results := postBatch(t, srv.URL, tok, batch)
-	for i, r := range results {
-		if r.Code != http.StatusOK {
-			t.Fatalf("op %d: %+v", i, r)
-		}
-	}
-	if f.graph.LikeCount(f.post.ID) != 1 || f.graph.LikeCount(post2.ID) != 1 {
-		t.Fatal("cross-object batch lost a like")
 	}
 }

@@ -1,7 +1,6 @@
 package graphapi
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -127,6 +126,7 @@ func pagingEnvelopeAt(next int, more bool) map[string]any {
 //	GET  /{object}/comments     list comments
 //	POST /{object}/comments     publish a comment
 //	POST /me/feed               publish a status update
+//	POST /batch                 up to MaxBatchOps likes on one object
 //
 // Errors are returned as Facebook-style JSON envelopes:
 //
@@ -407,13 +407,26 @@ type batchResult struct {
 	Body string `json:"body"`
 }
 
-// batch implements POST /batch: a JSON array of operations executed
-// sequentially, each producing an embedded status code and body. The
-// access_token of the outer request is the default for operations that
-// do not carry their own.
+// maxBatchOpBytes bounds the /batch body per allowed op, so an oversized
+// body is refused before its op array is decoded. A client's
+// form-encoded like op is well under 1 KiB.
+const maxBatchOpBytes = 4 << 10
+
+// batch implements POST /batch for the one shape clients send: a JSON
+// array of up to MaxBatchOps likes on one object, lowered to the API's
+// native LikeBatch, each op answered with its own embedded status and
+// body. The access_token of the outer request is the default for ops
+// that do not carry their own. Any other batch is refused with one 400
+// envelope and nothing is applied.
 func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "POST required"))
+		return
+	}
+	maxOps := h.api.prov.Limits().MaxBatchOps
+	r.Body = http.MaxBytesReader(w, r.Body, int64(maxOps)*maxBatchOpBytes)
+	if err := r.ParseForm(); err != nil {
+		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "bad batch body: %v", err))
 		return
 	}
 	var ops []batchOp
@@ -421,37 +434,27 @@ func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "bad batch JSON: %v", err))
 		return
 	}
-	maxOps := h.api.prov.Limits().MaxBatchOps
 	if len(ops) == 0 || len(ops) > maxOps {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "batch size must be 1..%d", maxOps))
 		return
 	}
-	defaultToken := r.FormValue("access_token")
-	fwd := r.Header.Get("X-Forwarded-For")
-
-	// Homogeneous like batches take the native path: one call into the
-	// API's batched endpoint instead of N recorder replays.
-	if objectID, likeOps, ok := parseLikeBatch(ops, defaultToken, fwd); ok {
-		errs := h.api.LikeBatch(r.Context(), objectID, likeOps)
-		results := make([]batchResult, len(errs))
-		for i, err := range errs {
-			results[i] = h.likeBatchResult(err)
-		}
-		writeBatch(w, results)
+	objectID, likeOps, ok := parseLikeBatch(ops, r.FormValue("access_token"), r.Header.Get("X-Forwarded-For"))
+	if !ok {
+		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "batch must be POST /{object}/likes operations on one object"))
 		return
 	}
-
-	results := make([]batchResult, len(ops))
-	for i, op := range ops {
-		results[i] = h.runBatchOp(r.Context(), op, defaultToken, fwd)
+	errs := h.api.LikeBatch(r.Context(), objectID, likeOps)
+	results := make([]batchResult, len(errs))
+	for i, err := range errs {
+		results[i] = h.likeBatchResult(err)
 	}
 	writeBatch(w, results)
 }
 
-// parseLikeBatch recognises a homogeneous like batch — every op a POST to
-// the same /{object}/likes edge carrying only token and proof parameters —
-// and lowers it to the API's native batched endpoint. ok=false means the
-// batch is mixed and must go through per-op replay.
+// parseLikeBatch recognises a like batch — every op a POST to the same
+// /{object}/likes edge carrying only token and proof parameters — and
+// lowers it to the API's native batched endpoint. ok=false means the
+// batch has any other shape.
 func parseLikeBatch(ops []batchOp, defaultToken, fwd string) (string, []BatchLikeOp, bool) {
 	fwdIP := firstHop(fwd)
 	objectID := ""
@@ -491,100 +494,14 @@ func parseLikeBatch(ops []batchOp, defaultToken, fwd string) (string, []BatchLik
 	return objectID, out, true
 }
 
-// likeBatchResult renders one batched like outcome into the same embedded
-// status and envelope the replay path produces.
+// likeBatchResult renders one batched like outcome into the status and
+// envelope a standalone POST /{object}/likes answers with.
 func (h *httpAPI) likeBatchResult(err error) batchResult {
 	if err == nil {
 		return batchResult{Code: http.StatusOK, Body: likeAck}
 	}
 	ae := h.asAPIError(err)
 	return batchResult{Code: httpStatus(ae.Kind), Body: string(appendErrorEnvelope(nil, ae))}
-}
-
-// runBatchOp executes one batched operation by replaying it through the
-// full handler stack, so policies, attribution, and error envelopes are
-// identical to standalone requests. ctx is the outer request's context, so
-// batched operations stay on the batch's trace.
-func (h *httpAPI) runBatchOp(ctx context.Context, op batchOp, defaultToken, fwd string) batchResult {
-	target := "/" + strings.TrimLeft(op.RelativeURL, "/")
-	body := op.Body
-	if defaultToken != "" && !strings.Contains(body, "access_token=") && !strings.Contains(target, "access_token=") {
-		if body == "" {
-			body = "access_token=" + url.QueryEscape(defaultToken)
-		} else {
-			body += "&access_token=" + url.QueryEscape(defaultToken)
-		}
-	}
-	method := strings.ToUpper(op.Method)
-	if method == "" {
-		method = http.MethodGet
-	}
-	var req *http.Request
-	var err error
-	if method == http.MethodGet {
-		if body != "" {
-			sep := "?"
-			if strings.Contains(target, "?") {
-				sep = "&"
-			}
-			target += sep + body
-		}
-		req, err = http.NewRequest(method, target, nil)
-	} else {
-		req, err = http.NewRequest(method, target, strings.NewReader(body))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		}
-	}
-	if err != nil {
-		return batchResult{Code: http.StatusBadRequest, Body: `{"error":{"message":"bad batch operation"}}`}
-	}
-	req = req.WithContext(ctx)
-	if op.SourceIP != "" {
-		req.Header.Set("X-Forwarded-For", op.SourceIP)
-	} else if fwd != "" {
-		req.Header.Set("X-Forwarded-For", fwd)
-	}
-	rec := newRecorder()
-	// Route through a fresh mux equivalent: reuse the object/me handlers
-	// by dispatching on the same paths Handler registers.
-	h.dispatch(rec, req)
-	return batchResult{Code: rec.status, Body: strings.TrimSpace(rec.body.String())}
-}
-
-// dispatch routes a synthetic request to the right handler method.
-func (h *httpAPI) dispatch(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/me":
-		h.me(w, r)
-	case r.URL.Path == "/me/feed":
-		h.feed(w, r)
-	case r.URL.Path == "/me/friends":
-		h.friends(w, r)
-	case r.URL.Path == "/debug_token":
-		h.debugToken(w, r)
-	default:
-		h.object(w, r)
-	}
-}
-
-// recorder is a minimal in-process ResponseWriter.
-type recorder struct {
-	status int
-	header http.Header
-	body   *strings.Builder
-}
-
-func newRecorder() *recorder {
-	return &recorder{status: http.StatusOK, header: make(http.Header), body: &strings.Builder{}}
-}
-
-func (r *recorder) Header() http.Header { return r.header }
-func (r *recorder) WriteHeader(code int) {
-	r.status = code
-}
-func (r *recorder) Write(b []byte) (int, error) {
-	return r.body.Write(b)
 }
 
 // object dispatches /{id}/likes and /{id}/comments.

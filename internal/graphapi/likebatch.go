@@ -46,10 +46,6 @@ type memoASN struct {
 	ok  bool
 }
 
-func newBatchMemo() *batchMemo {
-	return &batchMemo{apps: make(map[string]memoApp, 2), asns: make(map[string]memoASN, 8)}
-}
-
 // batchScratch is LikeBatch's reusable working set: the apply queue, its
 // index map, the store's write-error slice, and the memo maps. Pooled so
 // a sustained burst stream (the scale loadgen drives thousands of

@@ -68,6 +68,35 @@ func TestHTTPClientConnectionRefused(t *testing.T) {
 	}
 }
 
+// TestHTTPClientTransportErrorsRedactToken: a GET carries its token in
+// the query, and a failed round trip's error quotes the request URL. The
+// error must name the path but not the token.
+func TestHTTPClientTransportErrorsRedactToken(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	base := srv.URL
+	srv.Close() // nothing listens on base any more
+	c := NewHTTPClient(base)
+	const tok = "EAABsecretsecretsecret"
+	for _, tc := range []struct {
+		path string
+		call func() error
+	}{
+		{"/me", func() error { _, err := c.Me(tok, ""); return err }},
+		{"/post/likes", func() error { _, err := c.LikesOf(tok, "post"); return err }},
+		{"/post/comments", func() error { _, err := c.CommentsOf(tok, "post"); return err }},
+		{"/me/feed", func() error { _, err := c.FeedOf(tok); return err }},
+		{"/me/friends", func() error { _, err := c.FriendsOf(tok, ""); return err }},
+	} {
+		err := tc.call()
+		if err == nil {
+			t.Fatalf("%s: closed port accepted", tc.path)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.path) || strings.Contains(msg, tok) {
+			t.Errorf("%s: error %q must name the path and not the token", tc.path, msg)
+		}
+	}
+}
+
 func TestErrorCodeDispatch(t *testing.T) {
 	srv := brokenServer(t, http.StatusTooManyRequests,
 		`{"error":{"message":"limit","type":"PolicyException","code":613}}`)

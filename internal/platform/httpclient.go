@@ -210,7 +210,13 @@ func (c *HTTPClient) do(ctx context.Context, method, path, form, ip string) (*ht
 		req.Header.Set(obs.HeaderTraceID, span.TraceID)
 		req.Header.Set(obs.HeaderParentSpan, span.SpanID)
 	}
-	return c.http.Do(req)
+	resp, err := c.http.Do(req)
+	if uerr, ok := err.(*url.Error); ok {
+		// Do's errors quote the request URL, whose query carries a GET's
+		// token.
+		uerr.URL = redact.URLString(uerr.URL)
+	}
+	return resp, err
 }
 
 // call sends one request through do and releases the response through

@@ -6,13 +6,18 @@
 // application secret. An application for which all steps succeed can be
 // exploited for reputation manipulation with leaked tokens.
 //
+// The dialog walk is the scanner's own: it starts from the app's published
+// login URL and reads the token's lifetime (expires_in) out of the
+// redirect fragment, which no platform.Client method returns. Every Graph
+// API call that uses the token goes through a platform.HTTPClient, the
+// client the collusion tooling uses.
+//
 // The paper's run of this tool over the top 100 Facebook applications
 // found 55 susceptible apps, 9 of which were issued long-term tokens
 // (Table 1).
 package scanner
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -21,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/platform"
 )
 
 // Result is the scanner's verdict on one application.
@@ -44,10 +50,13 @@ type Result struct {
 
 // Scanner drives the platform's HTTP surface.
 type Scanner struct {
-	platformURL string
-	http        *http.Client
+	client *platform.HTTPClient
+	// dialog walks login URLs; it stops at the redirect, whose fragment
+	// carries the token.
+	dialog *http.Client
 	// TestAccountID is the disposable account the scanner installs apps
-	// on; TestPostID is the post it tries to like.
+	// on; TestPostID is the post it likes when publishing a probe post is
+	// refused.
 	TestAccountID string
 	TestPostID    string
 }
@@ -56,10 +65,10 @@ type Scanner struct {
 // given test account and post.
 func New(platformURL, testAccountID, testPostID string) *Scanner {
 	return &Scanner{
-		platformURL:   strings.TrimRight(platformURL, "/"),
+		client:        platform.NewHTTPClient(platformURL),
 		TestAccountID: testAccountID,
 		TestPostID:    testPostID,
-		http: &http.Client{
+		dialog: &http.Client{
 			Timeout: 30 * time.Second,
 			CheckRedirect: func(*http.Request, []*http.Request) error {
 				return http.ErrUseLastResponse
@@ -94,7 +103,7 @@ func (s *Scanner) ScanLoginURL(loginURL string) Result {
 	// permission set the app was approved for, via the client-side flow.
 	q.Set("account_id", s.TestAccountID)
 	u.RawQuery = q.Encode()
-	resp, err := s.http.Get(u.String())
+	resp, err := s.dialog.Get(u.String())
 	if err != nil {
 		res.Reason = fmt.Sprintf("dialog request failed: %v", err)
 		return res
@@ -124,65 +133,24 @@ func (s *Scanner) ScanLoginURL(loginURL string) Result {
 	}
 
 	// Step 3: use the token without an application secret — first a
-	// profile read, then a write (publishing and liking a probe post).
-	if ok, why := s.tryMe(token); !ok {
-		res.Reason = "token unusable without secret: " + why
+	// profile read, then a write: publish a fresh probe post and like it.
+	// A fresh post per scan keeps the probe re-runnable (liking a fixed
+	// post would collide with a previous scan's like); if publishing is
+	// refused, the probe likes the configured test post instead.
+	if _, err := s.client.Me(token, ""); err != nil {
+		res.Reason = "token unusable without secret: " + err.Error()
 		return res
 	}
-	if ok, why := s.tryWrite(token); !ok {
-		res.Reason = "write failed without secret: " + why
+	target, err := s.client.Publish(token, "scanner probe post", "")
+	if err != nil || target == "" {
+		target = s.TestPostID
+	}
+	if err := s.client.Like(token, target, ""); err != nil {
+		res.Reason = "write failed without secret: " + err.Error()
 		return res
 	}
 	res.Susceptible = true
 	return res
-}
-
-func (s *Scanner) tryMe(token string) (bool, string) {
-	resp, err := s.http.Get(s.platformURL + "/me?access_token=" + url.QueryEscape(token))
-	if err != nil {
-		return false, err.Error()
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("HTTP %d", resp.StatusCode)
-	}
-	return true, ""
-}
-
-// tryWrite exercises the write path with the leaked token: it publishes a
-// fresh probe post on the test account and then likes it. Using a fresh
-// post per scan keeps the probe re-runnable (liking a fixed post would
-// collide with a previous scan's like). If publishing is refused the probe
-// falls back to liking the configured test post.
-func (s *Scanner) tryWrite(token string) (bool, string) {
-	target := s.TestPostID
-	pform := url.Values{"access_token": {token}, "message": {"scanner probe post"}}
-	presp, err := s.http.PostForm(s.platformURL+"/me/feed", pform)
-	if err != nil {
-		return false, err.Error()
-	}
-	if presp.StatusCode == http.StatusOK {
-		var body struct {
-			ID string `json:"id"`
-		}
-		err := json.NewDecoder(presp.Body).Decode(&body)
-		presp.Body.Close()
-		if err == nil && body.ID != "" {
-			target = body.ID
-		}
-	} else {
-		presp.Body.Close()
-	}
-	form := url.Values{"access_token": {token}}
-	resp, err := s.http.PostForm(s.platformURL+"/"+target+"/likes", form)
-	if err != nil {
-		return false, err.Error()
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("HTTP %d", resp.StatusCode)
-	}
-	return true, ""
 }
 
 // AppDirectoryEntry pairs an app with its login URL, as a leaderboard

@@ -32,9 +32,6 @@ type Clock interface {
 // Real is a Clock backed by the operating system clock.
 type Real struct{}
 
-// NewReal returns a Clock that reads the wall clock.
-func NewReal() Real { return Real{} }
-
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 

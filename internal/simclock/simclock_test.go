@@ -134,7 +134,7 @@ func TestSimulatedNegativeAdvancePanics(t *testing.T) {
 }
 
 func TestRealClockBasics(t *testing.T) {
-	c := NewReal()
+	c := Real{}
 	before := time.Now()
 	got := c.Now()
 	after := time.Now()

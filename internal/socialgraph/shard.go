@@ -80,8 +80,6 @@ type shard struct {
 	freeComments []*Comment
 }
 
-func newShard() *shard { return newShardSized(0) }
-
 // newShardSized presizes the maps that grow with the account population;
 // hint is the expected number of accounts routed to this shard (0 = no
 // presizing). Bulk construction of multi-million-account graphs avoids
