@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/graphapi"
 	"repro/internal/oauthsim"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/provider"
 	"repro/internal/simclock"
@@ -290,6 +292,41 @@ func TestAllocGateGraphAPIDenial(t *testing.T) {
 	t.Logf("rate-limited Like: %.0f allocs/run", allocs)
 	if allocs > 0 {
 		t.Errorf("rate-limited Like = %.0f allocs/run, gate 0", allocs)
+	}
+}
+
+// TestAllocGateGraphAPIDenialObserved holds the denial path allocation-free
+// with telemetry attached, as every study and benchmark runs it: each
+// denied op increments defense_actions_total and graphapi_requests_total
+// through labelled lookups and labels its error code. An all-denied 50-op
+// LikeBatch on an unsampled context must therefore cost exactly what a
+// 1-op batch costs; only the batch itself (its returned error slice and
+// root bookkeeping) allocates.
+func TestAllocGateGraphAPIDenialObserved(t *testing.T) {
+	const burst = 50
+	w := newBenchWorld(t, burst)
+	w.p.API.Chain().Append(defense.NewTokenRateLimiter(w.clock, 0, time.Hour))
+	ops := make([]graphapi.BatchLikeOp, burst)
+	for i, tok := range w.tokens {
+		ops[i] = graphapi.BatchLikeOp{AccessToken: tok, SourceIP: "198.51.100.7"}
+	}
+	ctx := obs.UnsampledContext(context.Background())
+	batch := func(ops []graphapi.BatchLikeOp) func() {
+		return func() {
+			for _, err := range w.p.API.LikeBatch(ctx, w.post.ID, ops) {
+				if graphapi.ErrCode(err) != graphapi.CodeRateLimited {
+					t.Fatalf("op not rate-limited: %v", err)
+				}
+			}
+		}
+	}
+	// Warm calls create every labelled series and intern the denial error.
+	batch(ops)()
+	one := testing.AllocsPerRun(100, batch(ops[:1]))
+	all := testing.AllocsPerRun(100, batch(ops))
+	t.Logf("denied LikeBatch with telemetry: 1 op %.0f allocs/run, %d ops %.0f allocs/run", one, burst, all)
+	if all != one {
+		t.Errorf("denied %d-op LikeBatch = %.0f allocs/run, 1-op = %.0f; denials must not allocate per op", burst, all, one)
 	}
 }
 

@@ -2,6 +2,7 @@ package collusion
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -54,9 +55,11 @@ func (p *TokenPool) Remove(accountID string) bool {
 		return false
 	}
 	delete(p.entries, accountID)
+	// In place, order kept: every access to order holds p.mu and Members
+	// copies it, so nothing aliases the backing array.
 	for i, id := range p.order {
 		if id == accountID {
-			p.order = append(p.order[:i:i], p.order[i+1:]...)
+			p.order = slices.Delete(p.order, i, i+1)
 			break
 		}
 	}

@@ -3,6 +3,7 @@ package collusion
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -48,6 +49,42 @@ func TestPoolRemove(t *testing.T) {
 	members := p.Members()
 	if len(members) != 2 || members[0] != "acct-0" || members[1] != "acct-2" {
 		t.Fatalf("Members = %v", members)
+	}
+}
+
+// TestPoolRemoveInPlace pins Remove to an order-keeping, allocation-free
+// delete: the survivors keep their insertion order, so a seeded Sample
+// draws exactly what a pool that never held the member draws.
+func TestPoolRemoveInPlace(t *testing.T) {
+	p := filledPool(10)
+	p.Remove("acct-4")
+	never := NewTokenPool()
+	for i := 0; i < 10; i++ {
+		if i != 4 {
+			never.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i), t0)
+		}
+	}
+	if got, want := p.Members(), never.Members(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Members = %v, want %v", got, want)
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		got := p.Sample(rand.New(rand.NewSource(seed)), 4, nil, 0, 0, t0)
+		want := never.Sample(rand.New(rand.NewSource(seed)), 4, nil, 0, 0, t0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Sample = %v, want %v", seed, got, want)
+		}
+	}
+
+	const runs = 100
+	big := filledPool(4 * runs) // never removes the last member, whose delete copies nothing
+	odd := big.Members()[1:]
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		big.Remove(odd[2*next])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Remove = %.0f allocs/run, want 0", allocs)
 	}
 }
 

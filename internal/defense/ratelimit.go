@@ -25,15 +25,23 @@ import (
 	"repro/internal/simclock"
 )
 
-// slidingWindow counts events per key within a trailing window, pruning
-// buckets lazily. Buckets are sized at 1/8 of the window so the count is a
-// close approximation of a true sliding window without unbounded memory.
+// slidingWindow counts events per key within a trailing window of eight
+// buckets, each 1/8 of the window, so the count is a close approximation
+// of a true sliding window in constant memory per key.
 type slidingWindow struct {
 	mu     sync.Mutex
 	clock  simclock.Clock
-	window time.Duration
 	bucket time.Duration
-	counts map[string]map[int64]int
+	counts map[string]*ring
+}
+
+// ring is one key's last eight buckets: slot b&7 holds bucket b's count.
+// A slot counts only while its bucket is newer than cur-8, so expired
+// slots need no pruning and are overwritten in place. The clocks never
+// run backwards, so no slot holds a bucket ahead of cur.
+type ring struct {
+	bucket [8]int64
+	count  [8]int
 }
 
 func newSlidingWindow(clock simclock.Clock, window time.Duration) *slidingWindow {
@@ -42,9 +50,8 @@ func newSlidingWindow(clock simclock.Clock, window time.Duration) *slidingWindow
 	}
 	return &slidingWindow{
 		clock:  clock,
-		window: window,
 		bucket: window / 8,
-		counts: map[string]map[int64]int{},
+		counts: map[string]*ring{},
 	}
 }
 
@@ -53,28 +60,29 @@ func newSlidingWindow(clock simclock.Clock, window time.Duration) *slidingWindow
 // a throttled token regains capacity as its window slides, rather than
 // being starved forever by its own retries.
 func (s *slidingWindow) allow(key string, limit int) bool {
-	now := s.clock.Now()
-	cur := now.UnixNano() / int64(s.bucket)
+	cur := s.clock.Now().UnixNano() / int64(s.bucket)
 	oldest := cur - 8
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buckets := s.counts[key]
-	if buckets == nil {
-		buckets = map[int64]int{}
-		s.counts[key] = buckets
+	r := s.counts[key]
+	if r == nil {
+		r = &ring{}
+		s.counts[key] = r
 	}
 	total := 0
-	for b, c := range buckets {
-		if b <= oldest {
-			delete(buckets, b)
-			continue
+	for i, b := range r.bucket {
+		if b > oldest {
+			total += r.count[i]
 		}
-		total += c
 	}
 	if total >= limit {
 		return false
 	}
-	buckets[cur]++
+	slot := cur & 7
+	if r.bucket[slot] != cur {
+		r.bucket[slot], r.count[slot] = cur, 0
+	}
+	r.count[slot]++
 	return true
 }
 

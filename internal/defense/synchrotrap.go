@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,10 +45,17 @@ type SynchroTrap struct {
 	MaxGroupFanout int
 
 	mu sync.Mutex
-	// groups maps group key -> member accounts (set).
-	groups map[groupKey]map[string]bool
-	// accountGroups maps account -> number of groups it appears in.
-	accountGroups map[string]int
+	// ids interns account IDs to dense indices into names and actions.
+	ids   map[string]int32
+	names []string
+	// actions[id] is the number of groups account id appears in.
+	actions []int32
+	// groups interns (object, window) keys to indices into members.
+	groups map[groupKey]int32
+	// members[g] lists group g's accounts in the order they joined it.
+	members [][]int32
+	// joined holds group<<32|account for every membership recorded.
+	joined map[uint64]struct{}
 }
 
 type groupKey struct {
@@ -55,19 +63,26 @@ type groupKey struct {
 	bucket int64
 }
 
+// pairKey packs an unordered pair of dense indices into one map key.
+func pairKey(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
 // NewSynchroTrap returns a detector with the given parameters.
 func NewSynchroTrap(window time.Duration, simThreshold float64, minShared, minClusterSize int) *SynchroTrap {
-	minActions := minShared + 2
-	return &SynchroTrap{
+	s := &SynchroTrap{
 		Window:              window,
 		SimilarityThreshold: simThreshold,
 		MinShared:           minShared,
-		MinActions:          minActions,
+		MinActions:          minShared + 2,
 		MinClusterSize:      minClusterSize,
 		MaxGroupFanout:      2000,
-		groups:              make(map[groupKey]map[string]bool),
-		accountGroups:       make(map[string]int),
 	}
+	s.Reset()
+	return s
 }
 
 // Record ingests one action (accountID acted on objectID at time t).
@@ -75,15 +90,27 @@ func (s *SynchroTrap) Record(accountID, objectID string, t time.Time) {
 	key := groupKey{object: objectID, bucket: t.UnixNano() / int64(s.Window)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g := s.groups[key]
-	if g == nil {
-		g = make(map[string]bool)
+	id, ok := s.ids[accountID]
+	if !ok {
+		id = int32(len(s.names))
+		s.ids[accountID] = id
+		s.names = append(s.names, accountID)
+		s.actions = append(s.actions, 0)
+	}
+	g, ok := s.groups[key]
+	if !ok {
+		g = int32(len(s.members))
 		s.groups[key] = g
+		s.members = append(s.members, nil)
 	}
-	if !g[accountID] {
-		g[accountID] = true
-		s.accountGroups[accountID]++
+	// One map assignment both tests and inserts the membership.
+	n := len(s.joined)
+	s.joined[uint64(g)<<32|uint64(id)] = struct{}{}
+	if len(s.joined) == n {
+		return
 	}
+	s.members[g] = append(s.members[g], id)
+	s.actions[id]++
 }
 
 // Cluster is one detected group of synchronized accounts.
@@ -94,75 +121,82 @@ type Cluster struct {
 // Detect runs the clustering over everything recorded so far and returns
 // the flagged clusters, largest first.
 func (s *SynchroTrap) Detect() []Cluster {
+	// Snapshot, under the lock, every group within the fanout cap into
+	// one flat buffer, keeping only members active in at least MinActions
+	// groups: no pair with a less active member is ever synchronized.
+	// names only grows, so the entries the snapshot indexes never change.
 	s.mu.Lock()
-	// Snapshot group membership.
-	memberships := make([][]string, 0, len(s.groups))
-	for _, g := range s.groups {
-		if s.MaxGroupFanout > 0 && len(g) > s.MaxGroupFanout {
+	names := s.names
+	actions := slices.Clone(s.actions)
+	var flat []int32
+	var ends []int
+	for _, m := range s.members {
+		if s.MaxGroupFanout > 0 && len(m) > s.MaxGroupFanout {
 			continue
 		}
-		members := make([]string, 0, len(g))
-		for a := range g {
-			members = append(members, a)
+		start := len(flat)
+		for _, id := range m {
+			if int(actions[id]) >= s.MinActions {
+				flat = append(flat, id)
+			}
 		}
-		sort.Strings(members)
-		memberships = append(memberships, members)
-	}
-	accountGroups := make(map[string]int, len(s.accountGroups))
-	for a, n := range s.accountGroups {
-		accountGroups[a] = n
+		if len(flat)-start < 2 {
+			flat = flat[:start]
+			continue
+		}
+		ends = append(ends, len(flat))
 	}
 	s.mu.Unlock()
 
 	// Count shared groups per account pair.
-	type pair struct{ a, b string }
-	shared := make(map[pair]int)
-	for _, members := range memberships {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				shared[pair{members[i], members[j]}]++
+	shared := make(map[uint64]int32)
+	start := 0
+	for _, end := range ends {
+		m := flat[start:end]
+		for i, a := range m {
+			for _, b := range m[i+1:] {
+				shared[pairKey(a, b)]++
+			}
+		}
+		start = end
+	}
+
+	// Union-find over synchronized pairs; -1 marks an account in none.
+	parent := make([]int32, len(actions))
+	for i := range parent {
+		parent[i] = -1
+	}
+	find := func(x int32) int32 {
+		if parent[x] < 0 {
+			parent[x] = x
+		}
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for k, n := range shared {
+		if int(n) < s.MinShared {
+			continue
+		}
+		a, b := int32(k>>32), int32(uint32(k))
+		// n counts groups both accounts are in, so the union is at least 1.
+		unionSize := int(actions[a]) + int(actions[b]) - int(n)
+		if float64(n)/float64(unionSize) >= s.SimilarityThreshold {
+			ra, rb := find(a), find(b)
+			if ra != rb {
+				parent[ra] = rb
 			}
 		}
 	}
 
-	// Union-find over synchronized pairs.
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] == "" {
-			parent[x] = x
+	comps := make(map[int32][]string)
+	for x, p := range parent {
+		if p >= 0 {
+			root := find(int32(x))
+			comps[root] = append(comps[root], names[x])
 		}
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for p, n := range shared {
-		if n < s.MinShared {
-			continue
-		}
-		if accountGroups[p.a] < s.MinActions || accountGroups[p.b] < s.MinActions {
-			continue
-		}
-		unionSize := accountGroups[p.a] + accountGroups[p.b] - n
-		if unionSize <= 0 {
-			continue
-		}
-		if float64(n)/float64(unionSize) >= s.SimilarityThreshold {
-			union(p.a, p.b)
-		}
-	}
-
-	comps := make(map[string][]string)
-	for a := range parent {
-		root := find(a)
-		comps[root] = append(comps[root], a)
 	}
 	var out []Cluster
 	for _, members := range comps {
@@ -183,8 +217,12 @@ func (s *SynchroTrap) Detect() []Cluster {
 // Reset discards all recorded actions.
 func (s *SynchroTrap) Reset() {
 	s.mu.Lock()
-	s.groups = make(map[groupKey]map[string]bool)
-	s.accountGroups = make(map[string]int)
+	s.ids = make(map[string]int32)
+	s.names = nil
+	s.actions = nil
+	s.groups = make(map[groupKey]int32)
+	s.members = nil
+	s.joined = make(map[uint64]struct{})
 	s.mu.Unlock()
 }
 
@@ -193,5 +231,5 @@ func (s *SynchroTrap) Reset() {
 func (s *SynchroTrap) GroupCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.groups)
+	return len(s.members)
 }

@@ -269,6 +269,9 @@ type API struct {
 	errAppNotFound error
 	denialMu       sync.RWMutex
 	denialCache    map[denialKey]error
+	// codeLabels holds every error code this provider issues, 0
+	// included, formatted once for the code label and span attr.
+	codeLabels map[int]string
 }
 
 // denialKey interns one policy denial shape.
@@ -336,7 +339,22 @@ func New(prov provider.Provider, clock simclock.Clock, graph *socialgraph.Store,
 	a.errDuplicate = a.errMsg(provider.KindDuplicate, "GraphMethodException", "duplicate like")
 	a.errSuspended = a.errMsg(provider.KindAccountSuspended, "OAuthException", "account suspended")
 	a.errAppNotFound = a.errMsg(provider.KindInvalidToken, "OAuthException", "application not found")
+	a.codeLabels = make(map[int]string)
+	for k := provider.KindNone; k <= provider.KindAccountSuspended; k++ {
+		code := prov.ErrorCode(k)
+		a.codeLabels[code] = strconv.Itoa(code)
+	}
 	return a
+}
+
+// codeLabel renders err's numeric code (0 for non-API errors) as a label
+// value without formatting it per call.
+func (a *API) codeLabel(err error) string {
+	code := ErrCode(err)
+	if s, ok := a.codeLabels[code]; ok {
+		return s
+	}
+	return strconv.Itoa(code)
 }
 
 // SetObserver wires telemetry into the API: a span tree per request
@@ -395,7 +413,7 @@ func (a *API) finish(span *obs.Span, op int, start time.Time, err error) {
 		inst.latency.Observe(end.Sub(start).Seconds())
 		return
 	}
-	code := strconv.Itoa(ErrCode(err))
+	code := a.codeLabel(err)
 	span.SetAttr2("provider", a.provName, "code", code)
 	span.EndAt(end)
 	a.reqCount.Inc(a.provName, opNames[op], code)

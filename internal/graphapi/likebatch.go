@@ -214,7 +214,7 @@ func (a *API) LikeBatch(ctx context.Context, objectID string, ops []BatchLikeOp)
 				inst.latency.Observe(secs)
 				continue
 			}
-			a.reqCount.Inc(a.provName, opNames[opLike], strconv.Itoa(ErrCode(err)))
+			a.reqCount.Inc(a.provName, opNames[opLike], a.codeLabel(err))
 			// The latency family has no code label; the bound series
 			// covers failed ops too (rate-limit denials make this hot).
 			inst.latency.Observe(secs)

@@ -130,10 +130,21 @@ func (f *family) get(labelValues []string) *series {
 	if len(labelValues) != len(f.labels) {
 		panic(fmt.Sprintf("obs: %q expects %d label values, got %d", f.name, len(f.labels), len(labelValues)))
 	}
-	key := strings.Join(labelValues, labelSep)
+	// The key is joined into a stack buffer and looked up with
+	// string(key), which the compiler does not copy: a hit allocates
+	// nothing, so labelled Inc/Observe/Set calls on the denial paths are
+	// free once their series exists.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelValues {
+		if i > 0 {
+			key = append(key, labelSep...)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
 		s = &series{labelValues: append([]string(nil), labelValues...)}
 		switch f.kind {
@@ -142,7 +153,7 @@ func (f *family) get(labelValues []string) *series {
 		case KindHistogram:
 			s.hist = &histogram{counts: make([]atomic.Int64, len(f.buckets)+1)}
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }

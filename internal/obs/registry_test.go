@@ -130,3 +130,42 @@ func TestCounterPanicsOnNegative(t *testing.T) {
 	}()
 	r.Counter("n_total", "").Add(-1)
 }
+
+// TestLabelledLookupAllocFree pins the per-call label lookup of an
+// existing series at zero allocations: Graph API denials and error codes
+// land in labelled series on every call once telemetry is attached.
+func TestLabelledLookupAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("requests_total", "", "platform", "op", "code")
+	g := r.Gauge("pool_size", "", "network")
+	h := r.Histogram("latency_seconds", "", nil, "platform", "op")
+	long := strings.Repeat("x", 200) // longer than the stack key buffer
+	c.Inc("facebook", "like", "613")
+	c.Inc("facebook", "like", long)
+	g.Set(1, "hublaa")
+	h.Observe(0.5, "facebook", "like")
+	for name, call := range map[string]func(){
+		"CounterVec.Inc":       func() { c.Inc("facebook", "like", "613") },
+		"CounterVec.Add":       func() { c.Add(2, "facebook", "like", "613") },
+		"GaugeVec.Set":         func() { g.Set(2, "hublaa") },
+		"HistogramVec.Observe": func() { h.Observe(0.5, "facebook", "like") },
+	} {
+		if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+			t.Errorf("%s on an existing series = %.0f allocs/run, want 0", name, allocs)
+		}
+	}
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	// One warm Inc, then 101 Inc and 101 Add(2): AllocsPerRun adds a
+	// warm-up call to its 100 runs.
+	for _, want := range []string{
+		`requests_total{platform="facebook",op="like",code="613"} 304`,
+		`requests_total{platform="facebook",op="like",code="` + long + `"} 1`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %s", want)
+		}
+	}
+}
