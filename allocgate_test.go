@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/collusion"
+	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/graphapi"
 	"repro/internal/oauthsim"
@@ -20,6 +23,7 @@ import (
 	"repro/internal/provider"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
+	"repro/internal/workload"
 )
 
 // Allocation gates for the two hottest store paths. These are regression
@@ -408,5 +412,71 @@ func TestAllocGateHTTPLikeRoundTrip(t *testing.T) {
 	// measured 210, so the gate sits at 167 (10% headroom).
 	if limit := float64(167); allocs > limit {
 		t.Errorf("HTTP like round trip = %.0f allocs/run, gate %v", allocs, limit)
+	}
+}
+
+// TestAllocGateTokenPoolSample pins a collusion network's token draw at
+// zero allocations: the permutation lives in a buffer the pool reuses and
+// the picks land in the caller's dst, so a burst's sampling costs nothing
+// once each member's usage log has room.
+func TestAllocGateTokenPoolSample(t *testing.T) {
+	const members, n = 500, 50
+	pool := collusion.NewTokenPool()
+	for i := 0; i < members; i++ {
+		pool.Put(fmt.Sprintf("m%d", i), fmt.Sprintf("tok-%d", i), benchEpoch)
+	}
+	rng := rand.New(rand.NewSource(1))
+	exclude := map[string]bool{"m0": true}
+	now := benchEpoch
+	// Warm: one draw over the whole pool gives every usage log a slot.
+	pool.Sample(nil, rng, members, exclude, 10, 0, now)
+	dst := make([]collusion.Sampled, 0, n)
+	allocs := testing.AllocsPerRun(100, func() {
+		now = now.Add(2 * time.Hour) // last draw's usage ages out
+		dst = pool.Sample(dst, rng, n, exclude, 10, 0, now)
+		if len(dst) != n {
+			t.Fatalf("Sample drew %d, want %d", len(dst), n)
+		}
+	})
+	t.Logf("TokenPool.Sample(%d of %d): %.0f allocs/run", n, members, allocs)
+	if allocs != 0 {
+		t.Errorf("TokenPool.Sample(%d of %d) = %.0f allocs/run, gate 0", n, members, allocs)
+	}
+}
+
+// TestAllocGateMilkNetwork pins one warm milking round — a honeypot post,
+// a 350-like hublaa.me burst through LocalClient's batched delivery, and
+// the likers crawl — at its measured allocation count. The delivery
+// burst draws its working set from a pooled scratch and the crawl copies
+// only liker IDs, so a new per-like or per-chunk allocation anywhere on
+// the adversary path shows up here.
+func TestAllocGateMilkNetwork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts; pooled scratch counts do not repeat")
+	}
+	const gate = 65
+	study, err := core.NewStudy(workload.Options{
+		Scale: 100, Networks: []string{"hublaa.me"}, Seed: 1, RetentionWindow: 48 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		study.Scenario.Clock.Advance(time.Hour)
+		study.SweepRetention()
+		res := study.MilkNetwork("hublaa.me")
+		if res.Err != nil || res.Delivered != 350 {
+			t.Fatalf("round delivered %d, err %v; want 350", res.Delivered, res.Err)
+		}
+	}
+	// Warm for three simulated days: every member's activity log and
+	// usage slot exist, and sweeps have filled the store's free lists.
+	for i := 0; i < 72; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(24, round)
+	t.Logf("MilkNetwork(hublaa.me, 350 likes): %.0f allocs/run", allocs)
+	if allocs > gate {
+		t.Errorf("MilkNetwork(hublaa.me) = %.0f allocs/run, gate %d", allocs, gate)
 	}
 }

@@ -25,20 +25,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// serveMetrics exposes the observability surfaces — /metrics,
-// /debug/traces, and net/http/pprof — on their own listener so the
-// delivery engine's stats can be scraped without touching the
-// member-facing site.
-func serveMetrics(addr string, o *obs.Observer, logger *obs.Logger) {
-	mux := http.NewServeMux()
-	o.RegisterDebug(mux)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil && err != http.ErrServerClosed {
-			logger.Errorf("metrics server: %v", err)
-		}
-	}()
-}
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8500", "listen address")
 	platformURL := flag.String("platform", "http://127.0.0.1:8400", "platform base URL")
@@ -81,7 +67,7 @@ func main() {
 	network.SetObserver(observer)
 	sampler := runtimestats.Register(observer.M(), simclock.Real{})
 	if *metricsAddr != "" {
-		serveMetrics(*metricsAddr, observer, logger)
+		observer.ServeDebug(*metricsAddr, logger)
 		sampler.Start(5 * time.Second)
 		defer sampler.Stop()
 	}
@@ -90,7 +76,7 @@ func main() {
 	fmt.Printf("exploiting app %s via %s\n", *appID, *platformURL)
 	fmt.Println("endpoints: GET /  POST /submit-token  POST /request-likes  POST /request-comments  POST /adwall  POST /buy")
 
-	srv := &http.Server{Addr: *addr, Handler: collusion.Handler(network)}
+	srv := newServer(*addr, network)
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -105,4 +91,9 @@ func main() {
 	st := network.Stats()
 	fmt.Printf("collusiond: shut down; tokens=%d likes=%d revenue=$%.2f\n",
 		st.TokensCollected, st.LikesDelivered, st.RevenueUSD)
+}
+
+// newServer builds the member-facing site's HTTP server.
+func newServer(addr string, network *collusion.Network) *http.Server {
+	return obs.NewServer(addr, collusion.Handler(network))
 }

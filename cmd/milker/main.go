@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -23,18 +22,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/simclock"
 )
-
-// serveMetrics exposes /metrics, /debug/traces, and net/http/pprof on
-// addr in the background.
-func serveMetrics(addr string, o *obs.Observer, logger *obs.Logger) {
-	mux := http.NewServeMux()
-	o.RegisterDebug(mux)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil && err != http.ErrServerClosed {
-			logger.Errorf("metrics server: %v", err)
-		}
-	}()
-}
 
 func main() {
 	demo := flag.Bool("demo", false, "self-contained Table 4 campaign")
@@ -64,7 +51,7 @@ func main() {
 		"Likes observed on milked honeypot posts.").With()
 	sampler := runtimestats.Register(observer.M(), simclock.Real{})
 	if *metricsAddr != "" {
-		serveMetrics(*metricsAddr, observer, logger)
+		observer.ServeDebug(*metricsAddr, logger)
 		sampler.Start(5 * time.Second)
 		defer sampler.Stop()
 	}

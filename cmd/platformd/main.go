@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/obs/runtimestats"
 	"repro/internal/platform"
 	"repro/internal/provider"
@@ -127,7 +128,7 @@ func main() {
 		}
 	}
 
-	serve(*addr, buildMultiHandler(ps...))
+	serve(newServer(*addr, ps...))
 }
 
 // buildHandler mounts one platform's Graph API (wrapped in request
@@ -154,10 +155,14 @@ func buildMultiHandler(ps ...*platform.Platform) http.Handler {
 	return mux
 }
 
+// newServer builds the daemon's HTTP server over every platform.
+func newServer(addr string, ps ...*platform.Platform) *http.Server {
+	return obs.NewServer(addr, buildMultiHandler(ps...))
+}
+
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains in-flight
 // requests before exiting.
-func serve(addr string, handler http.Handler) {
-	srv := &http.Server{Addr: addr, Handler: handler}
+func serve(srv *http.Server) {
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 	go func() {

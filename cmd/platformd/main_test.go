@@ -12,6 +12,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/obs/runtimestats"
 	"repro/internal/platform"
 	"repro/internal/provider"
@@ -163,5 +164,15 @@ func TestMultiProviderMounts(t *testing.T) {
 	resp.Body.Close()
 	if want := `graphapi_requests_total{platform="pictogram",op="like",code="0"}`; !strings.Contains(string(body), want) {
 		t.Errorf("/pictogram/metrics missing %q", want)
+	}
+}
+
+// TestServerHeaderTimeout: the daemon's server stops waiting for a
+// client's headers after obs.ReadHeaderTimeout.
+func TestServerHeaderTimeout(t *testing.T) {
+	p := platform.NewWithConfig(simclock.Real{}, netsim.NewInternet(), platform.Config{Provider: provider.MustGet("facebook")})
+	srv := newServer("127.0.0.1:0", p)
+	if srv.ReadHeaderTimeout != obs.ReadHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, obs.ReadHeaderTimeout)
 	}
 }

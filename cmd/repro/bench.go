@@ -57,7 +57,7 @@ func runBench(args []string) {
 	count := fs.Int("count", 1, "runs per benchmark; results are averaged")
 	pkg := fs.String("pkg", ".", "package holding the benchmarks")
 	timeout := fs.Duration("timeout", 20*time.Minute, "go test timeout")
-	out := fs.String("out", "BENCH_8.json", "output trajectory file")
+	out := fs.String("out", "bench-trajectory.json", "output trajectory file")
 	input := fs.String("input", "", "parse an existing trajectory file instead of running benchmarks (for -compare)")
 	compare := fs.String("compare", "", "baseline trajectory file to diff against")
 	threshold := fs.Float64("threshold", 20, "regression threshold in percent on ns/op for -compare (and allocs/op unless -allocs-threshold is set)")

@@ -8,7 +8,7 @@
 //	repro -exp all                 # everything (takes a few minutes)
 //	repro -list                    # list experiment IDs
 //	repro scale -accounts 1000000  # scale mode: big graph + open-loop load
-//	repro bench -out BENCH_8.json  # benchmark trajectory point
+//	repro bench                    # benchmark trajectory point (bench-trajectory.json)
 //	repro bench -compare old.json  # diff against a previous point
 //
 // The -scale flag divides the paper's population sizes (default 100);

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -471,7 +472,9 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester, o
 	}
 	n.mu.Unlock()
 
-	exclude := map[string]bool{requester: true}
+	sc := deliveryScratchPool.Get().(*deliveryScratch)
+	defer sc.release()
+	sc.exclude[requester] = true
 	// Trace the first action of the burst end to end (so every round
 	// yields one oauth → graphapi → shard chain under this span) and
 	// suppress span creation for the rest: a burst is hundreds of
@@ -491,17 +494,18 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester, o
 		// pool has its own lock; same n.mu → pool.mu order as the ban
 		// path above).
 		n.mu.Lock()
-		sampled := t.pool.Sample(n.rng, quota-delivered, exclude, n.cfg.MaxPerTokenHourly, hotSet, now)
+		sc.sampled = t.pool.Sample(sc.sampled, n.rng, quota-delivered, sc.exclude, n.cfg.MaxPerTokenHourly, hotSet, now)
 		n.mu.Unlock()
+		sampled := sc.sampled
 		if len(sampled) == 0 {
 			break
 		}
 		if batched {
-			delivered += n.fireBatched(sampledCtx, restCtx, span, t, objectID, sampled, exclude, &attempts, now)
+			delivered += n.fireBatched(sampledCtx, restCtx, sc, t, objectID, &attempts, now)
 			continue
 		}
 		for _, s := range sampled {
-			exclude[s.AccountID] = true
+			sc.exclude[s.AccountID] = true
 			attempts++
 			ip := n.pickIP()
 			actCtx := restCtx
@@ -514,7 +518,7 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester, o
 			} else {
 				err = t.client.LikeCtx(actCtx, s.Token, objectID, ip)
 			}
-			delivered += n.applyOutcome(t, s, err, isComment, now, span)
+			delivered += n.applyOutcome(t, s, err, isComment, now, sc)
 		}
 	}
 	// Scrape counters update once per burst, not once per action: a burst
@@ -528,10 +532,75 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester, o
 		n.likesDelivered.Add(int64(delivered))
 	}
 	if span != nil {
+		sc.emitFailures(span)
 		span.SetAttr("delivered", strconv.Itoa(delivered))
 		span.EndAt(n.clock.Now())
 	}
 	return delivered
+}
+
+// deliveryScratch is one burst's working set: the exclusion set, the
+// sampled slice, the batch ops, IPs and errors, and the failure tallies
+// the burst's span reports. Scratches are pooled, so a burst allocates
+// none of these; release clears every field before the scratch goes back,
+// so a pooled value never pins a token.
+type deliveryScratch struct {
+	exclude map[string]bool
+	sampled []Sampled
+	ops     []platform.BatchLike
+	ips     []string
+	errs    []error
+
+	failures    []codeCount // per platform error code, first-seen order
+	drops       int         // dead tokens dropped from the pool
+	rateLimited int         // rate-limit denials
+}
+
+// codeCount is the number of a burst's failures that carried one code.
+type codeCount struct{ code, n int }
+
+var deliveryScratchPool = sync.Pool{New: func() any {
+	return &deliveryScratch{exclude: make(map[string]bool)}
+}}
+
+// release clears the scratch and returns it to the pool.
+func (sc *deliveryScratch) release() {
+	clear(sc.exclude)
+	clear(sc.sampled[:cap(sc.sampled)])
+	clear(sc.ops[:cap(sc.ops)])
+	clear(sc.ips[:cap(sc.ips)])
+	clear(sc.errs[:cap(sc.errs)])
+	sc.sampled, sc.ops, sc.ips, sc.errs = sc.sampled[:0], sc.ops[:0], sc.ips[:0], sc.errs[:0]
+	sc.failures = sc.failures[:0]
+	sc.drops, sc.rateLimited = 0, 0
+	deliveryScratchPool.Put(sc)
+}
+
+// noteFailure counts one failed action under its platform error code.
+func (sc *deliveryScratch) noteFailure(code int) {
+	for i := range sc.failures {
+		if sc.failures[i].code == code {
+			sc.failures[i].n++
+			return
+		}
+	}
+	sc.failures = append(sc.failures, codeCount{code: code, n: 1})
+}
+
+// emitFailures records the burst's failures on its span: one event per
+// distinct error code (failures code=613 n=42), then one per outcome
+// (drop-token n=3, rate-limited n=40). A countermeasures burst can fail
+// hundreds of likes, so the events are per kind, not per like.
+func (sc *deliveryScratch) emitFailures(span *obs.Span) {
+	for _, f := range sc.failures {
+		span.Event("failures", "code", strconv.Itoa(f.code), "n", strconv.Itoa(f.n))
+	}
+	if sc.drops > 0 {
+		span.Event("drop-token", "n", strconv.Itoa(sc.drops))
+	}
+	if sc.rateLimited > 0 {
+		span.Event("rate-limited", "n", strconv.Itoa(sc.rateLimited))
+	}
 }
 
 // applyOutcome applies one action's bookkeeping — attempt/delivery stats,
@@ -544,7 +613,7 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester, o
 // engine reacts identically to a dead token whether the platform says
 // 190 or 4010. FailuresByCode still records the platform's own code —
 // the operator-visible vocabulary the paper tabulates.
-func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now time.Time, span *obs.Span) int {
+func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now time.Time, sc *deliveryScratch) int {
 	n.mu.Lock()
 	if !comment {
 		if t.cross {
@@ -568,9 +637,7 @@ func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now
 	code := graphapi.ErrCode(err)
 	n.stats.FailuresByCode[code]++
 	n.mu.Unlock()
-	if span != nil {
-		span.Event("failure", "code", strconv.Itoa(code))
-	}
+	sc.noteFailure(code)
 	switch graphapi.ErrKindOf(err) {
 	case provider.KindInvalidToken, provider.KindAccountSuspended:
 		// Dead token: drop the member until they resubmit.
@@ -583,42 +650,42 @@ func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now
 			}
 			n.mu.Unlock()
 			n.tokensDropped.Inc()
-			if span != nil {
-				span.Event("drop-token")
-			}
+			sc.drops++
 		}
 	case provider.KindRateLimited:
 		n.noteRateLimited(now)
-		if span != nil {
-			span.Event("rate-limited")
-		}
+		sc.rateLimited++
 	}
 	return 0
 }
 
-// fireBatched delivers one sampled slice as ≤DeliveryBatchSize chunks,
-// fired one after another in sample order, then replays every per-action
-// outcome through applyOutcome in sample order. The platform therefore
-// evaluates the likes in exactly the per-call order, so a saturated
-// limiter admits the same likes in both modes. The IPs for the whole
-// slice are drawn up front under one n.mu scope, consuming the rng stream
-// exactly as per-action pickIP calls would.
-func (n *Network) fireBatched(sampledCtx, restCtx context.Context, span *obs.Span, t target, objectID string, sampled []Sampled, exclude map[string]bool, attempts *int, now time.Time) int {
+// fireBatched delivers the burst's current sample (sc.sampled) as
+// ≤DeliveryBatchSize chunks, fired one after another in sample order,
+// then replays every per-action outcome through applyOutcome in sample
+// order. The platform therefore evaluates the likes in exactly the
+// per-call order, so a saturated limiter admits the same likes in both
+// modes. The IPs for the whole slice are drawn up front under one n.mu
+// scope, consuming the rng stream exactly as per-action pickIP calls
+// would. Ops, IPs and errors live in the burst's scratch.
+func (n *Network) fireBatched(sampledCtx, restCtx context.Context, sc *deliveryScratch, t target, objectID string, attempts *int, now time.Time) int {
 	ctx := restCtx
 	if *attempts == 0 {
 		// Trace the first chunk of the burst end to end, like the
 		// sequential path traces its first action.
 		ctx = sampledCtx
 	}
-	ips := n.pickIPs(len(sampled))
-	ops := make([]platform.BatchLike, len(sampled))
+	sampled := sc.sampled
+	sc.ips = n.pickIPs(sc.ips[:0], len(sampled))
+	ops := sc.ops[:0]
 	for i, s := range sampled {
-		exclude[s.AccountID] = true
-		ops[i] = platform.BatchLike{Token: s.Token, IP: ips[i]}
+		sc.exclude[s.AccountID] = true
+		ops = append(ops, platform.BatchLike{Token: s.Token, IP: sc.ips[i]})
 	}
+	sc.ops = ops
 	*attempts += len(sampled)
 
-	errs := make([]error, len(ops))
+	errs := slices.Grow(sc.errs[:0], len(ops))[:len(ops)]
+	sc.errs = errs
 	for start := 0; start < len(ops); start += n.cfg.DeliveryBatchSize {
 		end := min(start+n.cfg.DeliveryBatchSize, len(ops))
 		copy(errs[start:end], t.client.LikeBatch(ctx, objectID, ops[start:end]))
@@ -627,7 +694,7 @@ func (n *Network) fireBatched(sampledCtx, restCtx context.Context, span *obs.Spa
 
 	delivered := 0
 	for i, s := range sampled {
-		delivered += n.applyOutcome(t, s, errs[i], false, now, span)
+		delivered += n.applyOutcome(t, s, errs[i], false, now, sc)
 	}
 	return delivered
 }
@@ -652,16 +719,16 @@ func (n *Network) pickIP() string {
 	return n.cfg.IPs[n.rng.Intn(len(n.cfg.IPs))]
 }
 
-// pickIPs draws k source addresses under one lock scope, consuming the
-// same deterministic rng stream as k successive pickIP calls.
-func (n *Network) pickIPs(k int) []string {
-	out := make([]string, k)
+// pickIPs appends k source addresses to dst, drawn under one lock scope,
+// consuming the same deterministic rng stream as k successive pickIP
+// calls.
+func (n *Network) pickIPs(dst []string, k int) []string {
 	n.mu.Lock()
-	for i := range out {
-		out[i] = n.cfg.IPs[n.rng.Intn(len(n.cfg.IPs))]
+	for range k {
+		dst = append(dst, n.cfg.IPs[n.rng.Intn(len(n.cfg.IPs))])
 	}
 	n.mu.Unlock()
-	return out
+	return dst
 }
 
 // BuyPlan upgrades a member to a premium plan (Sec. 5.1 monetization).

@@ -3,12 +3,16 @@ package collusion
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/defense"
+	"repro/internal/graphapi"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
@@ -237,6 +241,61 @@ func TestDeadTokensDropped(t *testing.T) {
 	}
 	if h.network.MembershipSize() != 1 {
 		t.Fatalf("MembershipSize = %d, want 1 (only the requester left)", h.network.MembershipSize())
+	}
+}
+
+// TestDeliverySpanFailureEvents: a burst's span carries one event per
+// distinct failure code and one per outcome, each with its count, not
+// one event per failed like.
+func TestDeliverySpanFailureEvents(t *testing.T) {
+	h := newHarness(t, Config{LikesPerRequest: 100}, 40)
+	o := obs.New(h.clock, obs.DefaultPlatformLabel)
+	h.network.SetObserver(o)
+	requester := h.members[0]
+	post := h.post(t, requester)
+	// The quota exceeds the pool, so one draw samples every other member:
+	// five have already liked the post and four hold dead tokens.
+	for _, m := range h.members[1:6] {
+		if err := h.p.Graph.AddLike(m.ID, post.ID, socialgraph.WriteMeta{At: h.clock.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range h.members[6:10] {
+		h.p.OAuth.InvalidateAccount(m.ID, "sweep")
+	}
+	delivered, err := h.network.RequestLikes(requester.ID, post.ID, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 30 {
+		t.Fatalf("delivered = %d, want 30", delivered)
+	}
+	var got []string
+	for _, d := range o.T().Spans() {
+		if d.Name != "collusion.deliver" {
+			continue
+		}
+		for _, e := range d.Events {
+			ev := e.Name
+			for _, a := range e.Attrs {
+				ev += " " + a.Key + "=" + a.Value
+			}
+			got = append(got, ev)
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"drop-token n=4",
+		fmt.Sprintf("failures code=%d n=4", graphapi.CodeInvalidToken),
+		fmt.Sprintf("failures code=%d n=5", graphapi.CodeDuplicate),
+	}
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("collusion.deliver events = %q, want %q", got, want)
+	}
+	st := h.network.Stats()
+	if st.FailuresByCode[graphapi.CodeInvalidToken] != 4 || st.FailuresByCode[graphapi.CodeDuplicate] != 5 || st.TokensDropped != 4 {
+		t.Fatalf("stats = %+v, want 4 invalid-token and 5 duplicate failures, 4 drops", st)
 	}
 }
 

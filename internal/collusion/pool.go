@@ -25,7 +25,9 @@ type tokenEntry struct {
 type TokenPool struct {
 	mu      sync.Mutex
 	entries map[string]*tokenEntry // by accountID
-	order   []string               // accountIDs, insertion order (oldest first)
+	order   []*tokenEntry          // insertion order (oldest first)
+	// perm is Sample's permutation buffer, reused across draws.
+	perm []int
 }
 
 // NewTokenPool returns an empty pool.
@@ -42,8 +44,9 @@ func (p *TokenPool) Put(accountID, token string, now time.Time) {
 		e.addedAt = now
 		return
 	}
-	p.entries[accountID] = &tokenEntry{accountID: accountID, token: token, addedAt: now}
-	p.order = append(p.order, accountID)
+	e := &tokenEntry{accountID: accountID, token: token, addedAt: now}
+	p.entries[accountID] = e
+	p.order = append(p.order, e)
 }
 
 // Remove drops a member's token (dead token discovered on use). It
@@ -51,18 +54,15 @@ func (p *TokenPool) Put(accountID, token string, now time.Time) {
 func (p *TokenPool) Remove(accountID string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.entries[accountID]; !ok {
+	e, ok := p.entries[accountID]
+	if !ok {
 		return false
 	}
 	delete(p.entries, accountID)
 	// In place, order kept: every access to order holds p.mu and Members
-	// copies it, so nothing aliases the backing array.
-	for i, id := range p.order {
-		if id == accountID {
-			p.order = slices.Delete(p.order, i, i+1)
-			break
-		}
-	}
+	// copies the IDs out, so nothing aliases the backing array.
+	i := slices.Index(p.order, e)
+	p.order = slices.Delete(p.order, i, i+1)
 	return true
 }
 
@@ -79,32 +79,41 @@ type Sampled struct {
 	Token     string
 }
 
-// Sample draws up to n distinct member tokens. Members in exclude are
-// skipped, as are members already used maxHourly times in the trailing
-// hour (their usage is recorded on draw). When hotSet > 0 the draw
-// prefers the hotSet most recently added members (the cheap discipline
-// that token rate limits punish); otherwise it is uniform over the pool.
-func (p *TokenPool) Sample(rng *rand.Rand, n int, exclude map[string]bool, maxHourly int, hotSet int, now time.Time) []Sampled {
+// Sample draws up to n distinct member tokens, appending them to dst[:0]
+// and returning the result; a dst with room for n makes the draw
+// allocation-free. Members in exclude are skipped, as are members already
+// used maxHourly times in the trailing hour (their usage is recorded on
+// draw). When hotSet > 0 the draw prefers the hotSet most recently added
+// members (the cheap discipline that token rate limits punish); otherwise
+// it is uniform over the pool.
+func (p *TokenPool) Sample(dst []Sampled, rng *rand.Rand, n int, exclude map[string]bool, maxHourly int, hotSet int, now time.Time) []Sampled {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	candidates := p.order
 	if hotSet > 0 && len(candidates) > hotSet {
 		candidates = candidates[len(candidates)-hotSet:]
 	}
-	// Draw a random permutation lazily: shuffle a copy of the candidate
-	// index space and walk it until n usable tokens are found.
-	idx := rng.Perm(len(candidates))
-	out := make([]Sampled, 0, n)
+	// Walk a random permutation of the candidate index space until n
+	// usable tokens are found. The permutation is drawn into the pool's
+	// buffer with exactly rand.Perm's calls, so the rng stream — and every
+	// pick — is what rng.Perm(len(candidates)) would give.
+	idx := slices.Grow(p.perm[:0], len(candidates))[:len(candidates)]
+	for i := range idx {
+		j := rng.Intn(i + 1)
+		idx[i] = idx[j]
+		idx[j] = i
+	}
+	p.perm = idx
+	out := dst[:0]
 	cutoff := now.Add(-time.Hour)
 	for _, i := range idx {
 		if len(out) == n {
 			break
 		}
-		id := candidates[i]
-		if exclude[id] {
+		e := candidates[i]
+		if exclude[e.accountID] {
 			continue
 		}
-		e := p.entries[id]
 		// Prune usage older than an hour.
 		live := e.usage[:0]
 		for _, u := range e.usage {
@@ -117,7 +126,7 @@ func (p *TokenPool) Sample(rng *rand.Rand, n int, exclude map[string]bool, maxHo
 			continue
 		}
 		e.usage = append(e.usage, now)
-		out = append(out, Sampled{AccountID: id, Token: e.token})
+		out = append(out, Sampled{AccountID: e.accountID, Token: e.token})
 	}
 	return out
 }
@@ -127,7 +136,9 @@ func (p *TokenPool) Members() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]string, len(p.order))
-	copy(out, p.order)
+	for i, e := range p.order {
+		out[i] = e.accountID
+	}
 	return out
 }
 

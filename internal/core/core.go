@@ -194,11 +194,7 @@ func (s *Study) MilkVia(hp *honeypot.Honeypot, network string) (res MilkResult) 
 	if err != nil {
 		return MilkResult{Network: network, PostID: postID, Err: err}
 	}
-	likes := s.Scenario.Platform.Graph.Likes(postID)
-	likers := make([]string, len(likes))
-	for i, l := range likes {
-		likers[i] = l.AccountID
-	}
+	likers := s.Scenario.Platform.Graph.Likers(postID)
 	est.ObservePost(likers)
 	s.counter.noteMilked(likers)
 	return MilkResult{Network: network, PostID: postID, Delivered: delivered, Likers: likers}

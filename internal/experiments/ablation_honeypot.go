@@ -83,12 +83,7 @@ func AblationHoneypotEvasion(seed int64) (Table, error) {
 				postID, _, err := hp.MilkOnce()
 				switch {
 				case err == nil:
-					likes := p.Graph.Likes(postID)
-					ids := make([]string, len(likes))
-					for i, l := range likes {
-						ids[i] = l.AccountID
-					}
-					est.ObservePost(ids)
+					est.ObservePost(p.Graph.Likers(postID))
 					out.succeeded++
 				case errors.Is(err, collusion.ErrBanned):
 					// Banned honeypots stay banned; keep going with the rest.

@@ -3,6 +3,7 @@ package obs
 import (
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // Trace-propagation headers carried by the HTTP transports. A client that
@@ -109,4 +110,31 @@ func (o *Observer) RegisterDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// ReadHeaderTimeout bounds how long every daemon's HTTP server waits for
+// a request's headers. Without it, a client that never finishes its
+// headers holds a connection and a goroutine indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewServer returns a server for handler on addr that carries
+// ReadHeaderTimeout; the daemons build every HTTP server through it.
+func NewServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
+// ServeDebug serves the observability surfaces (RegisterDebug) on addr
+// in the background, on their own listener so they can be scraped
+// without touching a daemon's main one, and returns the server so its
+// owner can shut it down. A listen failure is logged.
+func (o *Observer) ServeDebug(addr string, logger *Logger) *http.Server {
+	mux := http.NewServeMux()
+	o.RegisterDebug(mux)
+	srv := NewServer(addr, mux)
+	go func() {
+		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			logger.Errorf("metrics server: %v", err)
+		}
+	}()
+	return srv
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -224,5 +225,25 @@ func TestTracesDroppedCollector(t *testing.T) {
 	}
 	if !strings.Contains(scrape(), "traces_dropped_total 3") {
 		t.Errorf("scrape after eviction missing traces_dropped_total 3:\n%s", scrape())
+	}
+}
+
+// TestServersCarryHeaderTimeout: every daemon server comes from NewServer
+// (the metrics listeners through ServeDebug), so each one stops waiting
+// for a client's headers after ReadHeaderTimeout.
+func TestServersCarryHeaderTimeout(t *testing.T) {
+	o := New(simclock.NewSimulated(traceEpoch), DefaultPlatformLabel)
+	debug := o.ServeDebug("127.0.0.1:0", NewLogger("test", io.Discard, LevelInfo))
+	defer debug.Close()
+	for name, srv := range map[string]*http.Server{
+		"NewServer":  NewServer("127.0.0.1:0", http.NotFoundHandler()),
+		"ServeDebug": debug,
+	} {
+		if srv.ReadHeaderTimeout != ReadHeaderTimeout || ReadHeaderTimeout <= 0 {
+			t.Errorf("%s: ReadHeaderTimeout = %v, want %v", name, srv.ReadHeaderTimeout, ReadHeaderTimeout)
+		}
+		if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+			t.Errorf("%s: Addr %q, Handler %v", name, srv.Addr, srv.Handler)
+		}
 	}
 }

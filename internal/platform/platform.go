@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/apps"
@@ -300,14 +301,23 @@ func (c *LocalClient) LikeCtx(ctx context.Context, token, objectID, ip string) e
 }
 
 // LikeBatch implements Client with one direct call into the API's
-// batched like endpoint.
+// batched like endpoint. The ops are translated into a pooled buffer,
+// cleared before it goes back so the pool never pins a token.
 func (c *LocalClient) LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error {
-	apiOps := make([]graphapi.BatchLikeOp, len(ops))
-	for i, op := range ops {
-		apiOps[i] = graphapi.BatchLikeOp{AccessToken: op.Token, SourceIP: op.IP}
+	buf := batchOpsPool.Get().(*[]graphapi.BatchLikeOp)
+	apiOps := (*buf)[:0]
+	for _, op := range ops {
+		apiOps = append(apiOps, graphapi.BatchLikeOp{AccessToken: op.Token, SourceIP: op.IP})
 	}
-	return c.p.API.LikeBatch(ctx, objectID, apiOps)
+	errs := c.p.API.LikeBatch(ctx, objectID, apiOps)
+	clear(apiOps)
+	*buf = apiOps[:0]
+	batchOpsPool.Put(buf)
+	return errs
 }
+
+// batchOpsPool recycles LocalClient.LikeBatch's op buffers.
+var batchOpsPool = sync.Pool{New: func() any { return new([]graphapi.BatchLikeOp) }}
 
 // CommentCtx implements Client.
 func (c *LocalClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {

@@ -31,10 +31,11 @@ package socialgraph
 // drive interleaved writes/sweeps/crawls against the reference store to
 // prove it cannot).
 //
-// Chunk capacities are per entry class. Like/comment order entries
-// (edgeRef: one string header and one int) are 24 bytes, and hot objects
-// accumulate thousands of them, so those chunks hold 64 entries (~1.5
-// KiB). Activity entries are 136 bytes and most accounts under the
+// Chunk capacities are per entry class. Order entries are 24 bytes for
+// a comment (edgeRef: one string header and one int) and 80 for a like
+// (likeRef, which is the like's only record), and hot objects accumulate
+// thousands of them, so both order classes use 64-entry chunks (~1.5 KiB
+// and ~5 KiB). Activity entries are 136 bytes and most accounts under the
 // uniform-actor scale workload log only a handful of actions, so
 // activity chunks hold 16 entries (~2.2 KiB) — large enough to amortise
 // chunk overhead on collusion members that act for months, small enough
@@ -98,11 +99,13 @@ type chunkList[T any] struct {
 	total      int
 }
 
-// Concrete instantiations. The store uses exactly two entry classes; the
-// aliases keep signatures (and the lockorder golden) readable.
+// Concrete instantiations. The store uses exactly three entry classes;
+// the aliases keep signatures (and the lockorder golden) readable.
 type (
+	likeList     = chunkList[likeRef]
 	edgeList     = chunkList[edgeRef]
 	activityList = chunkList[Activity]
+	likePool     = chunkPool[likeRef]
 	edgePool     = chunkPool[edgeRef]
 	activityPool = chunkPool[Activity]
 )
@@ -197,21 +200,21 @@ func (l *chunkList[T]) filter(p *chunkPool[T], keep func(*T) bool) (dropped int)
 	return dropped
 }
 
-// removeEdge deletes the first entry whose id matches, shifting only
+// removeLike deletes the like entry whose liker is id, shifting only
 // within that entry's own chunk — the tail of the list is never copied
 // (the old slice representation re-appended everything after the
 // removal point). An emptied chunk is unlinked and pooled.
 //
 //collusionvet:locked
-func removeEdge(l *edgeList, p *edgePool, id string) bool {
-	var prev *chunk[edgeRef]
+func removeLike(l *likeList, p *likePool, id string) bool {
+	var prev *chunk[likeRef]
 	for c := l.head; c != nil; prev, c = c, c.next {
 		for i := 0; i < c.n; i++ {
 			if c.buf[i].id != id {
 				continue
 			}
 			copy(c.buf[i:c.n-1], c.buf[i+1:c.n])
-			c.buf[c.n-1] = edgeRef{}
+			c.buf[c.n-1] = likeRef{}
 			c.n--
 			l.total--
 			if c.n == 0 {
@@ -231,18 +234,18 @@ func removeEdge(l *edgeList, p *edgePool, id string) bool {
 	return false
 }
 
-// searchEdges returns the position of the first entry with seq >= after:
-// the chunk, the index within it, and the absolute position from the
-// head. Sequences are strictly ascending across a list (they are
-// assigned from the object's monotone counter and removal preserves
-// order), so whole chunks whose last entry is below the cursor are
-// skipped without touching their entries, then the target chunk is
+// searchEdges returns the position of the first order entry with
+// sequence >= after: the chunk, the index within it, and the absolute
+// position from the head. Sequences are strictly ascending across a list
+// (they are assigned from the object's monotone counter and removal
+// preserves order), so whole chunks whose last entry is below the cursor
+// are skipped without touching their entries, then the target chunk is
 // scanned. Returns (nil, 0, total) when every entry is below after.
-func searchEdges(l *edgeList, after int) (c *chunk[edgeRef], idx, pos int) {
+func searchEdges[T interface{ sequence() int }](l *chunkList[T], after int) (c *chunk[T], idx, pos int) {
 	for c = l.head; c != nil; c = c.next {
-		if c.n > 0 && c.buf[c.n-1].seq >= after {
+		if c.n > 0 && c.buf[c.n-1].sequence() >= after {
 			for i := 0; i < c.n; i++ {
-				if c.buf[i].seq >= after {
+				if c.buf[i].sequence() >= after {
 					return c, i, pos + i
 				}
 			}

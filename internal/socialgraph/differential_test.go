@@ -98,8 +98,11 @@ func pick(rng *rand.Rand, pool []string) string {
 // runDifferential drives ops randomized operations into both stores.
 // window sets both stores' retention window (0 = infinite); the op mix
 // includes retention sweeps, which are no-ops at the infinite window and
-// evict identically on both stores at a finite one.
-func runDifferential(t *testing.T, seed int64, ops int, shards int, window time.Duration) {
+// evict identically on both stores at a finite one. jitter > 0 moves each
+// op's instant by a uniform draw in [-jitter, +jitter], so one object's
+// likes arrive out of time order and sweep instants go back and forth,
+// and makes each purge remove a like that exists.
+func runDifferential(t *testing.T, seed int64, ops int, shards int, window, jitter time.Duration) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sharded := New(shards, 0)
@@ -114,6 +117,9 @@ func runDifferential(t *testing.T, seed int64, ops int, shards int, window time.
 
 	for i := 0; i < ops; i++ {
 		at := epoch.Add(time.Duration(i) * time.Minute)
+		if jitter > 0 {
+			at = at.Add(time.Duration(rng.Int63n(int64(2*jitter)+1)) - jitter)
+		}
 		meta := WriteMeta{
 			AppID:    fmt.Sprintf("app-%d", rng.Intn(3)),
 			SourceIP: fmt.Sprintf("203.0.113.%d", rng.Intn(200)),
@@ -217,6 +223,9 @@ func runDifferential(t *testing.T, seed int64, ops int, shards int, window time.
 		case op < 70: // purge a like
 			liker := pick(rng, w.accounts)
 			object := pick(rng, w.posts)
+			if likes := oracle.Likes(object); jitter > 0 && len(likes) > 0 {
+				liker = likes[rng.Intn(len(likes))].AccountID
+			}
 			gerr := sharded.RemoveLike(liker, object)
 			werr := oracle.RemoveLike(liker, object)
 			if !sameErr(gerr, werr) {
@@ -277,6 +286,18 @@ func runDifferential(t *testing.T, seed int64, ops int, shards int, window time.
 			wo, woerr := oracle.OwnerOf(obj)
 			if !sameErr(goerr, woerr) || go1 != wo {
 				t.Fatalf("op %d: OwnerOf = %v/%v, oracle %v/%v", i, go1, goerr, wo, woerr)
+			}
+		}
+	}
+	// Likers is the oracle's like crawl without the attribution.
+	for _, obj := range append(append(append([]string(nil), w.posts...), w.pages...), w.accounts...) {
+		likes, likers := oracle.Likes(obj), sharded.Likers(obj)
+		if len(likers) != len(likes) {
+			t.Fatalf("Likers(%s) = %d IDs, oracle %d likes", obj, len(likers), len(likes))
+		}
+		for i, l := range likes {
+			if likers[i] != l.AccountID {
+				t.Fatalf("Likers(%s)[%d] = %s, oracle %s", obj, i, likers[i], l.AccountID)
 			}
 		}
 	}
@@ -475,7 +496,7 @@ func TestDifferentialShardedVsReference(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed=%d/shards=%d", tc.seed, tc.shards), func(t *testing.T) {
-			runDifferential(t, tc.seed, ops, tc.shards, 0)
+			runDifferential(t, tc.seed, ops, tc.shards, 0, 0)
 		})
 	}
 }
@@ -502,7 +523,33 @@ func TestDifferentialRetention(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed=%d/shards=%d/window=%s", tc.seed, tc.shards, tc.window), func(t *testing.T) {
-			runDifferential(t, tc.seed, ops, tc.shards, tc.window)
+			runDifferential(t, tc.seed, ops, tc.shards, tc.window, 0)
+		})
+	}
+}
+
+// TestDifferentialRetentionJitter re-runs the retention harness with each
+// op's instant jittered by up to ±2 h and purges that hit existing likes.
+// One object's likes then arrive out of time order, so a history's
+// oldest and newest bounds must follow every like and survive every
+// RemoveLike; a sweep that skips or retires a history on a wrong bound
+// keeps or drops a like the oracle does not.
+func TestDifferentialRetentionJitter(t *testing.T) {
+	ops := 10_000
+	if testing.Short() {
+		ops = 2_500
+	}
+	for _, tc := range []struct {
+		seed   int64
+		shards int
+		window time.Duration
+	}{
+		{seed: 8, shards: 1, window: time.Hour},
+		{seed: 9, shards: 8, window: 3 * time.Hour},
+		{seed: 10, shards: 64, window: 30 * time.Minute},
+	} {
+		t.Run(fmt.Sprintf("seed=%d/shards=%d/window=%s", tc.seed, tc.shards, tc.window), func(t *testing.T) {
+			runDifferential(t, tc.seed, ops, tc.shards, tc.window, 2*time.Hour)
 		})
 	}
 }

@@ -73,29 +73,52 @@ func (s *Store) RetentionSweep(now time.Time) SweepResult {
 // evictBefore drops this stripe's likes, comments, and activity entries
 // with At strictly before cutoff. Timestamps within an object's history
 // are not necessarily monotone (organic workloads scatter At within a
-// day), so eviction filters by value rather than trimming a prefix.
-// Survivors compact in place and whole evicted chunks return to the
-// shard pools (see chunkList.filter) — the sweep itself allocates
-// nothing, and it is what refills the free lists that keep steady-state
-// writes allocation-free. The caller must hold the shard's write lock.
+// day), so eviction filters by value rather than trimming a prefix. A
+// like history is first judged on its bounds: one whose oldest like is
+// inside the window is skipped, and one whose newest like is outside it
+// is retired whole without visiting its entries; only a history that
+// straddles the cutoff is filtered entry by entry, and its bounds are
+// then recomputed exactly from the survivors. Survivors compact in place
+// and whole evicted chunks return to the shard pools (see
+// chunkList.filter) — the sweep itself allocates nothing, and it is what
+// refills the free lists that keep steady-state writes allocation-free.
+// The caller must hold the shard's write lock.
 //
 //collusionvet:locked
 func (sh *shard) evictBefore(cutoff time.Time) (likes, comments, activities int64) {
 	for obj, h := range sh.likes {
+		if !h.oldest.Before(cutoff) {
+			continue
+		}
+		if h.newest.Before(cutoff) {
+			likes += int64(h.order.total)
+			sh.retireLikeHistory(obj, h)
+			continue
+		}
 		set := h.set
-		likes += int64(h.order.filter(&sh.edges, func(ref *edgeRef) bool {
-			if l, ok := set[ref.id]; ok && l.At.Before(cutoff) {
-				delete(set, ref.id)
+		var oldest, newest time.Time
+		kept := false
+		likes += int64(h.order.filter(&sh.edges, func(r *likeRef) bool {
+			if r.at.Before(cutoff) {
+				delete(set, r.id)
 				return false
 			}
+			if !kept || r.at.Before(oldest) {
+				oldest = r.at
+			}
+			if !kept || r.at.After(newest) {
+				newest = r.at
+			}
+			kept = true
 			return true
 		}))
+		h.oldest, h.newest = oldest, newest
 		if h.order.total == 0 {
 			sh.retireLikeHistory(obj, h)
 		}
 	}
 	for post, l := range sh.commentOrder {
-		comments += int64(l.filter(&sh.edges, func(ref *edgeRef) bool {
+		comments += int64(l.filter(&sh.commentEdges, func(ref *edgeRef) bool {
 			if c, ok := sh.comments[ref.id]; ok && c.At.Before(cutoff) {
 				delete(sh.comments, ref.id)
 				sh.retireComment(c)
@@ -172,9 +195,7 @@ func (s *Store) LikesPage(objectID string, after, limit int) (page []Like, next 
 	}
 	for c != nil && pos < end {
 		for i < c.n && pos < end {
-			if l, ok := h.set[c.buf[i].id]; ok {
-				page = append(page, l)
-			}
+			page = append(page, c.buf[i].like(objectID))
 			pos++
 			i++
 		}

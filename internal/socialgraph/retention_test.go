@@ -176,7 +176,9 @@ func TestRetentionSeqSurvivesFullEviction(t *testing.T) {
 }
 
 // FuzzRetentionBoundary interleaves likes, comments, like removals, and
-// retention sweeps from fuzz input, checking after every sweep that
+// retention sweeps from fuzz input. Writes are stamped up to 40 minutes
+// either side of the advancing clock, so one post's likes arrive out of
+// time order. After every sweep it checks that
 //
 //   - no account, page, or post is ever deleted;
 //   - exactly the out-of-window edges are evicted (a shadow model with a
@@ -188,6 +190,9 @@ func FuzzRetentionBoundary(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x83, 0xc4, 0x05, 0x46, 0x87, 0xc8})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0xff, 0x00})
 	f.Add([]byte{0x13, 0x37, 0xde, 0xad, 0xbe, 0xef, 0x13, 0x37, 0xde, 0xad})
+	// A post's second like is stamped before its first, then a sweep's
+	// cutoff falls between them: only the second like is out of window.
+	f.Add([]byte{0x01, 0x32, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const (
 			nAccounts = 8
@@ -203,14 +208,15 @@ func FuzzRetentionBoundary(f *testing.F) {
 		now := retEpoch().Add(time.Hour)     // clear of the setup writes
 		lastCutoff := time.Time{}
 
-		for _, b := range data {
+		for i, b := range data {
 			now = now.Add(time.Duration(1+int(b&0x0f)) * time.Minute)
+			at := now.Add(time.Duration((int(b)*7+i)%9-4) * 10 * time.Minute)
 			actor := w.accounts[int(b>>4)%nAccounts]
 			post := w.posts[int(b>>2)%nPosts]
 			switch b % 5 {
 			case 0, 1: // like
 				k := likeKey{actor, post}
-				err := w.s.AddLike(actor, post, WriteMeta{At: now})
+				err := w.s.AddLike(actor, post, WriteMeta{At: at})
 				if _, present := liked[k]; present {
 					if err == nil {
 						t.Fatalf("duplicate like (%s,%s) succeeded", actor, post)
@@ -219,13 +225,13 @@ func FuzzRetentionBoundary(f *testing.F) {
 					if err != nil {
 						t.Fatalf("like (%s,%s): %v", actor, post, err)
 					}
-					liked[k] = now
+					liked[k] = at
 				}
 			case 2: // comment
-				if _, err := w.s.AddComment(actor, post, "c", WriteMeta{At: now}); err != nil {
+				if _, err := w.s.AddComment(actor, post, "c", WriteMeta{At: at}); err != nil {
 					t.Fatal(err)
 				}
-				commentTimes = append(commentTimes, now)
+				commentTimes = append(commentTimes, at)
 			case 3: // remove a like
 				k := likeKey{actor, post}
 				err := w.s.RemoveLike(actor, post)

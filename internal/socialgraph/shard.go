@@ -3,6 +3,7 @@ package socialgraph
 import (
 	"runtime"
 	"sync"
+	"time"
 )
 
 // Shard layout. Every object class is routed to a stripe by the FNV-1a
@@ -12,7 +13,8 @@ import (
 //     adjacency sets live in the shard of the account ID;
 //   - pages live in the shard of the page ID;
 //   - posts live in the shard of the post ID;
-//   - likes (set + arrival order) live in the shard of the liked object;
+//   - likes (liker set + arrival-ordered like records) live in the
+//     shard of the liked object;
 //   - comments (records + per-post order) live in the shard of the
 //     commented post, so a crawl of a post's comments is one stripe.
 //
@@ -25,25 +27,54 @@ import (
 // sequentially, and monotonically consistent under concurrency because
 // no object is ever deleted.
 
-// edgeRef is one entry of a per-object edge-order list: the edge's key
-// (liker account ID, or comment ID) plus its absolute arrival sequence on
-// that object. Sequence numbers are assigned from an ever-increasing
+// Order-list entries carry their absolute arrival sequence on their
+// object. Sequence numbers are assigned from an ever-increasing
 // per-object counter and never reused, so a pagination cursor anchored to
 // a sequence stays a stable position even after a retention sweep evicts
-// edges around it or RemoveLike deletes one outright.
+// entries around it or RemoveLike deletes a like outright.
+
+// edgeRef is one entry of a post's comment order: the comment ID and its
+// arrival sequence.
 type edgeRef struct {
 	seq int
 	id  string
 }
 
-// likeHistory is one object's like state: the idempotency set and the
-// chunked arrival order, kept together so the hot write path pays one
-// map probe instead of two. Evicting an object's last like retires the
-// whole history to the shard's free list with its (cleared) set map, so
-// re-liking a swept object allocates neither.
+// likeRef is one entry of an object's like order, and the like's only
+// record: the liker's account ID, the arrival sequence, and the
+// attribution the like carries. The object ID is the history's key, so
+// it is not repeated here.
+type likeRef struct {
+	seq      int
+	id       string
+	appID    string
+	sourceIP string
+	at       time.Time
+}
+
+// sequence lets searchEdges seek in either order class.
+func (r edgeRef) sequence() int { return r.seq }
+func (r likeRef) sequence() int { return r.seq }
+
+// like renders the entry as the Like it records on objectID.
+func (r *likeRef) like(objectID string) Like {
+	return Like{AccountID: r.id, ObjectID: objectID, AppID: r.appID, SourceIP: r.sourceIP, At: r.at}
+}
+
+// likeHistory is one object's like state: the idempotency set of liker
+// IDs and the chunked arrival order that holds the likes themselves,
+// kept together so the hot write path pays one map probe instead of two.
+// oldest and newest bound the At of the retained likes: no retained like
+// is older than oldest or newer than newest. A like widens them; a
+// RemoveLike leaves them alone, so they may be loose but are never wrong,
+// and a retention sweep can skip or retire a whole history on them (see
+// evictBefore). Evicting an object's last like retires the whole history
+// to the shard's free list with its (cleared) set map, so re-liking a
+// swept object allocates neither.
 type likeHistory struct {
-	set   map[string]Like
-	order edgeList
+	set            map[string]struct{}
+	order          likeList
+	oldest, newest time.Time
 }
 
 // shard is one lock stripe of the store. Observable semantics match the
@@ -68,11 +99,12 @@ type shard struct {
 	likeSeq    map[string]int
 	commentSeq map[string]int
 
-	// Shard-local free lists, touched only under mu. edges feeds both
-	// like-order and comment-order lists (same entry class); retired
+	// Shard-local free lists, touched only under mu. edges feeds the
+	// like-order lists and commentEdges the comment-order lists; retired
 	// container headers are pooled alongside so a fully evicted object,
 	// post, or account costs nothing to repopulate.
-	edges        edgePool
+	edges        likePool
+	commentEdges edgePool
 	acts         activityPool
 	freeHist     []*likeHistory
 	freeEdgeList []*edgeList
@@ -97,7 +129,8 @@ func newShardSized(hint int) *shard {
 		friends:       make(map[string]map[string]bool),
 		likeSeq:       make(map[string]int),
 		commentSeq:    make(map[string]int),
-		edges:         edgePool{cap: edgeChunkCap},
+		edges:         likePool{cap: edgeChunkCap},
+		commentEdges:  edgePool{cap: edgeChunkCap},
 		acts:          activityPool{cap: activityChunkCap},
 	}
 }
@@ -121,7 +154,7 @@ func (sh *shard) likeHistoryFor(objectID string) *likeHistory {
 		sh.freeHist[n-1] = nil
 		sh.freeHist = sh.freeHist[:n-1]
 	} else {
-		h = &likeHistory{set: make(map[string]Like)}
+		h = &likeHistory{set: make(map[string]struct{})}
 	}
 	sh.likes[objectID] = h
 	return h

@@ -415,8 +415,10 @@ func (s *Store) addLikePair(accountID, objectID string, meta WriteMeta) error {
 // write locks of both shards; AddLike and AddLikeBatch share this core so
 // batched and sequential likes have identical semantics by construction.
 //
-// The success path is allocation-free at steady state: the like history
-// and its chunks come from the shard free lists, and the activity entry
+// The like itself lives only in its order entry; the history's set holds
+// the liker ID for the idempotency check. The success path is
+// allocation-free at steady state: the like history and its chunks come
+// from the shard free lists, and the activity entry
 // lands in a pooled chunk (pinned by TestAllocGateAddLikeBatchSteadyState).
 // Denials return the preallocated StoreError values.
 //
@@ -437,15 +439,21 @@ func likeLocked(acctShard, objShard *shard, accountID, objectID string, meta Wri
 	if _, dup := h.set[accountID]; dup {
 		return errAlreadyLiked
 	}
-	// Store the account record's own ID string so the edge and the like
+	// Store the account record's own ID string so the set and the entry
 	// retain the canonical heap string, not a caller-transient copy.
-	h.set[a.ID] = Like{
-		AccountID: a.ID, ObjectID: objectID,
-		AppID: meta.AppID, SourceIP: meta.SourceIP, At: meta.At,
+	h.set[a.ID] = struct{}{}
+	if h.order.total == 0 {
+		h.oldest, h.newest = meta.At, meta.At
+	} else if meta.At.Before(h.oldest) {
+		h.oldest = meta.At
+	} else if meta.At.After(h.newest) {
+		h.newest = meta.At
 	}
 	seq := objShard.likeSeq[objectID]
 	objShard.likeSeq[objectID] = seq + 1
-	h.order.append(&objShard.edges, edgeRef{seq: seq, id: a.ID})
+	h.order.append(&objShard.edges, likeRef{
+		seq: seq, id: a.ID, appID: meta.AppID, sourceIP: meta.SourceIP, at: meta.At,
+	})
 	acctShard.activityFor(a.ID).append(&acctShard.acts, Activity{
 		ActorID: a.ID, Verb: VerbLike, ObjectID: objectID, TargetID: targetID,
 		AppID: meta.AppID, SourceIP: meta.SourceIP, At: meta.At,
@@ -469,7 +477,7 @@ func (s *Store) RemoveLike(accountID, objectID string) error {
 		return errNotLiked
 	}
 	delete(h.set, accountID)
-	removeEdge(&h.order, &sh.edges, accountID)
+	removeLike(&h.order, &sh.edges, accountID)
 	if len(h.set) == 0 {
 		sh.retireLikeHistory(objectID, h)
 	}
@@ -488,9 +496,25 @@ func (s *Store) Likes(objectID string) []Like {
 	out := make([]Like, 0, h.order.total)
 	for c := h.order.head; c != nil; c = c.next {
 		for i := 0; i < c.n; i++ {
-			if l, ok := h.set[c.buf[i].id]; ok {
-				out = append(out, l)
-			}
+			out = append(out, c.buf[i].like(objectID))
+		}
+	}
+	return out
+}
+
+// Likers returns the account IDs that like an object, in arrival order:
+// Likes without the attribution, for callers that only need who liked.
+func (s *Store) Likers(objectID string) []string {
+	sh := s.rlock(objectID)
+	defer sh.mu.RUnlock()
+	h, ok := sh.likes[objectID]
+	if !ok {
+		return nil
+	}
+	out := make([]string, 0, h.order.total)
+	for c := h.order.head; c != nil; c = c.next {
+		for i := 0; i < c.n; i++ {
+			out = append(out, c.buf[i].id)
 		}
 	}
 	return out
@@ -580,7 +604,7 @@ func (s *Store) commentLocked(acctShard, postShard *shard, accountID, postID, me
 	postShard.comments[c.ID] = c
 	seq := postShard.commentSeq[postID]
 	postShard.commentSeq[postID] = seq + 1
-	postShard.commentOrderFor(postID).append(&postShard.edges, edgeRef{seq: seq, id: c.ID})
+	postShard.commentOrderFor(postID).append(&postShard.commentEdges, edgeRef{seq: seq, id: c.ID})
 	acctShard.activityFor(a.ID).append(&acctShard.acts, Activity{
 		ActorID: a.ID, Verb: VerbComment, ObjectID: c.ID, TargetID: post.AuthorID,
 		AppID: meta.AppID, SourceIP: meta.SourceIP, At: meta.At,

@@ -27,11 +27,12 @@ import (
 // kind, arrival time) from one seeded RNG before handing it to the
 // worker pool, likes are idempotent per (account, object), and every
 // retention sweep waits until the pool has applied all earlier arrivals.
-// So each sweep evicts from the same history, and two runs at the same
-// target RPS and seed report identical like, duplicate and eviction
-// counts, independent of worker count and interleaving. (One case stays
-// open: two arrivals of one pair in flight together may store either
-// arrival time, which can move a later eviction by one.)
+// Each worker drains its own queue, and an arrival goes to the queue its
+// actor index selects, so one account's arrivals apply in arrival order:
+// of two likes of one (account, object) pair, the earlier is stored and
+// the later is the duplicate. So each sweep evicts from the same history,
+// and two runs at the same target RPS and seed report identical like,
+// duplicate and eviction counts, independent of interleaving.
 
 // LoadConfig parameterises RunLoad.
 type LoadConfig struct {
@@ -87,8 +88,8 @@ const (
 	// likes.
 	commentPermille = 50
 	postPermille    = 20
-	// queueDepth bounds the arrival queue: how far the open-loop schedule
-	// may run ahead of the appliers.
+	// queueDepth bounds the arrival queues, summed over the workers: how
+	// far the open-loop schedule may run ahead of the appliers.
 	queueDepth = 4096
 )
 
@@ -205,17 +206,18 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 	// inflight counts arrivals not yet applied. Only the generator adds
 	// to it and waits on it, so each Add follows the last Wait.
 	var inflight sync.WaitGroup
-	jobs := make(chan job, queueDepth)
+	queues := make([]chan job, cfg.Workers)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
+	for i := range queues {
+		queues[i] = make(chan job, max(1, queueDepth/cfg.Workers))
 		wg.Add(1)
-		go func() {
+		go func(jobs <-chan job) {
 			defer wg.Done()
 			for j := range jobs {
 				w.apply(j, cfg.Timing, hist, &likes, &dups, &comments, &posts)
 				inflight.Done()
 			}
-		}()
+		}(queues[i])
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -259,10 +261,12 @@ func (w *ScaleWorld) RunLoad(cfg LoadConfig) LoadReport {
 			j.target = int(targets.Uint64())
 		}
 		inflight.Add(1)
-		jobs <- j
+		queues[j.actor%len(queues)] <- j
 		rep.Offered++
 	}
-	close(jobs)
+	for _, q := range queues {
+		close(q)
+	}
 	wg.Wait()
 	if cfg.OnLoadEnd != nil {
 		cfg.OnLoadEnd()
