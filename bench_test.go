@@ -481,7 +481,7 @@ func newMilkingBenchStudy(b *testing.B, batch int) *core.Study {
 	return study
 }
 
-// milkRounds drives one MilkAll round per iteration and reports
+// milkRounds milks every network once per iteration and reports
 // likes/round (which must not move with the delivery mode: 464 on this
 // fleet), the store's contended lock fraction, and shard-lock
 // acquisitions per round. The acquisition count is the deterministic
@@ -495,7 +495,8 @@ func milkRounds(b *testing.B, study *core.Study) {
 	b.ResetTimer()
 	likes := 0
 	for i := 0; i < b.N; i++ {
-		for _, res := range study.MilkAll(1) {
+		for _, ni := range study.Scenario.Networks {
+			res := study.MilkNetwork(ni.Spec.Name)
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

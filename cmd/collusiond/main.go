@@ -59,7 +59,7 @@ func main() {
 		IPs:                []string{"192.168.1.10", "192.168.1.11"},
 		AdsPerVisit:        3,
 		PremiumPlans: []collusion.Plan{
-			{Name: "gold", PriceUSD: 29.99, LikesPerPost: 2000, AutoDelivery: true, NoRestriction: true},
+			{Name: "gold", PriceUSD: 29.99, LikesPerPost: 2000, NoRestriction: true},
 		},
 	}
 	network := collusion.NewNetwork(cfg, simclock.Real{}, client)

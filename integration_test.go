@@ -116,9 +116,9 @@ func TestFullStoryOverHTTP(t *testing.T) {
 	inv := defense.NewInvalidator(func(id, reason string) bool {
 		return p.OAuth.InvalidateAccount(id, reason) > 0
 	}, "honeypot-milked")
-	for _, post := range hp.PostIDs() {
+	for _, likes := range hp.IncomingLikes() {
 		var ids []string
-		for _, l := range hp.IncomingLikes()[post] {
+		for _, l := range likes {
 			ids = append(ids, l.AccountID)
 		}
 		inv.Submit(ids)
@@ -145,7 +145,7 @@ func TestFullStoryOverHTTP(t *testing.T) {
 	if removed < 70 {
 		t.Fatalf("purged %d likes", removed)
 	}
-	for _, post := range hp.PostIDs() {
+	for post := range hp.IncomingLikes() {
 		if n := p.Graph.LikeCount(post); n != 0 {
 			t.Fatalf("post %s still has %d likes after purge", post, n)
 		}

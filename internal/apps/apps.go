@@ -292,13 +292,6 @@ func (r *Registry) RankByMAU(id string) (int, error) {
 	return rank, nil
 }
 
-// Count returns the number of registered apps.
-func (r *Registry) Count() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byID)
-}
-
 func cloneApp(a *App) App {
 	out := *a
 	out.Permissions = append([]string(nil), a.Permissions...)

@@ -186,7 +186,8 @@ func TestHasPermission(t *testing.T) {
 	}
 }
 
-// Property: every registered app's ID is unique and Count matches.
+// Property: every registered app's ID is unique and the registry holds
+// one entry per app.
 func TestQuickRegistryUniqueIDs(t *testing.T) {
 	f := func(n uint8) bool {
 		r := NewRegistry()
@@ -198,7 +199,7 @@ func TestQuickRegistryUniqueIDs(t *testing.T) {
 			}
 			seen[app.ID] = true
 		}
-		return r.Count() == len(seen)
+		return len(r.byID) == len(seen)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

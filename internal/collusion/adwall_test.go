@@ -14,7 +14,7 @@ func adWallHarness(t *testing.T) *harness {
 		AdWallHops:      3,
 		AdsPerVisit:     2,
 		PremiumPlans: []Plan{
-			{Name: "gold", PriceUSD: 9.99, LikesPerPost: 20, AutoDelivery: true},
+			{Name: "gold", PriceUSD: 9.99, LikesPerPost: 20, NoRestriction: true},
 		},
 	}, 30)
 }

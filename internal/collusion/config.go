@@ -12,8 +12,8 @@
 //   - random sampling of member tokens per request, which produces the
 //     diminishing-returns curve honeypot milking observes (Figure 4) and
 //     defeats temporal clustering (Figures 6–7);
-//   - per-member daily request limits, inter-request delays, CAPTCHA
-//     gates, and intermittent outages;
+//   - per-member daily request limits, CAPTCHA gates, and intermittent
+//     outages;
 //   - an IP pool and AS footprint for Graph API calls (Figure 8) —
 //     official-liker.net used a handful of addresses, hublaa.me more than
 //     six thousand across two bulletproof-hosting ASes;
@@ -23,17 +23,12 @@
 //   - monetization: ad impressions per visit and premium plans (Sec. 5.1).
 package collusion
 
-import (
-	"time"
-)
-
 // Plan is a premium reputation manipulation plan (Sec. 5.1).
 type Plan struct {
 	Name          string
 	PriceUSD      float64
 	LikesPerPost  int
-	AutoDelivery  bool // premium plans deliver without manual re-login
-	NoRestriction bool // waives delays and daily limits
+	NoRestriction bool // waives the ad wall, the CAPTCHA and daily limits
 }
 
 // Config describes one collusion network.
@@ -60,9 +55,6 @@ type Config struct {
 	// DailyRequestLimit caps requests per member per day (djliker.com and
 	// monkeyliker.com imposed 10/day); 0 means unlimited.
 	DailyRequestLimit int
-	// RequestDelay is the minimum wait between a member's successive
-	// requests; 0 means none.
-	RequestDelay time.Duration
 	// CaptchaRequired forces members to solve a CAPTCHA per request.
 	CaptchaRequired bool
 
@@ -96,13 +88,12 @@ type Config struct {
 	HoneypotBanDays int
 
 	// AdsPerVisit is the number of ad impressions a member generates per
-	// visit; RequireAdblockOff models anti-adblock walls.
-	AdsPerVisit       int
-	RequireAdblockOff bool
+	// visit.
+	AdsPerVisit int
 	// AdWallHops, when positive, forces members through that many ad-page
 	// redirects before each request (Sec. 5.1: mg-likers.com bounced
 	// users via kackroch.com and paid shorteners like adf.ly, each hop
-	// serving ads). Premium members with AutoDelivery skip the wall.
+	// serving ads). Premium members with NoRestriction skip the wall.
 	AdWallHops int
 	// PremiumPlans are the paid tiers on offer.
 	PremiumPlans []Plan

@@ -136,10 +136,10 @@ func writeSiteError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOutage):
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrDailyLimit), errors.Is(err, ErrTooSoon):
+	case errors.Is(err, ErrDailyLimit):
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrCaptchaRequired), errors.Is(err, ErrCaptchaWrong),
-		errors.Is(err, ErrAdblock), errors.Is(err, ErrAdWallRequired), errors.Is(err, ErrBanned):
+		errors.Is(err, ErrAdWallRequired), errors.Is(err, ErrBanned):
 		status = http.StatusForbidden
 	case errors.Is(err, ErrNotMember), errors.Is(err, ErrUnknownPlan):
 		status = http.StatusNotFound

@@ -23,14 +23,12 @@ var (
 	ErrBanned          = errors.New("collusion: account banned for suspicious request behaviour")
 	ErrNotMember       = errors.New("collusion: no token on file; submit your access token first")
 	ErrDailyLimit      = errors.New("collusion: daily request limit reached")
-	ErrTooSoon         = errors.New("collusion: wait before submitting another request")
 	ErrCaptchaRequired = errors.New("collusion: CAPTCHA answer required")
 	ErrCaptchaWrong    = errors.New("collusion: CAPTCHA answer wrong")
 	ErrAdWallRequired  = errors.New("collusion: complete the ad redirect chain before requesting")
 	ErrBadToken        = errors.New("collusion: submitted access token did not verify")
 	ErrNoComments      = errors.New("collusion: this network does not provide auto-comments")
 	ErrUnknownPlan     = errors.New("collusion: unknown premium plan")
-	ErrAdblock         = errors.New("collusion: disable your ad-blocker to use this site")
 )
 
 // Stats aggregates the engine's activity for the measurement harness.
@@ -93,7 +91,6 @@ type Network struct {
 	pool          *TokenPool
 	reqDay        map[string]int64 // member -> day index of reqCount
 	reqCount      map[string]int
-	lastReq       map[string]time.Time
 	captcha       map[string]captchaChallenge
 	premium       map[string]Plan
 	rateLimitDays map[int64]bool
@@ -105,8 +102,6 @@ type Network struct {
 	hpCount   map[string]int
 	hpStrikes map[string]int
 	banned    map[string]bool
-	// autoServed tracks posts already handled by premium auto-delivery.
-	autoServed map[string]bool
 	// adWallPass holds one-request allowances earned by completing the
 	// ad redirect chain.
 	adWallPass map[string]bool
@@ -137,7 +132,6 @@ func NewNetwork(cfg Config, clock simclock.Clock, client platform.Client) *Netwo
 		pool:          NewTokenPool(),
 		reqDay:        make(map[string]int64),
 		reqCount:      make(map[string]int),
-		lastReq:       make(map[string]time.Time),
 		captcha:       make(map[string]captchaChallenge),
 		premium:       make(map[string]Plan),
 		rateLimitDays: make(map[int64]bool),
@@ -232,18 +226,14 @@ func (n *Network) SwitchApp(appID, redirectURI string) {
 	n.mu.Unlock()
 }
 
-// Visit records a member landing on the site, serving ads. adblock
-// reports whether the visitor runs an ad blocker; anti-adblock walls
-// refuse such visitors (Sec. 5.1).
+// Visit records a member landing on the site, serving ads unless the
+// visitor runs an ad blocker (Sec. 5.1).
 func (n *Network) Visit(adblock bool) error {
 	if n.down(n.clock.Now()) {
 		return ErrOutage
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if adblock && n.cfg.RequireAdblockOff {
-		return ErrAdblock
-	}
 	n.stats.Visits++
 	if !adblock {
 		n.stats.AdImpressions += int64(n.cfg.AdsPerVisit)
@@ -289,9 +279,9 @@ func (n *Network) Challenge(accountID string) string {
 	return fmt.Sprintf("%d+%d=", c.a, c.b)
 }
 
-// checkSiteRules enforces membership, outages, CAPTCHA, per-day limits,
-// and inter-request delays. Premium members with NoRestriction plans skip
-// the limits. Callers must not hold n.mu.
+// checkSiteRules enforces membership, outages, the network's honeypot
+// detector, the ad wall, CAPTCHA and per-day limits. Premium members with
+// NoRestriction plans skip the last three. Callers must not hold n.mu.
 func (n *Network) checkSiteRules(accountID, captchaAnswer string) error {
 	now := n.clock.Now()
 	if n.down(now) {
@@ -325,16 +315,16 @@ func (n *Network) checkSiteRules(accountID, captchaAnswer string) error {
 			}
 		}
 	}
-	plan, isPremium := n.premium[accountID]
-	unrestricted := isPremium && plan.NoRestriction
-	premiumAuto := isPremium && plan.AutoDelivery
+	if plan, ok := n.premium[accountID]; ok && plan.NoRestriction {
+		return nil
+	}
 	// Validate every gate before consuming any, so a member (or the
 	// honeypot automation) never burns an ad-wall pass on a request that
 	// fails the CAPTCHA, or vice versa.
-	if n.cfg.AdWallHops > 0 && !premiumAuto && !n.adWallPass[accountID] {
+	if n.cfg.AdWallHops > 0 && !n.adWallPass[accountID] {
 		return ErrAdWallRequired
 	}
-	if n.cfg.CaptchaRequired && !premiumAuto {
+	if n.cfg.CaptchaRequired {
 		c, ok := n.captcha[accountID]
 		if !ok || captchaAnswer == "" {
 			return ErrCaptchaRequired
@@ -343,29 +333,19 @@ func (n *Network) checkSiteRules(accountID, captchaAnswer string) error {
 			return ErrCaptchaWrong
 		}
 	}
-	if !premiumAuto {
-		delete(n.adWallPass, accountID) // one request per chain walk
-		delete(n.captcha, accountID)
-	}
-	if !unrestricted {
-		if n.cfg.RequestDelay > 0 {
-			if last, ok := n.lastReq[accountID]; ok && now.Sub(last) < n.cfg.RequestDelay {
-				return ErrTooSoon
-			}
+	delete(n.adWallPass, accountID) // one request per chain walk
+	delete(n.captcha, accountID)
+	if n.cfg.DailyRequestLimit > 0 {
+		d := n.day(now)
+		if n.reqDay[accountID] != d {
+			n.reqDay[accountID] = d
+			n.reqCount[accountID] = 0
 		}
-		if n.cfg.DailyRequestLimit > 0 {
-			d := n.day(now)
-			if n.reqDay[accountID] != d {
-				n.reqDay[accountID] = d
-				n.reqCount[accountID] = 0
-			}
-			if n.reqCount[accountID] >= n.cfg.DailyRequestLimit {
-				return ErrDailyLimit
-			}
-			n.reqCount[accountID]++
+		if n.reqCount[accountID] >= n.cfg.DailyRequestLimit {
+			return ErrDailyLimit
 		}
+		n.reqCount[accountID]++
 	}
-	n.lastReq[accountID] = now
 	return nil
 }
 
@@ -408,32 +388,6 @@ func (n *Network) RequestComments(accountID, postID, captchaAnswer string) (int,
 		msg := n.cfg.CommentDictionary[n.rng.Intn(len(n.cfg.CommentDictionary))]
 		n.mu.Unlock()
 		_, err := n.client.CommentCtx(ctx, s.Token, postID, msg, ip)
-		return err
-	})
-	return delivered, nil
-}
-
-// RequestCustomComments delivers a member-supplied comment text via
-// sampled tokens — the variant the paper observed on networks that "ask
-// users to input comments" instead of drawing from a dictionary.
-func (n *Network) RequestCustomComments(accountID, postID, message, captchaAnswer string, count int) (int, error) {
-	if message == "" {
-		return 0, fmt.Errorf("collusion: empty custom comment")
-	}
-	if count <= 0 {
-		count = n.cfg.CommentsPerRequest
-	}
-	if count <= 0 {
-		count = 10
-	}
-	if err := n.checkSiteRules(accountID, captchaAnswer); err != nil {
-		return 0, err
-	}
-	n.mu.Lock()
-	n.stats.CommentRequests++
-	n.mu.Unlock()
-	delivered := n.deliver(nil, n.primary(), count, accountID, postID, func(ctx context.Context, s Sampled, ip string) error {
-		_, err := n.client.CommentCtx(ctx, s.Token, postID, message, ip)
 		return err
 	})
 	return delivered, nil

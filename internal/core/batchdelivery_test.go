@@ -48,7 +48,7 @@ func milkDefended(t *testing.T, s *Study, rounds int) []MilkResult {
 	cm.DeployClustering(time.Minute, 0.5, 2, 5)
 	var results []MilkResult
 	for r := 0; r < rounds; r++ {
-		for _, res := range s.MilkAll(1) {
+		for _, res := range milkRound(s) {
 			if res.Err != nil {
 				t.Fatalf("round failed: %+v", res)
 			}
@@ -68,8 +68,8 @@ func compareDefenses(t *testing.T, perCall, batched *Study, pcRes, bRes []MilkRe
 		if pcDel[net] != bDel[net] {
 			t.Errorf("%s delivered under countermeasures: per-call %d, batched %d", net, pcDel[net], bDel[net])
 		}
-		pcNet, ok1 := perCall.Scenario.FindNetwork(net)
-		bNet, ok2 := batched.Scenario.FindNetwork(net)
+		pcNet, ok1 := findNetwork(perCall, net)
+		bNet, ok2 := findNetwork(batched, net)
 		if !ok1 || !ok2 {
 			t.Fatalf("network %s missing from scenario", net)
 		}

@@ -14,7 +14,7 @@
 //   - a Countermeasures handle through which the Section 6 defenses are
 //     deployed incrementally, exactly as in the Figure 5 timeline.
 //
-// Time is fully simulated: AdvanceHour/AdvanceDay move the world forward.
+// Time is fully simulated: AdvanceHour moves the world forward.
 package core
 
 import (
@@ -112,9 +112,6 @@ func closeMilkSpan(span *obs.Span, as obs.AllocSample, res MilkResult) {
 // AdvanceHour moves simulated time forward one hour.
 func (s *Study) AdvanceHour() { s.Scenario.Clock.Advance(time.Hour) }
 
-// AdvanceDay moves simulated time forward one day.
-func (s *Study) AdvanceDay() { s.Scenario.Clock.Advance(24 * time.Hour) }
-
 // SweepRetention runs one retention sweep against the social graph at the
 // current simulated instant. With the default infinite retention window
 // (Options.RetentionWindow zero) this is a no-op, so campaign drivers can
@@ -142,36 +139,12 @@ func (s *Study) MilkNetwork(name string) MilkResult {
 	return s.MilkVia(hp, name)
 }
 
-// AddHoneypot registers an additional honeypot on the named network and
-// joins it — the Sec. 6.5 counter to collusion-network honeypot
-// detection: several accounts each below the suspicion threshold carry
-// the campaign a single aggressive honeypot cannot.
-func (s *Study) AddHoneypot(network string) (*honeypot.Honeypot, error) {
-	ni, ok := s.Scenario.FindNetwork(network)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown network %q", network)
-	}
-	hp := honeypot.New(honeypot.Config{
-		Clock:   s.Scenario.Clock,
-		Graph:   s.Scenario.Platform.Graph,
-		Client:  s.Scenario.Client,
-		Site:    ni.Net,
-		App:     s.Scenario.Apps[ni.Spec.App],
-		Name:    fmt.Sprintf("honeypot-%s-%d", network, s.rng.Int()),
-		Country: "US",
-	})
-	if err := hp.Join(); err != nil {
-		return nil, err
-	}
-	return hp, nil
-}
-
 // MilkVia performs one milking round against network with the given
 // honeypot: the honeypot posts a status, requests likes, and crawls the
 // likers. The network's shared estimator is updated and the milked
 // accounts are queued with the countermeasure pipeline (they only get
-// invalidated when a sweep runs). Use with AddHoneypot to spread a
-// campaign across a fleet.
+// invalidated when a sweep runs). Several honeypots on one network
+// spread a campaign across a fleet.
 //
 // When the site has dropped the honeypot's membership — its token expired
 // or was invalidated (the countermeasures do not spare honeypots) — the
@@ -198,18 +171,6 @@ func (s *Study) MilkVia(hp *honeypot.Honeypot, network string) (res MilkResult) 
 	est.ObservePost(likers)
 	s.counter.noteMilked(likers)
 	return MilkResult{Network: network, PostID: postID, Delivered: delivered, Likers: likers}
-}
-
-// MilkAll runs rounds milking rounds against every network and returns
-// the results in network order.
-func (s *Study) MilkAll(rounds int) []MilkResult {
-	var out []MilkResult
-	for r := 0; r < rounds; r++ {
-		for _, ni := range s.Scenario.Networks {
-			out = append(out, s.MilkNetwork(ni.Spec.Name))
-		}
-	}
-	return out
 }
 
 // Countermeasures returns the deployment handle.
@@ -284,12 +245,6 @@ func (c *Countermeasures) InvalidateMilkedAll() int {
 	return n
 }
 
-// PendingMilked reports the invalidation backlog size.
-func (c *Countermeasures) PendingMilked() int { return c.invalidator.PendingCount() }
-
-// RevokedMilked reports how many milked accounts have been swept.
-func (c *Countermeasures) RevokedMilked() int { return c.invalidator.RevokedCount() }
-
 // DeployClustering attaches a SynchroTrap detector to the request path
 // (Sec. 6.3) and returns it for inspection.
 func (c *Countermeasures) DeployClustering(window time.Duration, simThreshold float64, minShared, minClusterSize int) *defense.SynchroTrap {
@@ -350,32 +305,6 @@ func (c *Countermeasures) BlockASes(asns ...netsim.ASN) {
 		c.asBlocker.Block(asn)
 		c.actions.Inc("as-block", "block")
 	}
-}
-
-// SuspendAccounts checkpoints the given accounts (no writes until
-// reinstated) and invalidates their tokens — the account-level action an
-// abuse-detection verdict feeds (the paper notes OSNs suspend suspicious
-// accounts; the ML extension supplies the verdicts). It returns how many
-// accounts were newly suspended.
-func (c *Countermeasures) SuspendAccounts(accountIDs []string, reason string) int {
-	graph := c.study.Scenario.Platform.Graph
-	oauth := c.study.Scenario.Platform.OAuth
-	n := 0
-	for _, id := range accountIDs {
-		acct, err := graph.Account(id)
-		if err != nil || acct.Suspended {
-			continue
-		}
-		if err := graph.SetSuspended(id, true); err != nil {
-			continue
-		}
-		oauth.InvalidateAccount(id, reason)
-		n++
-	}
-	if n > 0 {
-		c.actions.Add(int64(n), "account-suspend", "suspend")
-	}
-	return n
 }
 
 // ActivePolicies lists the deployed policy names in evaluation order.

@@ -5,18 +5,38 @@ import (
 	"testing"
 
 	"repro/internal/collusion"
+	"repro/internal/honeypot"
 	"repro/internal/workload"
 )
 
-func TestAddHoneypotAndMilkVia(t *testing.T) {
-	s := smallStudy(t)
-	extra, err := s.AddHoneypot("mg-likers.com")
-	if err != nil {
+// addHoneypot joins one more honeypot to the named network — the
+// Sec. 6.5 counter to collusion-network honeypot detection: several
+// accounts each below the suspicion threshold, milking through MilkVia,
+// carry the campaign a single aggressive honeypot cannot.
+func addHoneypot(t *testing.T, s *Study, network string) *honeypot.Honeypot {
+	t.Helper()
+	ni, ok := findNetwork(s, network)
+	if !ok {
+		t.Fatalf("unknown network %q", network)
+	}
+	hp := honeypot.New(honeypot.Config{
+		Clock:   s.Scenario.Clock,
+		Graph:   s.Scenario.Platform.Graph,
+		Client:  s.Scenario.Client,
+		Site:    ni.Net,
+		App:     s.Scenario.Apps[ni.Spec.App],
+		Name:    "honeypot-" + network + "-extra",
+		Country: "US",
+	})
+	if err := hp.Join(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddHoneypot("nope.example"); err == nil {
-		t.Fatal("unknown network accepted")
-	}
+	return hp
+}
+
+func TestAddHoneypotAndMilkVia(t *testing.T) {
+	s := smallStudy(t)
+	extra := addHoneypot(t, s, "mg-likers.com")
 	// Both the primary and the extra honeypot feed the same estimator.
 	r1 := s.MilkNetwork("mg-likers.com")
 	if r1.Err != nil {
@@ -31,37 +51,11 @@ func TestAddHoneypotAndMilkVia(t *testing.T) {
 	if est.PostsSubmitted() != 2 {
 		t.Fatalf("posts = %d, want 2 (shared estimator)", est.PostsSubmitted())
 	}
-	if got := s.Countermeasures().PendingMilked(); got == 0 {
+	if got := s.Countermeasures().InvalidateMilkedAll(); got == 0 {
 		t.Fatal("fleet milking fed no accounts to the backlog")
 	}
 	if res := s.MilkVia(extra, "ghost"); res.Err == nil {
 		t.Fatal("MilkVia unknown network accepted")
-	}
-}
-
-func TestSuspendAccounts(t *testing.T) {
-	s := smallStudy(t)
-	ni := s.Scenario.Networks[0]
-	targets := []string{ni.Members[0].ID, ni.Members[1].ID, "ghost-account"}
-	n := s.Countermeasures().SuspendAccounts(targets, "ml-detector")
-	if n != 2 {
-		t.Fatalf("suspended = %d, want 2", n)
-	}
-	// Suspended accounts cannot write and their tokens are dead.
-	acct, err := s.Scenario.Platform.Graph.Account(ni.Members[0].ID)
-	if err != nil || !acct.Suspended {
-		t.Fatalf("account = %+v, %v", acct, err)
-	}
-	tok, ok := ni.Net.Pool().Token(ni.Members[0].ID)
-	if !ok {
-		t.Fatal("token missing from pool")
-	}
-	if _, err := s.Scenario.Platform.OAuth.Validate(tok); err == nil {
-		t.Fatal("suspended account's token still valid")
-	}
-	// Idempotent.
-	if again := s.Countermeasures().SuspendAccounts(targets, "ml-detector"); again != 0 {
-		t.Fatalf("second suspension = %d", again)
 	}
 }
 
@@ -97,10 +91,7 @@ func TestFleetBeatsHoneypotDetection(t *testing.T) {
 		t.Fatalf("single honeypot failures = %d, want 4 beyond the 10/day cap", failures)
 	}
 	// A second honeypot extends the same-day budget.
-	extra, err := s.AddHoneypot("djliker.com")
-	if err != nil {
-		t.Fatal(err)
-	}
+	extra := addHoneypot(t, s, "djliker.com")
 	for i := 0; i < 4; i++ {
 		if res := s.MilkVia(extra, "djliker.com"); res.Err != nil {
 			t.Fatalf("fleet request %d: %v", i, res.Err)

@@ -5,9 +5,9 @@ package core
 // honeypots milking at once: the stress test below runs one goroutine
 // per network against the sharded store, the policy chain and the
 // invalidator, and its value is running under `go test -race` (the CI
-// workflow runs this package with the detector on). byNetwork and
-// parallelNets also serve the batch-delivery and retention equivalence
-// tests.
+// workflow runs this package with the detector on). byNetwork,
+// parallelNets, milkRound and findNetwork also serve the batch-delivery
+// and retention equivalence tests.
 
 import (
 	"sort"
@@ -48,6 +48,25 @@ func byNetwork(results []MilkResult) (delivered map[string]int, likers map[strin
 		sort.Strings(l)
 	}
 	return delivered, likers
+}
+
+// milkRound milks every network of the study once, in scenario order.
+func milkRound(s *Study) []MilkResult {
+	var out []MilkResult
+	for _, ni := range s.Scenario.Networks {
+		out = append(out, s.MilkNetwork(ni.Spec.Name))
+	}
+	return out
+}
+
+// findNetwork returns the study's instance of the named network.
+func findNetwork(s *Study, name string) (*workload.NetworkInstance, bool) {
+	for _, ni := range s.Scenario.Networks {
+		if ni.Spec.Name == name {
+			return ni, true
+		}
+	}
+	return nil, false
 }
 
 // milkConcurrently milks every network once, one test goroutine per

@@ -42,7 +42,7 @@ func TestRetentionSweepDefenseEquivalence(t *testing.T) {
 		cm.DeployClustering(time.Minute, 0.5, 2, 5)
 		var results []MilkResult
 		for r := 0; r < rounds; r++ {
-			for _, res := range s.MilkAll(1) {
+			for _, res := range milkRound(s) {
 				if res.Err != nil {
 					t.Fatalf("round failed: %+v", res)
 				}
@@ -65,8 +65,8 @@ func TestRetentionSweepDefenseEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(bLikers[net], sLikers[net]) {
 			t.Errorf("%s liker sets diverge under retention sweeps", net)
 		}
-		bNet, ok1 := base.Scenario.FindNetwork(net)
-		sNet, ok2 := swept.Scenario.FindNetwork(net)
+		bNet, ok1 := findNetwork(base, net)
+		sNet, ok2 := findNetwork(swept, net)
 		if !ok1 || !ok2 {
 			t.Fatalf("network %s missing from scenario", net)
 		}

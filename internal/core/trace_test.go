@@ -27,7 +27,7 @@ func TestMilkingRoundTraceJSONL(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := s.Observer().T().WriteJSONL(&buf); err != nil {
+	if err := s.Observer().T().WriteJSONLTrace(&buf, ""); err != nil {
 		t.Fatal(err)
 	}
 	var all []obs.SpanData

@@ -23,7 +23,6 @@ type Invalidator struct {
 	// observed tokens).
 	pending []string
 	seen    map[string]bool
-	revoked int
 }
 
 // NewInvalidator returns an Invalidator that revokes each swept key
@@ -94,7 +93,6 @@ func (v *Invalidator) InvalidateFraction(fraction float64, rng *rand.Rand) int {
 		}
 	}
 	v.pending = rest
-	v.revoked += n
 	return n
 }
 
@@ -111,20 +109,5 @@ func (v *Invalidator) InvalidateAll() int {
 		}
 	}
 	v.pending = v.pending[:0]
-	v.revoked += n
 	return n
-}
-
-// PendingCount reports the backlog size.
-func (v *Invalidator) PendingCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.pending)
-}
-
-// RevokedCount reports how many tokens this Invalidator has revoked.
-func (v *Invalidator) RevokedCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.revoked
 }

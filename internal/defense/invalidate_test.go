@@ -47,8 +47,8 @@ func TestInvalidatorSubmitDedupes(t *testing.T) {
 	if n := v.Submit([]string{"", "tok-5", "fresh"}); n != 1 {
 		t.Fatalf("mixed Submit = %d, want 1", n)
 	}
-	if v.PendingCount() != 11 {
-		t.Fatalf("PendingCount = %d, want 11", v.PendingCount())
+	if n := v.InvalidateAll(); n != 11 {
+		t.Fatalf("InvalidateAll = %d, want the 11 queued", n)
 	}
 }
 
@@ -79,11 +79,8 @@ func TestInvalidateAll(t *testing.T) {
 	if n := v.InvalidateAll(); n != 20 {
 		t.Fatalf("InvalidateAll = %d, want 20", n)
 	}
-	if v.PendingCount() != 0 {
-		t.Fatalf("PendingCount = %d", v.PendingCount())
-	}
-	if v.RevokedCount() != 20 {
-		t.Fatalf("RevokedCount = %d", v.RevokedCount())
+	if len(r.revoked) != 20 {
+		t.Fatalf("revoked = %d tokens, want 20", len(r.revoked))
 	}
 	if r.revoked["tok-3"] != "sweep" {
 		t.Fatalf("reason = %q", r.revoked["tok-3"])
@@ -100,9 +97,6 @@ func TestInvalidateFractionHalf(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	if n := v.InvalidateFraction(0.5, rng); n != 50 {
 		t.Fatalf("InvalidateFraction(0.5) = %d, want 50", n)
-	}
-	if v.PendingCount() != 50 {
-		t.Fatalf("PendingCount = %d, want 50", v.PendingCount())
 	}
 	// The rest remain revocable.
 	if n := v.InvalidateAll(); n != 50 {
@@ -132,14 +126,15 @@ func TestInvalidateFractionEdges(t *testing.T) {
 }
 
 // Property: after any sequence of submits and fractional invalidations,
-// revoked + pending equals the number of distinct submitted tokens.
+// the tokens revoked so far plus those a final InvalidateAll revokes
+// equal the number of distinct submitted tokens.
 func TestQuickInvalidatorConservation(t *testing.T) {
 	f := func(ops []uint8, seed int64) bool {
 		r := newFakeRevoker()
 		v := NewInvalidator(r.Invalidate, "q")
 		rng := rand.New(rand.NewSource(seed))
 		distinct := make(map[string]bool)
-		next := 0
+		next, revoked := 0, 0
 		for _, op := range ops {
 			switch op % 3 {
 			case 0: // submit a batch
@@ -151,12 +146,12 @@ func TestQuickInvalidatorConservation(t *testing.T) {
 				}
 				v.Submit(batch)
 			case 1:
-				v.InvalidateFraction(float64(op%10)/10.0, rng)
+				revoked += v.InvalidateFraction(float64(op%10)/10.0, rng)
 			case 2:
-				v.InvalidateAll()
+				revoked += v.InvalidateAll()
 			}
 		}
-		return v.RevokedCount()+v.PendingCount() == len(distinct)
+		return revoked+v.InvalidateAll() == len(distinct) && len(r.revoked) == len(distinct)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -121,13 +121,6 @@ func (l *TokenRateLimiter) SetLimit(limit int) {
 	l.mu.Unlock()
 }
 
-// Limit returns the current cap.
-func (l *TokenRateLimiter) Limit() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.limit
-}
-
 // Evaluate implements graphapi.Policy.
 func (l *TokenRateLimiter) Evaluate(req graphapi.Request) graphapi.Decision {
 	if req.Verb == graphapi.VerbRead {
@@ -219,13 +212,6 @@ func (b *ASBlocker) Name() string { return "as-block" }
 func (b *ASBlocker) Block(asn netsim.ASN) {
 	b.mu.Lock()
 	b.blocked[asn] = true
-	b.mu.Unlock()
-}
-
-// Unblock removes an AS from the blocklist.
-func (b *ASBlocker) Unblock(asn netsim.ASN) {
-	b.mu.Lock()
-	delete(b.blocked, asn)
 	b.mu.Unlock()
 }
 

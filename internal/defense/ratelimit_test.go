@@ -81,17 +81,13 @@ func TestTokenRateLimiterIgnoresReads(t *testing.T) {
 func TestTokenRateLimiterSetLimit(t *testing.T) {
 	clock := simclock.NewSimulated(t0)
 	l := NewTokenRateLimiter(clock, 100, time.Hour)
-	if l.Limit() != 100 {
-		t.Fatalf("Limit = %d", l.Limit())
-	}
 	// The paper's day-12 intervention: reduce by more than an order of
 	// magnitude.
 	l.SetLimit(8)
-	if l.Limit() != 8 {
-		t.Fatalf("Limit after SetLimit = %d", l.Limit())
-	}
 	for i := 0; i < 8; i++ {
-		_ = l.Evaluate(likeReq("tok", "", 0, "app"))
+		if d := l.Evaluate(likeReq("tok", "", 0, "app")); !d.Allow {
+			t.Fatalf("request %d within the reduced limit denied", i)
+		}
 	}
 	if d := l.Evaluate(likeReq("tok", "", 0, "app")); d.Allow {
 		t.Fatal("request beyond reduced limit allowed")
@@ -173,10 +169,6 @@ func TestASBlocker(t *testing.T) {
 	b.ScopeToApps("htc-sense")
 	if d := b.Evaluate(req); d.Allow {
 		t.Fatal("in-scope app allowed")
-	}
-	b.Unblock(64500)
-	if d := b.Evaluate(req); !d.Allow {
-		t.Fatal("unblocked AS still denied")
 	}
 }
 

@@ -64,9 +64,6 @@ func (t *IPSynchroTap) Evaluate(req graphapi.Request) graphapi.Decision {
 	return graphapi.Allowed()
 }
 
-// Trap returns the wrapped detector.
-func (t *IPSynchroTap) Trap() *SynchroTrap { return t.trap }
-
 // SignalPlane hands out per-platform IP-keyed taps backed by either one
 // shared detector or one detector per platform, per its mode.
 type SignalPlane struct {

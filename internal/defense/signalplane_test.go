@@ -96,7 +96,7 @@ func TestSignalPlaneTapIgnoresNonLikes(t *testing.T) {
 	tap := p.TapFor("a")
 	tap.Evaluate(graphapi.Request{Verb: graphapi.VerbRead, ObjectID: "x", SourceIP: "1.2.3.4", At: time.Unix(0, 0)})
 	tap.Evaluate(graphapi.Request{Verb: graphapi.VerbLike, ObjectID: "x", At: time.Unix(0, 0)}) // no IP
-	if n := tap.Trap().GroupCount(); n != 0 {
+	if n := tap.trap.GroupCount(); n != 0 {
 		t.Fatalf("tap recorded %d groups from non-like / IP-less requests; want 0", n)
 	}
 }

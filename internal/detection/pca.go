@@ -174,11 +174,6 @@ func (p *PCADetector) Residual(x []float64) float64 {
 	return norm(centered)
 }
 
-// Anomalous reports whether x falls outside the trained envelope.
-func (p *PCADetector) Anomalous(x []float64) bool {
-	return p.Residual(x) > p.Threshold
-}
-
 func norm(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {

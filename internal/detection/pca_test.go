@@ -57,11 +57,11 @@ func TestPCAFlagsOffSubspaceAnomalies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-subspace point: tiny residual.
-	if det.Anomalous([]float64{3, 6, -3}) {
+	if det.Residual([]float64{3, 6, -3}) > det.Threshold {
 		t.Fatal("in-subspace point flagged")
 	}
 	// Orthogonal departure: flagged.
-	if !det.Anomalous([]float64{3, -6, 3}) {
+	if det.Residual([]float64{3, -6, 3}) <= det.Threshold {
 		t.Fatal("off-subspace point not flagged")
 	}
 }
@@ -108,7 +108,7 @@ func TestPCAResidualProperties(t *testing.T) {
 	// ~5% of training points exceed the 0.95-quantile threshold.
 	over := 0
 	for _, x := range normal {
-		if det.Anomalous(x) {
+		if det.Residual(x) > det.Threshold {
 			over++
 		}
 	}

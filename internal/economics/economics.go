@@ -15,8 +15,6 @@
 package economics
 
 import (
-	"math"
-
 	"repro/internal/collusion"
 )
 
@@ -85,16 +83,4 @@ func (m Model) EstimateFromMembership(network string, members int) Estimate {
 func (m Model) MeasuredRevenue(stats collusion.Stats) (adUSD, premiumUSD float64) {
 	adUSD = float64(stats.AdImpressions) * m.AdRPMUSD / 1000
 	return adUSD, stats.RevenueUSD
-}
-
-// RelativeError reports |model-measured|/measured; it returns +Inf for a
-// zero measured value with a non-zero estimate.
-func RelativeError(estimate, measured float64) float64 {
-	if measured == 0 {
-		if estimate == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(estimate-measured) / measured
 }

@@ -51,18 +51,6 @@ func TestMeasuredRevenue(t *testing.T) {
 	}
 }
 
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(110, 100); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("RelativeError = %v", got)
-	}
-	if got := RelativeError(0, 0); got != 0 {
-		t.Fatalf("zero/zero = %v", got)
-	}
-	if got := RelativeError(5, 0); !math.IsInf(got, 1) {
-		t.Fatalf("x/zero = %v", got)
-	}
-}
-
 // Property: revenue scales linearly in traffic and is never negative for
 // non-negative inputs.
 func TestQuickEstimateLinear(t *testing.T) {

@@ -121,8 +121,7 @@ func Table4(cfg Table4Config) (Table4Result, error) {
 			case res.Err == nil:
 				done[name]++
 			case errors.Is(res.Err, collusion.ErrDailyLimit),
-				errors.Is(res.Err, collusion.ErrOutage),
-				errors.Is(res.Err, collusion.ErrTooSoon):
+				errors.Is(res.Err, collusion.ErrOutage):
 				// Expected friction; retry next hour.
 			default:
 				return Table4Result{}, res.Err

@@ -93,8 +93,7 @@ func Table6(cfg Table6Config) (Table6Result, error) {
 				posts[name] = append(posts[name], postID)
 				done[name]++
 			case errors.Is(err, collusion.ErrDailyLimit),
-				errors.Is(err, collusion.ErrOutage),
-				errors.Is(err, collusion.ErrTooSoon):
+				errors.Is(err, collusion.ErrOutage):
 				// Expected friction; retry next hour.
 			default:
 				return Table6Result{}, err

@@ -69,11 +69,12 @@ func TestTable2RankOrdering(t *testing.T) {
 		}
 	}
 	// Measured top-country shares track the specs within sampling noise.
+	specs := specsByName()
 	for _, row := range res.Rows {
 		if !row.Milked {
 			continue // published values pass through verbatim
 		}
-		spec, ok := workload.FindNetwork(row.Network)
+		spec, ok := specs[row.Network]
 		if !ok {
 			t.Fatalf("unknown network %q", row.Network)
 		}
@@ -90,6 +91,15 @@ func TestTable2RankOrdering(t *testing.T) {
 			t.Fatalf("%s share = %.1f, spec %.1f", row.Network, row.TopCountryShare, 100*spec.TopCountryShare)
 		}
 	}
+}
+
+// specsByName indexes the collusion network specs by name.
+func specsByName() map[string]workload.NetworkSpec {
+	m := make(map[string]workload.NetworkSpec)
+	for _, s := range workload.Networks() {
+		m[s.Name] = s
+	}
+	return m
 }
 
 func TestTable3Ranks(t *testing.T) {
@@ -250,11 +260,12 @@ func TestTable6LexicalShape(t *testing.T) {
 	if len(res.Rows) != 8 { // 7 networks + All
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
+	specs := specsByName()
 	for _, r := range res.Rows {
 		if r.Network == "All" {
 			continue
 		}
-		spec, _ := workload.FindNetwork(r.Network)
+		spec := specs[r.Network]
 		rep := r.Report
 		if rep.Comments == 0 {
 			t.Fatalf("%s milked no comments", r.Network)

@@ -720,16 +720,6 @@ func (a *API) Likes(c CallContext, objectID string) (_ []socialgraph.Like, err e
 	return a.graph.Likes(objectID), nil
 }
 
-// Comments lists the comments on a post (a public read).
-func (a *API) Comments(c CallContext, postID string) (_ []socialgraph.Comment, err error) {
-	ctx, span, start := a.begin(c.Ctx, opComments)
-	defer func() { a.finish(span, opComments, start, err) }()
-	if _, err = a.authenticate(ctx, c, VerbRead, "", start); err != nil {
-		return nil, err
-	}
-	return a.graph.Comments(postID), nil
-}
-
 // LikesPage lists one page of likes on an object starting at the cursor
 // position after, returning the next cursor and whether more likes
 // remain. Cursors are arrival-sequence positions, stable across

@@ -31,12 +31,17 @@ import (
 // near-total. Safe because a batch observing one consistent app/AS view
 // is an admissible interleaving of the N equivalent sequential calls —
 // and no per-token or per-IP defense count flows through these reads.
+//
+// apps is a slice scanned linearly: a batch sees one or two apps, and a
+// memoApp is too large for a map to store inline, so a map would box one
+// value per batch.
 type batchMemo struct {
-	apps map[string]memoApp
+	apps []memoApp
 	asns map[string]memoASN
 }
 
 type memoApp struct {
+	id  string
 	app apps.App
 	err error
 }
@@ -65,7 +70,7 @@ type batchScratch struct {
 // the returned errs slice, not for scratch reuse being perfect.
 var scratchPool = sync.Pool{New: func() any {
 	return &batchScratch{
-		memo: batchMemo{apps: make(map[string]memoApp, 2), asns: make(map[string]memoASN, 8)},
+		memo: batchMemo{apps: make([]memoApp, 0, 2), asns: make(map[string]memoASN, 8)},
 	}
 }}
 
@@ -90,16 +95,19 @@ func putScratch(s *batchScratch) {
 	clear(s.applyIdx[:cap(s.applyIdx)])
 	clear(s.writeErrs[:cap(s.writeErrs)])
 	clear(s.memo.apps)
+	s.memo.apps = s.memo.apps[:0]
 	clear(s.memo.asns)
 	scratchPool.Put(s)
 }
 
 func (m *batchMemo) app(r *apps.Registry, id string) (apps.App, error) {
-	if e, ok := m.apps[id]; ok {
-		return e.app, e.err
+	for i := range m.apps {
+		if m.apps[i].id == id {
+			return m.apps[i].app, m.apps[i].err
+		}
 	}
 	app, err := r.Get(id)
-	m.apps[id] = memoApp{app: app, err: err}
+	m.apps = append(m.apps, memoApp{id: id, app: app, err: err})
 	return app, err
 }
 

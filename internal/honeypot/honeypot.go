@@ -213,13 +213,6 @@ func (h *Honeypot) requestWithCaptcha(postID string, request func(string, string
 	return delivered, err
 }
 
-// PostIDs returns the honeypot's submitted posts in order.
-func (h *Honeypot) PostIDs() []string {
-	out := make([]string, len(h.postIDs))
-	copy(out, h.postIDs)
-	return out
-}
-
 // IncomingLikes crawls the honeypot's timeline and returns, per post, the
 // likes received (the data the membership estimator consumes).
 func (h *Honeypot) IncomingLikes() map[string][]socialgraph.Like {
@@ -238,27 +231,6 @@ func (h *Honeypot) IncomingLikes() map[string][]socialgraph.Like {
 			likes[i] = socialgraph.Like{AccountID: r.AccountID, ObjectID: id, At: r.At}
 		}
 		out[id] = likes
-	}
-	return out
-}
-
-// IncomingComments crawls the comments received per post.
-func (h *Honeypot) IncomingComments() map[string][]socialgraph.Comment {
-	out := make(map[string][]socialgraph.Comment, len(h.postIDs))
-	for _, id := range h.postIDs {
-		if h.graph != nil {
-			out[id] = h.graph.Comments(id)
-			continue
-		}
-		records, err := h.client.CommentsOf(h.token, id)
-		if err != nil {
-			continue
-		}
-		comments := make([]socialgraph.Comment, len(records))
-		for i, r := range records {
-			comments[i] = socialgraph.Comment{ID: r.ID, PostID: id, AccountID: r.AccountID, Message: r.Message, At: r.At}
-		}
-		out[id] = comments
 	}
 	return out
 }

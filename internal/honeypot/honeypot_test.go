@@ -135,9 +135,9 @@ func TestMilkCommentsCrawl(t *testing.T) {
 	if delivered != 4 {
 		t.Fatalf("delivered = %d", delivered)
 	}
-	comments := h.IncomingComments()[postID]
+	comments := w.p.Graph.Comments(postID)
 	if len(comments) != 4 {
-		t.Fatalf("crawled comments = %d", len(comments))
+		t.Fatalf("stored comments = %d", len(comments))
 	}
 }
 

@@ -152,9 +152,9 @@ func TestRemoteModeComments(t *testing.T) {
 	if delivered != 3 {
 		t.Fatalf("delivered = %d", delivered)
 	}
-	comments := hp.IncomingComments()[postID]
+	comments := p.Graph.Comments(postID)
 	if len(comments) != 3 {
-		t.Fatalf("crawled comments = %d", len(comments))
+		t.Fatalf("stored comments = %d", len(comments))
 	}
 	for _, c := range comments {
 		if c.Message != "gr8" && c.Message != "nice pic" {

@@ -122,7 +122,3 @@ func InDictionary(word string) bool {
 	_, ok := dictionary[word]
 	return ok
 }
-
-// DictionarySize returns the number of embedded dictionary words; exposed
-// for tests.
-func DictionarySize() int { return len(dictionary) }

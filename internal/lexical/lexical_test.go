@@ -107,8 +107,8 @@ func TestInDictionary(t *testing.T) {
 			t.Errorf("InDictionary(%q) = true", w)
 		}
 	}
-	if DictionarySize() < 400 {
-		t.Fatalf("dictionary suspiciously small: %d", DictionarySize())
+	if len(dictionary) < 400 {
+		t.Fatalf("dictionary suspiciously small: %d", len(dictionary))
 	}
 }
 

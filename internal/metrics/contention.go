@@ -32,9 +32,6 @@ func NewShardContention(shards int) *ShardContention {
 	}
 }
 
-// Shards returns the number of shards tracked.
-func (c *ShardContention) Shards() int { return len(c.acquired) }
-
 // Record notes one lock acquisition on the given shard; contended reports
 // whether the acquisition had to wait.
 func (c *ShardContention) Record(shard int, contended bool) {
@@ -72,16 +69,4 @@ func (c *ShardContention) Totals() (acquired, contended int64) {
 		contended += c.contended[i].v.Load()
 	}
 	return acquired, contended
-}
-
-// ContendedFraction returns contended/acquired over all shards, or 0 when
-// nothing has been recorded. This is the single number to watch: near 0
-// the stripe count is ample; approaching 1 the store is effectively a
-// single lock again.
-func (c *ShardContention) ContendedFraction() float64 {
-	acquired, contended := c.Totals()
-	if acquired == 0 {
-		return 0
-	}
-	return float64(contended) / float64(acquired)
 }

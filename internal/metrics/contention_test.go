@@ -7,8 +7,8 @@ import (
 
 func TestShardContentionRecordAndSnapshot(t *testing.T) {
 	c := NewShardContention(4)
-	if c.Shards() != 4 {
-		t.Fatalf("Shards = %d, want 4", c.Shards())
+	if n := len(c.Snapshot()); n != 4 {
+		t.Fatalf("Snapshot covers %d shards, want 4", n)
 	}
 	c.Record(0, false)
 	c.Record(0, true)
@@ -27,15 +27,12 @@ func TestShardContentionRecordAndSnapshot(t *testing.T) {
 	if acq != 3 || cont != 1 {
 		t.Fatalf("Totals = %d, %d", acq, cont)
 	}
-	if got := c.ContendedFraction(); got != 1.0/3.0 {
-		t.Fatalf("ContendedFraction = %v", got)
-	}
 }
 
 func TestShardContentionZero(t *testing.T) {
 	c := NewShardContention(2)
-	if got := c.ContendedFraction(); got != 0 {
-		t.Fatalf("empty ContendedFraction = %v", got)
+	if acq, cont := c.Totals(); acq != 0 || cont != 0 {
+		t.Fatalf("empty Totals = %d, %d", acq, cont)
 	}
 }
 

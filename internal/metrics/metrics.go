@@ -116,19 +116,6 @@ func (s *Series) Points() []Point {
 	return out
 }
 
-// MeanAt returns the mean of observations in the bucket containing t, and
-// whether any observation landed there.
-func (s *Series) MeanAt(t time.Time) (float64, bool) {
-	idx := s.Bucket(t)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.counts[idx]
-	if c == 0 {
-		return 0, false
-	}
-	return s.sums[idx] / float64(c), true
-}
-
 // IntHistogram counts occurrences of small integer values (e.g. "number of
 // honeypot posts liked by an account", Figure 6).
 type IntHistogram struct {
@@ -176,13 +163,6 @@ func (h *IntHistogram) Bins() []Bin {
 		out = append(out, Bin{Value: v, Count: c, Fraction: f})
 	}
 	return out
-}
-
-// Total returns the number of observations.
-func (h *IntHistogram) Total() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 // UniqueTracker tracks, per step, the cumulative count of distinct keys

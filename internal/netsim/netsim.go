@@ -149,18 +149,6 @@ func (in *Internet) AllocateN(asn ASN, n int) ([]netip.Addr, error) {
 	return addrs, nil
 }
 
-// ASes returns all registered AS records, ordered by ASN.
-func (in *Internet) ASes() []AS {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	out := make([]AS, 0, len(in.ases))
-	for _, as := range in.ases {
-		out = append(out, *as)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
-
 // addrAtOffset returns the address at the given host offset within the
 // prefix (offset 0 is the network address).
 func addrAtOffset(pfx netip.Prefix, offset uint64) netip.Addr {

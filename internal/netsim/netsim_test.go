@@ -120,19 +120,6 @@ func TestLookupASString(t *testing.T) {
 	}
 }
 
-func TestASesSorted(t *testing.T) {
-	in := testInternet(t)
-	ases := in.ASes()
-	if len(ases) != 3 {
-		t.Fatalf("len(ASes) = %d, want 3", len(ases))
-	}
-	for i := 1; i < len(ases); i++ {
-		if ases[i-1].Number >= ases[i].Number {
-			t.Fatalf("ASes not sorted: %v", ases)
-		}
-	}
-}
-
 func TestCountryMixTop(t *testing.T) {
 	m := NewCountryMix(map[string]float64{"IN": 55, "EG": 10, "TR": 5})
 	c, share := m.Top()

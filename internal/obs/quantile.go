@@ -44,14 +44,8 @@ func (b *BoundHistogram) Snapshot() HistogramSnapshot {
 // Quantile estimates the q-quantile (0 <= q <= 1) of the observed values
 // by linear interpolation within the bucket the rank falls in, exactly as
 // Prometheus's histogram_quantile does. Ranks landing in the +Inf
-// overflow bucket clamp to the highest finite upper bound. A histogram
+// overflow bucket clamp to the highest finite upper bound. A snapshot
 // with no observations yields 0.
-func (b *BoundHistogram) Quantile(q float64) float64 {
-	return b.Snapshot().Quantile(q)
-}
-
-// Quantile estimates the q-quantile from the snapshot; see
-// BoundHistogram.Quantile.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Counts) == 0 {
 		return 0

@@ -100,10 +100,14 @@ var unsampledBackground = context.WithValue(context.Background(), ctxKey{}, unsa
 
 // UnsampledContext returns a context beneath which StartSpan/StartSpanAt
 // return a nil span without allocating. Use it for the non-sampled
-// iterations of a hot loop whose first iteration is traced normally.
+// iterations of a hot loop whose first iteration is traced normally. A
+// context that is already unsampled comes back unchanged.
 func UnsampledContext(ctx context.Context) context.Context {
 	if ctx == nil || ctx == context.Background() {
 		return unsampledBackground
+	}
+	if s, _ := ctx.Value(ctxKey{}).(*Span); s == unsampled {
+		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, unsampled)
 }
@@ -352,16 +356,10 @@ func (t *Tracer) Spans() []SpanData {
 	return out
 }
 
-// WriteJSONL exports the retained spans as one JSON object per line,
-// oldest first — the format /debug/traces serves and the timeline
-// reconstruction tooling consumes.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return t.WriteJSONLTrace(w, "")
-}
-
-// WriteJSONLTrace is WriteJSONL restricted to spans of one trace ID; an
-// empty ID exports everything. Backs the ?trace=<id> filter on
-// /debug/traces so a single request tree can be pulled out of a full ring.
+// WriteJSONLTrace exports the retained spans of one trace ID, or of every
+// trace for an empty ID, as one JSON object per line, oldest first — the
+// format /debug/traces (and its ?trace=<id> filter) serves and the
+// timeline reconstruction tooling consumes.
 func (t *Tracer) WriteJSONLTrace(w io.Writer, traceID string) error {
 	if t == nil {
 		return nil

@@ -148,7 +148,7 @@ func TestWriteJSONL(t *testing.T) {
 	root.End()
 
 	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
+	if err := tr.WriteJSONLTrace(&b, ""); err != nil {
 		t.Fatal(err)
 	}
 	var lines []SpanData
@@ -193,7 +193,7 @@ func TestNilTracer(t *testing.T) {
 	if tr.Spans() != nil || tr.Dropped() != 0 {
 		t.Error("nil tracer retains spans")
 	}
-	if err := tr.WriteJSONL(&strings.Builder{}); err != nil {
-		t.Errorf("nil WriteJSONL: %v", err)
+	if err := tr.WriteJSONLTrace(&strings.Builder{}, ""); err != nil {
+		t.Errorf("nil WriteJSONLTrace: %v", err)
 	}
 }

@@ -31,12 +31,6 @@ func TestHTTPClientMalformedJSON(t *testing.T) {
 	if _, err := c.LikesOf("tok", "post"); err == nil {
 		t.Fatal("malformed likes body accepted")
 	}
-	if _, err := c.CommentsOf("tok", "post"); err == nil {
-		t.Fatal("malformed comments body accepted")
-	}
-	if _, err := c.FeedOf("tok"); err == nil {
-		t.Fatal("malformed feed body accepted")
-	}
 	if _, err := c.FriendsOf("tok", ""); err == nil {
 		t.Fatal("malformed friends body accepted")
 	}
@@ -83,8 +77,6 @@ func TestHTTPClientTransportErrorsRedactToken(t *testing.T) {
 	}{
 		{"/me", func() error { _, err := c.Me(tok, ""); return err }},
 		{"/post/likes", func() error { _, err := c.LikesOf(tok, "post"); return err }},
-		{"/post/comments", func() error { _, err := c.CommentsOf(tok, "post"); return err }},
-		{"/me/feed", func() error { _, err := c.FeedOf(tok); return err }},
 		{"/me/friends", func() error { _, err := c.FriendsOf(tok, ""); return err }},
 	} {
 		err := tc.call()

@@ -356,19 +356,19 @@ type page[T any] struct {
 	} `json:"paging"`
 }
 
-// walkPages reads every page of the paginated edge at path, following
-// Facebook-style `after` cursors until the platform sends none — the way
-// the paper's crawlers collected complete liker lists.
-func walkPages[T any](c *HTTPClient, token, path string) ([]T, error) {
-	var out []T
+// LikesOf implements Client, reading every page of the likes edge and
+// following Facebook-style `after` cursors until the platform sends none
+// — the way the paper's crawlers collected complete liker lists.
+func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
+	var out []LikeRecord
 	after := ""
 	for {
 		form := tokenForm(token) + "&limit=100"
 		if after != "" {
 			form += "&after=" + url.QueryEscape(after)
 		}
-		var p page[T]
-		if err := c.call(nil, http.MethodGet, path, form, "", &p); err != nil {
+		var p page[LikeRecord]
+		if err := c.call(nil, http.MethodGet, "/"+objectID+"/likes", form, "", &p); err != nil {
 			return nil, err
 		}
 		out = append(out, p.Data...)
@@ -377,25 +377,6 @@ func walkPages[T any](c *HTTPClient, token, path string) ([]T, error) {
 		}
 		after = p.Paging.Cursors.After
 	}
-}
-
-// LikesOf implements Client, walking the paginated likes edge.
-func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
-	return walkPages[LikeRecord](c, token, "/"+objectID+"/likes")
-}
-
-// CommentsOf implements Client, walking the paginated comments edge.
-func (c *HTTPClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
-	return walkPages[CommentRecord](c, token, "/"+postID+"/comments")
-}
-
-// FeedOf implements Client via GET /me/feed.
-func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
-	var p page[PostRecord]
-	if err := c.call(nil, http.MethodGet, "/me/feed", tokenForm(token), "", &p); err != nil {
-		return nil, err
-	}
-	return p.Data, nil
 }
 
 // FriendsOf implements Client via the /me/friends edge.

@@ -160,17 +160,9 @@ func (p *Platform) Chain() *graphapi.Chain {
 
 // LikeRecord is a transport-neutral view of one like. The json tags name
 // the fields of a likes page entry, so HTTPClient decodes straight into
-// it; the same holds for CommentRecord, Profile and PostRecord.
+// it; the same holds for Profile.
 type LikeRecord struct {
 	AccountID string    `json:"id"`
-	At        time.Time `json:"time"`
-}
-
-// CommentRecord is a transport-neutral view of one comment.
-type CommentRecord struct {
-	ID        string    `json:"id"`
-	AccountID string    `json:"from"`
-	Message   string    `json:"message"`
 	At        time.Time `json:"time"`
 }
 
@@ -219,21 +211,9 @@ type Client interface {
 	Publish(token, message, ip string) (string, error)
 	// LikesOf lists likes on an object.
 	LikesOf(token, objectID string) ([]LikeRecord, error)
-	// CommentsOf lists comments on a post.
-	CommentsOf(token, postID string) ([]CommentRecord, error)
-	// FeedOf lists the token account's own posts (used by premium
-	// auto-delivery to find fresh posts without a member login).
-	FeedOf(token string) ([]PostRecord, error)
 	// FriendsOf lists the token account's friends (requires the
 	// user_friends scope; used by the Section 8 harvesting attack).
 	FriendsOf(token, ip string) ([]Profile, error)
-}
-
-// PostRecord is a transport-neutral view of one feed post.
-type PostRecord struct {
-	ID      string    `json:"id"`
-	Message string    `json:"message"`
-	At      time.Time `json:"time"`
 }
 
 // BatchLike is one like in a homogeneous batch: the member token that
@@ -359,32 +339,6 @@ func (c *LocalClient) FriendsOf(token, ip string) ([]Profile, error) {
 	out := make([]Profile, len(friends))
 	for i, f := range friends {
 		out[i] = Profile{ID: f.ID, Name: f.Name, Country: f.Country}
-	}
-	return out, nil
-}
-
-// FeedOf implements Client.
-func (c *LocalClient) FeedOf(token string) ([]PostRecord, error) {
-	posts, err := c.p.API.Feed(graphapi.CallContext{AccessToken: token})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PostRecord, len(posts))
-	for i, p := range posts {
-		out[i] = PostRecord{ID: p.ID, Message: p.Message, At: p.CreatedAt}
-	}
-	return out, nil
-}
-
-// CommentsOf implements Client.
-func (c *LocalClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
-	comments, err := c.p.API.Comments(graphapi.CallContext{AccessToken: token}, postID)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CommentRecord, len(comments))
-	for i, cm := range comments {
-		out[i] = CommentRecord{ID: cm.ID, AccountID: cm.AccountID, Message: cm.Message, At: cm.At}
 	}
 	return out, nil
 }

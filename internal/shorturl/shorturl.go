@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -135,40 +134,6 @@ func (s *Service) Info(code string) (Info, error) {
 		info.LongClicks += len(s.links[sib].clicks)
 	}
 	return info, nil
-}
-
-// DailyClicks returns the clicks on a code during the 24h bucket
-// containing t.
-func (s *Service) DailyClicks(code string, t time.Time) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	l, ok := s.links[code]
-	if !ok {
-		return 0, fmt.Errorf("%q: %w", code, ErrNotFound)
-	}
-	day := t.Truncate(24 * time.Hour)
-	n := 0
-	for _, c := range l.clicks {
-		if !c.At.Before(day) && c.At.Before(day.Add(24*time.Hour)) {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Codes returns all short codes in creation order.
-func (s *Service) Codes() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.links))
-	for code := range s.links {
-		out = append(out, code)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return s.links[out[i]].createdAt.Before(s.links[out[j]].createdAt) ||
-			(s.links[out[i]].createdAt.Equal(s.links[out[j]].createdAt) && out[i] < out[j])
-	})
-	return out
 }
 
 // encodeID turns a sequence number into a base62-ish short code.

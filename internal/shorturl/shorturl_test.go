@@ -84,42 +84,6 @@ func TestInfoAggregates(t *testing.T) {
 	}
 }
 
-func TestDailyClicks(t *testing.T) {
-	clock := simclock.NewSimulated(t0)
-	s := NewService(clock)
-	code := s.Shorten("https://x.example")
-	for i := 0; i < 4; i++ {
-		_, _ = s.Resolve(code, "", "")
-	}
-	clock.Advance(24 * time.Hour)
-	for i := 0; i < 2; i++ {
-		_, _ = s.Resolve(code, "", "")
-	}
-	d0, err := s.DailyClicks(code, t0)
-	if err != nil || d0 != 4 {
-		t.Fatalf("day0 = %d, %v", d0, err)
-	}
-	d1, _ := s.DailyClicks(code, t0.Add(25*time.Hour))
-	if d1 != 2 {
-		t.Fatalf("day1 = %d", d1)
-	}
-	if _, err := s.DailyClicks("missing", t0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing err = %v", err)
-	}
-}
-
-func TestCodesOrdered(t *testing.T) {
-	clock := simclock.NewSimulated(t0)
-	s := NewService(clock)
-	a := s.Shorten("https://a.example")
-	clock.Advance(time.Hour)
-	b := s.Shorten("https://b.example")
-	codes := s.Codes()
-	if len(codes) != 2 || codes[0] != a || codes[1] != b {
-		t.Fatalf("Codes = %v", codes)
-	}
-}
-
 func TestHTTPRedirectAndAnalytics(t *testing.T) {
 	clock := simclock.NewSimulated(t0)
 	s := NewService(clock)

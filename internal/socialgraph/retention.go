@@ -43,9 +43,6 @@ type SweepResult struct {
 	Activities int64
 }
 
-// Total returns the number of evicted edges across all classes.
-func (r SweepResult) Total() int64 { return r.Likes + r.Comments + r.Activities }
-
 // RetentionSweep evicts all edge history older than now minus the
 // configured window and returns what was evicted. With an infinite
 // window (the default) it is a no-op and records nothing. Shards are

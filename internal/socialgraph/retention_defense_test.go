@@ -76,7 +76,7 @@ func TestRetentionPreservesSynchroTrapVerdicts(t *testing.T) {
 		}
 		// Sweep the eviction-enabled store every burst. All activity is
 		// within the 24h window, so nothing may go.
-		if res := swept.RetentionSweep(burst.Add(time.Hour)); res.Total() != 0 {
+		if res := swept.RetentionSweep(burst.Add(time.Hour)); res != (socialgraph.SweepResult{}) {
 			t.Fatalf("sweep at burst %d evicted %+v inside the window", pi, res)
 		}
 	}

@@ -99,7 +99,7 @@ func TestRetentionInfiniteWindowIsNoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if res := w.s.RetentionSweep(epoch.AddDate(10, 0, 0)); res.Total() != 0 {
+	if res := w.s.RetentionSweep(epoch.AddDate(10, 0, 0)); res != (SweepResult{}) {
 		t.Fatalf("infinite-window sweep evicted %+v", res)
 	}
 	if got := w.s.Retention().Snapshot().Sweeps; got != 0 {

@@ -101,9 +101,6 @@ func TestContentionCountersSequential(t *testing.T) {
 	if len(snap) != s.ShardCount() {
 		t.Fatalf("Snapshot length = %d, want %d", len(snap), s.ShardCount())
 	}
-	if frac := s.Contention().ContendedFraction(); frac != 0 {
-		t.Fatalf("sequential ContendedFraction = %v", frac)
-	}
 }
 
 func TestLockOrderedCollapsesDuplicates(t *testing.T) {

@@ -56,11 +56,6 @@ func (s *Scenario) AddOrganicUsers(n int, seed int64) (*OrganicPopulation, error
 	return pop, nil
 }
 
-// HomeIP returns a user's residential address.
-func (p *OrganicPopulation) HomeIP(accountID string) string {
-	return p.ips[accountID]
-}
-
 // SimulateDay plays one day of benign behaviour: each user posts with
 // probability postProb and performs up to maxLikes likes on friends' (or
 // recent organic) posts, spread across the day, from their home IP, with

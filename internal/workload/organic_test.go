@@ -32,7 +32,7 @@ func TestAddOrganicUsers(t *testing.T) {
 	}
 	seenIPs := map[string]bool{}
 	for _, u := range pop.Users {
-		ip := pop.HomeIP(u.ID)
+		ip := pop.ips[u.ID]
 		if ip == "" {
 			t.Fatalf("user %s has no home IP", u.ID)
 		}
@@ -60,8 +60,8 @@ func TestSimulateDayProducesFirstPartyActivity(t *testing.T) {
 			if act.AppID != "" {
 				t.Fatalf("organic activity via app %q", act.AppID)
 			}
-			if act.SourceIP != pop.HomeIP(u.ID) {
-				t.Fatalf("organic activity from %s, home %s", act.SourceIP, pop.HomeIP(u.ID))
+			if act.SourceIP != pop.ips[u.ID] {
+				t.Fatalf("organic activity from %s, home %s", act.SourceIP, pop.ips[u.ID])
 			}
 			switch act.Verb {
 			case socialgraph.VerbPost:

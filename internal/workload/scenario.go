@@ -412,16 +412,6 @@ func (ni *NetworkInstance) BackgroundPageRequests(count int) {
 	}
 }
 
-// FindNetwork returns the instance with the given name.
-func (s *Scenario) FindNetwork(name string) (*NetworkInstance, bool) {
-	for _, ni := range s.Networks {
-		if ni.Spec.Name == name {
-			return ni, true
-		}
-	}
-	return nil, false
-}
-
 func (ni *NetworkInstance) sampleCountry() string {
 	return ni.mix.Sample(ni.rng)
 }

@@ -193,16 +193,6 @@ func RankedOnlySites() []RankedSite {
 	}
 }
 
-// FindNetwork returns the spec with the given name.
-func FindNetwork(name string) (NetworkSpec, bool) {
-	for _, s := range Networks() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return NetworkSpec{}, false
-}
-
 // ExploitedAppSpec describes one of the Table 3 applications.
 type ExploitedAppSpec struct {
 	Name string

@@ -30,13 +30,21 @@ func TestNetworksSpecTable(t *testing.T) {
 	if total < 1_150_600 || total > 1_150_800 {
 		t.Fatalf("membership sum = %d, want ≈1150782", total)
 	}
-	top, ok := FindNetwork("hublaa.me")
-	if !ok || top.Membership != 294_949 || !top.Bulletproof {
-		t.Fatalf("hublaa spec = %+v, %v", top, ok)
+	if top := specs[0]; top.Name != "hublaa.me" || top.Membership != 294_949 || !top.Bulletproof {
+		t.Fatalf("largest spec = %+v, want hublaa.me", top)
 	}
-	if _, ok := FindNetwork("not-a-network"); ok {
-		t.Fatal("FindNetwork invented a network")
+}
+
+// instance returns the scenario's instance of the named network.
+func instance(t *testing.T, s *Scenario, name string) *NetworkInstance {
+	t.Helper()
+	for _, ni := range s.Networks {
+		if ni.Spec.Name == name {
+			return ni
+		}
 	}
+	t.Fatalf("%s missing from the scenario", name)
+	return nil
 }
 
 func TestCommentNetworksMatchTable6(t *testing.T) {
@@ -120,10 +128,7 @@ func TestBuildScenarioSmall(t *testing.T) {
 	if len(s.Networks) != 3 {
 		t.Fatalf("networks built = %d", len(s.Networks))
 	}
-	hublaa, ok := s.FindNetwork("hublaa.me")
-	if !ok {
-		t.Fatal("hublaa.me missing")
-	}
+	hublaa := instance(t, s, "hublaa.me")
 	// 294949/2000 = 147 members.
 	if got := hublaa.Net.MembershipSize(); got != 147 {
 		t.Fatalf("hublaa membership = %d, want 147", got)
@@ -132,7 +137,7 @@ func TestBuildScenarioSmall(t *testing.T) {
 		t.Fatalf("hublaa member accounts = %d", len(hublaa.Members))
 	}
 	// arabfblike floors at MinMembers.
-	arab, _ := s.FindNetwork("arabfblike.com")
+	arab := instance(t, s, "arabfblike.com")
 	if got := arab.Net.MembershipSize(); got != 25 {
 		t.Fatalf("arab membership = %d, want 25", got)
 	}
@@ -148,7 +153,7 @@ func TestBuildScenarioSmall(t *testing.T) {
 		}
 	}
 	// official-liker is a hot-set network on generic hosting.
-	ol, _ := s.FindNetwork("official-liker.net")
+	ol := instance(t, s, "official-liker.net")
 	if ol.Net.Config().HotSetSize <= 0 {
 		t.Fatal("official-liker.net should use a hot set")
 	}
