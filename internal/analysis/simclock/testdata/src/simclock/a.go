@@ -5,7 +5,8 @@ package simclock
 
 import "time"
 
-// Clock is the injected-clock shape (mirrors repro/internal/simclock).
+// Clock is an injected clock. Its Sleep method shares a name with
+// time.Sleep, which the checker must not flag.
 type Clock interface {
 	Now() time.Time
 	Sleep(d time.Duration)

@@ -593,7 +593,7 @@ func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now
 	n.mu.Unlock()
 	sc.noteFailure(code)
 	switch graphapi.ErrKindOf(err) {
-	case provider.KindInvalidToken, provider.KindAccountSuspended:
+	case provider.KindInvalidToken:
 		// Dead token: drop the member until they resubmit.
 		if t.pool.Remove(s.AccountID) {
 			n.mu.Lock()

@@ -255,7 +255,7 @@ func (c *Countermeasures) DeployClustering(window time.Duration, simThreshold fl
 	return trap
 }
 
-// RunClusteringSweep detects clusters and suspends every clustered
+// RunClusteringSweep detects clusters and invalidates every clustered
 // account's tokens; it returns the number of accounts actioned. In the
 // paper this had no measurable impact — collusion networks spread their
 // activity too thinly (Figures 6–7).

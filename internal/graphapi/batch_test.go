@@ -125,7 +125,7 @@ func TestBatchRejectsNonLikeOperations(t *testing.T) {
 func TestBatchBodyBound(t *testing.T) {
 	f := newFixture(t)
 	tok := f.token(t)
-	pad := strings.Repeat(" ", f.api.prov.Limits().MaxBatchOps*maxBatchOpBytes)
+	pad := strings.Repeat(" ", f.api.prov.MaxBatchOps()*maxBatchOpBytes)
 	batch := fmt.Sprintf(`[{"method":"POST","relative_url":"%s/likes"}%s]`, f.post.ID, pad)
 	if status, env := batchError(f.api, tok, batch); status != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d, envelope %+v; want 400", status, env)

@@ -75,9 +75,9 @@ type Policy interface {
 	Evaluate(Request) Decision
 }
 
-// Chain is an ordered, hot-swappable set of policies. The paper deployed
-// countermeasures incrementally over the Figure 5 timeline; Chain.Append
-// models exactly that.
+// Chain is an ordered set of policies that grows while requests are
+// served. The paper deployed countermeasures incrementally over the
+// Figure 5 timeline; Chain.Append models exactly that.
 type Chain struct {
 	mu       sync.RWMutex
 	policies []Policy
@@ -94,20 +94,6 @@ func (c *Chain) Append(p Policy) {
 	c.mu.Lock()
 	c.policies = append(c.policies, p)
 	c.mu.Unlock()
-}
-
-// Remove drops the first policy with the given name; it reports whether
-// one was removed.
-func (c *Chain) Remove(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, p := range c.policies {
-		if p.Name() == name {
-			c.policies = append(c.policies[:i:i], c.policies[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Evaluate runs the request through every policy in order, stopping at the
@@ -149,22 +135,20 @@ func (c *Chain) Names() []string {
 	return out
 }
 
-// Error codes of the DEFAULT provider's numeric space, kept as named
-// constants because a decade of client code (and this repo's experiments)
-// dispatches on them. Non-default providers map the same canonical kinds
-// (provider.ErrKind) into their own numeric spaces; portable code should
-// dispatch on ErrKindOf, not ErrCode.
+// Error codes of the DEFAULT provider's numeric space, named because
+// Facebook client code dispatches on them; here only tests do. Non-default
+// providers map the same canonical kinds (provider.ErrKind) into their own
+// numeric spaces, and the program dispatches on ErrKindOf, not ErrCode.
 const (
-	CodeInvalidToken     = 190 // OAuthException: token missing/expired/invalidated
-	CodeSecretProof      = 104 // appsecret_proof failure
-	CodePermission       = 200 // missing permission scope
-	CodeRateLimited      = 613 // application/token request limit reached
-	CodeBlocked          = 368 // policy block (temporarily blocked for abuse)
-	CodeNotFound         = 803 // unknown object
-	CodeDuplicate        = 520 // duplicate action (already liked)
-	CodeInvalidParam     = 100 // invalid parameter
-	CodeAppSuspended     = 191 // application disabled
-	CodeAccountSuspended = 459 // account checkpointed/suspended
+	CodeInvalidToken = 190 // OAuthException: token missing/expired/invalidated
+	CodeSecretProof  = 104 // appsecret_proof failure
+	CodePermission   = 200 // missing permission scope
+	CodeRateLimited  = 613 // application/token request limit reached
+	CodeBlocked      = 368 // policy block (temporarily blocked for abuse)
+	CodeNotFound     = 803 // unknown object
+	CodeDuplicate    = 520 // duplicate action (already liked)
+	CodeInvalidParam = 100 // invalid parameter
+	CodeAppSuspended = 191 // application disabled
 )
 
 // APIError is the structured error returned by Graph API operations.
@@ -259,13 +243,12 @@ type API struct {
 	opInst         [numOps]opInstruments
 
 	// Preallocated denial errors in this provider's vocabulary, built
-	// once at construction: duplicate likes and suspended accounts are
-	// the denials collusion traffic hits by the thousand, and policy
-	// denials are interned per (policy, reason) — with the rate limiters'
-	// preformatted reasons the cache stays a handful of entries, and the
-	// cap guards against a pathological high-cardinality custom policy.
+	// once at construction: duplicate likes are the denial collusion
+	// traffic hits by the thousand, and policy denials are interned per
+	// (policy, reason) — with the rate limiters' preformatted reasons the
+	// cache stays a handful of entries, and the cap guards against a
+	// pathological high-cardinality custom policy.
 	errDuplicate   error
-	errSuspended   error
 	errAppNotFound error
 	denialMu       sync.RWMutex
 	denialCache    map[denialKey]error
@@ -337,10 +320,9 @@ func New(prov provider.Provider, clock simclock.Clock, graph *socialgraph.Store,
 		denialCache:  make(map[denialKey]error),
 	}
 	a.errDuplicate = a.errMsg(provider.KindDuplicate, "GraphMethodException", "duplicate like")
-	a.errSuspended = a.errMsg(provider.KindAccountSuspended, "OAuthException", "account suspended")
 	a.errAppNotFound = a.errMsg(provider.KindInvalidToken, "OAuthException", "application not found")
 	a.codeLabels = make(map[int]string)
-	for k := provider.KindNone; k <= provider.KindAccountSuspended; k++ {
+	for k := provider.KindNone; k <= provider.KindAppSuspended; k++ {
 		code := prov.ErrorCode(k)
 		a.codeLabels[code] = strconv.Itoa(code)
 	}
@@ -580,8 +562,6 @@ func (a *API) likeWriteError(writeErr error, objectID string) error {
 		return nil
 	case errors.Is(writeErr, socialgraph.ErrAlreadyLiked):
 		return a.errDuplicate
-	case errors.Is(writeErr, socialgraph.ErrSuspended):
-		return a.errSuspended
 	case errors.Is(writeErr, socialgraph.ErrInvalidReference), errors.Is(writeErr, socialgraph.ErrNotFound):
 		return a.errMsg(provider.KindNotFound, "GraphMethodException", "unknown object "+objectID)
 	default:
@@ -640,8 +620,6 @@ func (a *API) Comment(c CallContext, postID, message string) (_ socialgraph.Comm
 	switch {
 	case writeErr == nil:
 		return cm, nil
-	case errors.Is(writeErr, socialgraph.ErrSuspended):
-		return socialgraph.Comment{}, a.errSuspended
 	case errors.Is(writeErr, socialgraph.ErrNotFound):
 		return socialgraph.Comment{}, a.err(provider.KindNotFound, "GraphMethodException", "unknown post %s", postID)
 	case errors.Is(writeErr, socialgraph.ErrEmptyMessage):
@@ -668,8 +646,6 @@ func (a *API) Publish(c CallContext, message string) (_ socialgraph.Post, err er
 	switch {
 	case err == nil:
 		return p, nil
-	case errors.Is(err, socialgraph.ErrSuspended):
-		return socialgraph.Post{}, a.errSuspended
 	case errors.Is(err, socialgraph.ErrEmptyMessage):
 		return socialgraph.Post{}, a.err(provider.KindInvalidParam, "GraphMethodException", "empty message")
 	default:

@@ -171,7 +171,7 @@ func (h *httpAPI) asAPIError(err error) *APIError {
 // every provider's numeric space.
 func httpStatus(k provider.ErrKind) int {
 	switch k {
-	case provider.KindInvalidToken, provider.KindAppSuspended, provider.KindAccountSuspended:
+	case provider.KindInvalidToken, provider.KindAppSuspended:
 		return http.StatusUnauthorized
 	case provider.KindSecretProof, provider.KindPermission, provider.KindBlocked:
 		return http.StatusForbidden
@@ -423,7 +423,7 @@ func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "POST required"))
 		return
 	}
-	maxOps := h.api.prov.Limits().MaxBatchOps
+	maxOps := h.api.prov.MaxBatchOps()
 	r.Body = http.MaxBytesReader(w, r.Body, int64(maxOps)*maxBatchOpBytes)
 	if err := r.ParseForm(); err != nil {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "bad batch body: %v", err))

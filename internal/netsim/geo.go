@@ -46,29 +46,3 @@ func (m CountryMix) Sample(rng *rand.Rand) string {
 	}
 	return m.countries[i]
 }
-
-// Top returns the country with the highest weight and its share of the
-// total weight (0..1).
-func (m CountryMix) Top() (country string, share float64) {
-	if len(m.countries) == 0 {
-		return "", 0
-	}
-	total := m.cum[len(m.cum)-1]
-	best, bestW := "", -1.0
-	prev := 0.0
-	for i, c := range m.countries {
-		w := m.cum[i] - prev
-		prev = m.cum[i]
-		if w > bestW {
-			best, bestW = c, w
-		}
-	}
-	return best, bestW / total
-}
-
-// Countries returns the country labels in the mix, sorted.
-func (m CountryMix) Countries() []string {
-	out := make([]string, len(m.countries))
-	copy(out, m.countries)
-	return out
-}

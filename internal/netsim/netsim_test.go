@@ -120,17 +120,6 @@ func TestLookupASString(t *testing.T) {
 	}
 }
 
-func TestCountryMixTop(t *testing.T) {
-	m := NewCountryMix(map[string]float64{"IN": 55, "EG": 10, "TR": 5})
-	c, share := m.Top()
-	if c != "IN" {
-		t.Fatalf("Top country = %q, want IN", c)
-	}
-	if share < 0.78 || share > 0.79 {
-		t.Fatalf("Top share = %v, want 55/70", share)
-	}
-}
-
 func TestCountryMixSampleDistribution(t *testing.T) {
 	m := NewCountryMix(map[string]float64{"IN": 80, "VN": 20})
 	rng := rand.New(rand.NewSource(1))
@@ -153,14 +142,11 @@ func TestCountryMixEmpty(t *testing.T) {
 	if got := m.Sample(rand.New(rand.NewSource(1))); got != "" {
 		t.Fatalf("empty mix sampled %q", got)
 	}
-	if c, share := m.Top(); c != "" || share != 0 {
-		t.Fatalf("empty mix Top = %q, %v", c, share)
-	}
 }
 
 func TestCountryMixDropsNonPositive(t *testing.T) {
 	m := NewCountryMix(map[string]float64{"IN": 1, "XX": 0, "YY": -3})
-	got := m.Countries()
+	got := m.countries
 	if len(got) != 1 || got[0] != "IN" {
 		t.Fatalf("Countries = %v, want [IN]", got)
 	}
@@ -175,7 +161,7 @@ func TestQuickCountryMixSampleMembership(t *testing.T) {
 			"VN": float64(w3),
 		})
 		valid := map[string]bool{"": true}
-		for _, c := range m.Countries() {
+		for _, c := range m.countries {
 			valid[c] = true
 		}
 		rng := rand.New(rand.NewSource(seed))

@@ -45,7 +45,6 @@ var (
 	ErrClientFlowDisabled  = errors.New("oauthsim: client-side flow disabled for application")
 	ErrScopeNotApproved    = errors.New("oauthsim: requested scope not approved for application")
 	ErrUnknownAccount      = errors.New("oauthsim: unknown account")
-	ErrAccountSuspended    = errors.New("oauthsim: account suspended")
 	ErrBadResponseType     = errors.New("oauthsim: unsupported response_type")
 	ErrInvalidCode         = errors.New("oauthsim: invalid or expired authorization code")
 	ErrBadSecret           = errors.New("oauthsim: application secret mismatch")
@@ -211,9 +210,6 @@ func (s *Server) Authorize(req AuthorizeRequest) (AuthorizeResult, error) {
 	account, err := s.graph.Account(req.AccountID)
 	if err != nil {
 		return AuthorizeResult{}, ErrUnknownAccount
-	}
-	if account.Suspended {
-		return AuthorizeResult{}, ErrAccountSuspended
 	}
 
 	switch req.ResponseType {

@@ -127,18 +127,13 @@ func TestAuthorizeValidation(t *testing.T) {
 	}
 }
 
-func TestAuthorizeSuspendedAppAndAccount(t *testing.T) {
+func TestAuthorizeSuspendedApp(t *testing.T) {
 	f := newFixture(t, apps.Config{})
 	if err := f.reg.SetSuspended(f.app.ID, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.srv.Authorize(f.authorizeReq(ResponseToken)); !errors.Is(err, ErrAppSuspended) {
 		t.Fatalf("err = %v, want ErrAppSuspended", err)
-	}
-	_ = f.reg.SetSuspended(f.app.ID, false)
-	_ = f.graph.SetSuspended(f.user.ID, true)
-	if _, err := f.srv.Authorize(f.authorizeReq(ResponseToken)); !errors.Is(err, ErrAccountSuspended) {
-		t.Fatalf("err = %v, want ErrAccountSuspended", err)
 	}
 }
 

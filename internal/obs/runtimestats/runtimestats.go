@@ -16,9 +16,10 @@
 //     daemons — and feeds the GC-pause histogram and rate gauges that
 //     need deltas between consecutive readings.
 //
-// The clock is injected (simclock.Clock) like everywhere else in the
-// tree, so alloc-rate windows are coherent with however the surrounding
-// system tells time.
+// Sample reads the injected clock (simclock.Clock), so alloc-rate windows
+// are coherent with however the surrounding system tells time. Start's
+// ticker always runs on the wall clock (simclock.Real): a simulated clock
+// has no timers, and every caller samples real runtime activity.
 package runtimestats
 
 import (
@@ -260,8 +261,8 @@ func (s *Sampler) Sample() Snapshot {
 	return snap
 }
 
-// Start launches a background goroutine sampling every interval until
-// Stop. Starting an already-started sampler is a no-op.
+// Start launches a background goroutine sampling every interval of wall
+// time until Stop. Starting an already-started sampler is a no-op.
 func (s *Sampler) Start(interval time.Duration) {
 	if s == nil || interval <= 0 {
 		return
@@ -283,7 +284,7 @@ func (s *Sampler) Start(interval time.Duration) {
 			select {
 			case <-stop:
 				return
-			case <-s.clock.After(interval):
+			case <-simclock.Real{}.After(interval):
 				s.Sample()
 			}
 		}

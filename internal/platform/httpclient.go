@@ -54,7 +54,7 @@ func NewHTTPClientFor(prov provider.Provider, baseURL string) *HTTPClient {
 	return &HTTPClient{
 		base:     strings.TrimRight(baseURL, "/"),
 		prov:     prov,
-		maxBatch: prov.Limits().MaxBatchOps,
+		maxBatch: prov.MaxBatchOps(),
 		http: &http.Client{
 			Transport: transport,
 			Timeout:   30 * time.Second,

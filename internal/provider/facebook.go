@@ -1,10 +1,6 @@
 package provider
 
-import (
-	"time"
-
-	"repro/internal/ids"
-)
+import "repro/internal/ids"
 
 // Facebook is the paper's platform: implicit-flow OAuth dialog, "EAAB"
 // token prefix, Graph API error vocabulary, /batch capped at 50 ops.
@@ -17,16 +13,15 @@ var Facebook Provider = register(facebook{})
 // Numeric error space of the default provider. graphapi re-exports these
 // as its Code* constants.
 const (
-	fbCodeInvalidToken     = 190
-	fbCodeSecretProof      = 104
-	fbCodePermission       = 200
-	fbCodeRateLimited      = 613
-	fbCodeBlocked          = 368
-	fbCodeNotFound         = 803
-	fbCodeDuplicate        = 520
-	fbCodeInvalidParam     = 100
-	fbCodeAppSuspended     = 191
-	fbCodeAccountSuspended = 459
+	fbCodeInvalidToken = 190
+	fbCodeSecretProof  = 104
+	fbCodePermission   = 200
+	fbCodeRateLimited  = 613
+	fbCodeBlocked      = 368
+	fbCodeNotFound     = 803
+	fbCodeDuplicate    = 520
+	fbCodeInvalidParam = 100
+	fbCodeAppSuspended = 191
 )
 
 const fbTokenPrefix = "EAAB"
@@ -77,8 +72,6 @@ func (facebook) ErrorCode(k ErrKind) int {
 		return fbCodeInvalidParam
 	case KindAppSuspended:
 		return fbCodeAppSuspended
-	case KindAccountSuspended:
-		return fbCodeAccountSuspended
 	default:
 		return 0
 	}
@@ -109,19 +102,9 @@ func (facebook) KindOfCode(code int) ErrKind {
 		return KindInvalidParam
 	case fbCodeAppSuspended:
 		return KindAppSuspended
-	case fbCodeAccountSuspended:
-		return KindAccountSuspended
 	default:
 		return KindNone
 	}
 }
 
-func (facebook) Limits() RateShape {
-	return RateShape{
-		MaxBatchOps:   50,
-		TokenWrites:   60,
-		TokenWindow:   time.Hour,
-		IPDailyLikes:  1000,
-		IPWeeklyLikes: 5000,
-	}
-}
+func (facebook) MaxBatchOps() int { return 50 }

@@ -3,7 +3,6 @@ package provider
 import (
 	"crypto/rand"
 	"sync/atomic"
-	"time"
 )
 
 // Pictogram is the second concrete platform: a photo-sharing network in
@@ -23,21 +22,20 @@ import (
 //     write scope — the lax-review policy difference that lets a
 //     collusion network self-serve a companion app here.
 //   - Error vocabulary: 4xxx numeric space with its own type strings.
-//   - Rate shape: smaller batches (20 ops), tighter per-token writes.
+//   - Batch cap: smaller batches (20 ops).
 var Pictogram Provider = register(pictogram{})
 
 // Pictogram numeric error space.
 const (
-	pgCodeInvalidToken     = 4010
-	pgCodeSecretProof      = 4030
-	pgCodePermission       = 4031
-	pgCodeRateLimited      = 4290
-	pgCodeBlocked          = 4032
-	pgCodeNotFound         = 4040
-	pgCodeDuplicate        = 4090
-	pgCodeInvalidParam     = 4000
-	pgCodeAppSuspended     = 4011
-	pgCodeAccountSuspended = 4012
+	pgCodeInvalidToken = 4010
+	pgCodeSecretProof  = 4030
+	pgCodePermission   = 4031
+	pgCodeRateLimited  = 4290
+	pgCodeBlocked      = 4032
+	pgCodeNotFound     = 4040
+	pgCodeDuplicate    = 4090
+	pgCodeInvalidParam = 4000
+	pgCodeAppSuspended = 4011
 )
 
 const (
@@ -162,8 +160,6 @@ func (pictogram) ErrorCode(k ErrKind) int {
 		return pgCodeInvalidParam
 	case KindAppSuspended:
 		return pgCodeAppSuspended
-	case KindAccountSuspended:
-		return pgCodeAccountSuspended
 	default:
 		return 0
 	}
@@ -171,7 +167,7 @@ func (pictogram) ErrorCode(k ErrKind) int {
 
 func (pictogram) ErrorType(k ErrKind, fallback string) string {
 	switch k {
-	case KindInvalidToken, KindAppSuspended, KindAccountSuspended:
+	case KindInvalidToken, KindAppSuspended:
 		return "TokenError"
 	case KindSecretProof:
 		return "SignatureError"
@@ -212,19 +208,9 @@ func (pictogram) KindOfCode(code int) ErrKind {
 		return KindInvalidParam
 	case pgCodeAppSuspended:
 		return KindAppSuspended
-	case pgCodeAccountSuspended:
-		return KindAccountSuspended
 	default:
 		return KindNone
 	}
 }
 
-func (pictogram) Limits() RateShape {
-	return RateShape{
-		MaxBatchOps:   20,
-		TokenWrites:   30,
-		TokenWindow:   time.Hour,
-		IPDailyLikes:  600,
-		IPWeeklyLikes: 3000,
-	}
-}
+func (pictogram) MaxBatchOps() int { return 20 }

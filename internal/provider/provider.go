@@ -4,8 +4,8 @@
 // documents is platform-agnostic: what varies per platform is the token
 // wire format, which OAuth grant flows exist (the implicit-flow leak that
 // enables milking exists on some providers and not others — see USPFO in
-// PAPERS.md), the scope vocabulary, the numeric error space, and the rate
-// and batch shapes of the API.
+// PAPERS.md), the scope vocabulary, the numeric error space, and the batch
+// cap of the API.
 //
 // A Provider bundles exactly those per-platform facts. The rest of the
 // stack (oauthsim, graphapi, platform) is written against this interface;
@@ -17,7 +17,6 @@ package provider
 import (
 	"errors"
 	"sort"
-	"time"
 )
 
 // Flow is an OAuth 2.0 grant flow a provider may support.
@@ -62,7 +61,6 @@ const (
 	KindDuplicate
 	KindInvalidParam
 	KindAppSuspended
-	KindAccountSuspended
 )
 
 // String names the kind for diagnostics.
@@ -86,27 +84,9 @@ func (k ErrKind) String() string {
 		return "invalid-param"
 	case KindAppSuspended:
 		return "app-suspended"
-	case KindAccountSuspended:
-		return "account-suspended"
 	default:
 		return "none"
 	}
-}
-
-// RateShape is a provider's default abuse-limit geometry: how its batch
-// endpoint caps operations and what per-token and per-IP write volumes
-// its countermeasure stack is tuned for. Defenses may be deployed with
-// other numbers; these are the provider's published defaults.
-type RateShape struct {
-	// MaxBatchOps caps operations per batch request.
-	MaxBatchOps int
-	// TokenWrites / TokenWindow is the default per-token write budget.
-	TokenWrites int
-	TokenWindow time.Duration
-	// IPDailyLikes / IPWeeklyLikes are the default per-source-IP like
-	// caps the provider's abuse stack starts from (Sec. 6.4 shape).
-	IPDailyLikes  int
-	IPWeeklyLikes int
 }
 
 // ErrBadTokenFormat reports a token that fails the provider's surface
@@ -114,7 +94,7 @@ type RateShape struct {
 var ErrBadTokenFormat = errors.New("provider: malformed access token")
 
 // Provider is one social platform's identity: token format, grant flows,
-// scope names, error vocabulary, and rate shapes.
+// scope names, error vocabulary, and batch cap.
 type Provider interface {
 	// Name is the provider's registry key and metric label value.
 	Name() string
@@ -146,8 +126,8 @@ type Provider interface {
 	// KindOfCode is the reverse mapping, used by HTTP clients to restore
 	// the canonical kind from a wire error.
 	KindOfCode(code int) ErrKind
-	// Limits returns the provider's default rate shapes.
-	Limits() RateShape
+	// MaxBatchOps caps the operations one batch request may carry.
+	MaxBatchOps() int
 }
 
 // registry holds the built-in providers. The set is fixed at init time,

@@ -131,7 +131,7 @@ func TestErrorVocabularyBijective(t *testing.T) {
 	kinds := []ErrKind{
 		KindInvalidToken, KindSecretProof, KindPermission, KindRateLimited,
 		KindBlocked, KindNotFound, KindDuplicate, KindInvalidParam,
-		KindAppSuspended, KindAccountSuspended,
+		KindAppSuspended,
 	}
 	for _, name := range Names() {
 		p := MustGet(name)
@@ -162,16 +162,15 @@ func TestErrorVocabularyBijective(t *testing.T) {
 // to the historical constants — the bit-for-bit transparency anchor.
 func TestFacebookVocabularyIsCanonical(t *testing.T) {
 	want := map[ErrKind]int{
-		KindInvalidToken:     190,
-		KindSecretProof:      104,
-		KindPermission:       200,
-		KindRateLimited:      613,
-		KindBlocked:          368,
-		KindNotFound:         803,
-		KindDuplicate:        520,
-		KindInvalidParam:     100,
-		KindAppSuspended:     191,
-		KindAccountSuspended: 459,
+		KindInvalidToken: 190,
+		KindSecretProof:  104,
+		KindPermission:   200,
+		KindRateLimited:  613,
+		KindBlocked:      368,
+		KindNotFound:     803,
+		KindDuplicate:    520,
+		KindInvalidParam: 100,
+		KindAppSuspended: 191,
 	}
 	for k, code := range want {
 		if got := Facebook.ErrorCode(k); got != code {
@@ -190,14 +189,10 @@ func TestScopesAndLimits(t *testing.T) {
 	if Pictogram.ScopePublish() != "likes" || Pictogram.ScopeFriends() != "relationships" {
 		t.Error("pictogram scope names changed")
 	}
-	if Facebook.Limits().MaxBatchOps != 50 {
+	if Facebook.MaxBatchOps() != 50 {
 		t.Error("facebook batch cap must stay 50 (wire-visible default)")
 	}
-	pg := Pictogram.Limits()
-	if pg.MaxBatchOps >= Facebook.Limits().MaxBatchOps {
+	if Pictogram.MaxBatchOps() >= Facebook.MaxBatchOps() {
 		t.Error("pictogram batch cap should be tighter than facebook's")
-	}
-	if pg.TokenWrites <= 0 || pg.IPDailyLikes <= 0 || pg.IPWeeklyLikes <= pg.IPDailyLikes {
-		t.Errorf("pictogram rate shape implausible: %+v", pg)
 	}
 }

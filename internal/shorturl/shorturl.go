@@ -9,7 +9,6 @@ package shorturl
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -149,31 +148,4 @@ func encodeID(n int) string {
 		b.WriteByte('x')
 	}
 	return b.String()
-}
-
-// Handler exposes the shortener over HTTP: GET /{code} redirects and
-// records the click (referrer from the Referer header, country from the
-// X-Country header); GET /{code}+ returns a plain-text analytics summary,
-// mirroring goo.gl's public "+" pages.
-func Handler(s *Service) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		code := strings.Trim(r.URL.Path, "/")
-		if strings.HasSuffix(code, "+") {
-			info, err := s.Info(strings.TrimSuffix(code, "+"))
-			if err != nil {
-				http.NotFound(w, r)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "code: %s\nlong_url: %s\ncreated: %s\nshort_clicks: %d\nlong_clicks: %d\ntop_referrer: %s\n",
-				info.Code, info.LongURL, info.CreatedAt.UTC().Format(time.RFC3339), info.ShortClicks, info.LongClicks, info.TopReferrer)
-			return
-		}
-		long, err := s.Resolve(code, r.Referer(), r.Header.Get("X-Country"))
-		if err != nil {
-			http.NotFound(w, r)
-			return
-		}
-		http.Redirect(w, r, long, http.StatusFound)
-	})
 }

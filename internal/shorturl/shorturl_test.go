@@ -2,9 +2,6 @@ package shorturl
 
 import (
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -81,52 +78,6 @@ func TestInfoAggregates(t *testing.T) {
 	}
 	if _, err := s.Info("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Info(missing) err = %v", err)
-	}
-}
-
-func TestHTTPRedirectAndAnalytics(t *testing.T) {
-	clock := simclock.NewSimulated(t0)
-	s := NewService(clock)
-	code := s.Shorten("https://platform.example/dialog/oauth")
-	srv := httptest.NewServer(Handler(s))
-	t.Cleanup(srv.Close)
-
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/"+code, nil)
-	req.Header.Set("Referer", "hublaa.me")
-	req.Header.Set("X-Country", "IN")
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusFound {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Location"); got != "https://platform.example/dialog/oauth" {
-		t.Fatalf("Location = %q", got)
-	}
-
-	aresp, err := http.Get(srv.URL + "/" + code + "+")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer aresp.Body.Close()
-	body, _ := io.ReadAll(aresp.Body)
-	text := string(body)
-	if !strings.Contains(text, "short_clicks: 1") || !strings.Contains(text, "top_referrer: hublaa.me") {
-		t.Fatalf("analytics page = %s", text)
-	}
-
-	nresp, err := http.Get(srv.URL + "/doesnotexist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nresp.Body.Close()
-	if nresp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown code status = %d", nresp.StatusCode)
 	}
 }
 

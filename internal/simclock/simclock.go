@@ -11,7 +11,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +21,6 @@ import (
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
-	// After returns a channel that delivers the then-current time once the
-	// clock has advanced by at least d.
-	After(d time.Duration) <-chan time.Time
-	// Sleep blocks until the clock has advanced by at least d.
-	Sleep(d time.Duration)
 }
 
 // Real is a Clock backed by the operating system clock.
@@ -35,58 +29,18 @@ type Real struct{}
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// After implements Clock.
+// After returns a channel that delivers the wall-clock time once d has
+// elapsed: the sanctioned wall-clock timer for packages the simclock
+// analyzer keeps off package time. Simulated has no timers; simulated
+// timelines move only by explicit Advance calls.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// waiter is a pending After/Sleep registration on a Simulated clock.
-type waiter struct {
-	deadline time.Time
-	ch       chan time.Time
-	index    int
-	seq      uint64
-}
-
-// waiterHeap orders waiters by deadline, breaking ties by registration
-// order so that wakeups are deterministic.
-type waiterHeap []*waiter
-
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	if h[i].deadline.Equal(h[j].deadline) {
-		return h[i].seq < h[j].seq
-	}
-	return h[i].deadline.Before(h[j].deadline)
-}
-func (h waiterHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *waiterHeap) Push(x any) {
-	w := x.(*waiter)
-	w.index = len(*h)
-	*h = append(*h, w)
-}
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
-}
 
 // Simulated is a deterministic Clock whose time only moves when Advance or
 // AdvanceTo is called. It is safe for concurrent use.
 type Simulated struct {
-	mu      sync.Mutex
-	base    time.Time    // construction instant; immutable after NewSimulated
-	offset  atomic.Int64 // nanoseconds advanced past base
-	waiters waiterHeap
-	seq     uint64
+	mu     sync.Mutex   // serialises Advance and AdvanceTo
+	base   time.Time    // construction instant; immutable after NewSimulated
+	offset atomic.Int64 // nanoseconds advanced past base
 }
 
 // NewSimulated returns a Simulated clock initialised to start.
@@ -102,76 +56,21 @@ func (s *Simulated) Now() time.Time {
 	return s.base.Add(time.Duration(s.offset.Load()))
 }
 
-// nowLocked returns the current instant; callers hold s.mu.
-func (s *Simulated) nowLocked() time.Time {
-	return s.base.Add(time.Duration(s.offset.Load()))
-}
-
-// setNowLocked publishes a new current instant; callers hold s.mu and
-// never move time backwards.
-func (s *Simulated) setNowLocked(t time.Time) {
-	s.offset.Store(int64(t.Sub(s.base)))
-}
-
-// After implements Clock. The returned channel has capacity 1, so the
-// clock never blocks on delivery.
-func (s *Simulated) After(d time.Duration) <-chan time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	now := s.nowLocked()
-	if d <= 0 {
-		ch <- now
-		return ch
-	}
-	s.seq++
-	heap.Push(&s.waiters, &waiter{deadline: now.Add(d), ch: ch, seq: s.seq})
-	return ch
-}
-
-// Sleep implements Clock. It blocks the calling goroutine until another
-// goroutine advances the clock past the deadline.
-func (s *Simulated) Sleep(d time.Duration) {
-	<-s.After(d)
-}
-
-// Advance moves the clock forward by d, firing any waiters whose deadlines
-// are reached, in deadline order.
+// Advance moves the clock forward by d.
 func (s *Simulated) Advance(d time.Duration) {
 	if d < 0 {
 		panic("simclock: negative advance")
 	}
 	s.mu.Lock()
-	target := s.nowLocked().Add(d)
-	s.advanceToLocked(target)
+	s.offset.Add(int64(d))
 	s.mu.Unlock()
 }
 
 // AdvanceTo moves the clock forward to t. Moving backwards is a no-op.
 func (s *Simulated) AdvanceTo(t time.Time) {
 	s.mu.Lock()
-	if t.After(s.nowLocked()) {
-		s.advanceToLocked(t)
+	if t.After(s.Now()) {
+		s.offset.Store(int64(t.Sub(s.base)))
 	}
 	s.mu.Unlock()
-}
-
-func (s *Simulated) advanceToLocked(target time.Time) {
-	for len(s.waiters) > 0 && !s.waiters[0].deadline.After(target) {
-		w := heap.Pop(&s.waiters).(*waiter)
-		// Deliver the waiter's own deadline so steps observe monotonically
-		// non-decreasing times even when several deadlines fire in one
-		// Advance call.
-		s.setNowLocked(w.deadline)
-		w.ch <- w.deadline
-	}
-	s.setNowLocked(target)
-}
-
-// PendingWaiters reports how many After/Sleep registrations have not fired
-// yet. It exists for tests.
-func (s *Simulated) PendingWaiters() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.waiters)
 }

@@ -3,7 +3,7 @@ package socialgraph
 // Tests for the batched like apply: unit coverage for the run grouping
 // and the generalized ordered-lock helper, plus a fuzz target that
 // derives adversarial batches (repeated likers, mixed objects, bogus
-// IDs, a suspended account) from raw bytes and checks AddLikeBatch
+// IDs, an unregistered account) from raw bytes and checks AddLikeBatch
 // against a sequential AddLike replay on the single-lock reference
 // store.
 
@@ -17,7 +17,7 @@ import (
 var batchEpoch = time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 
 // batchWorld builds the same small population in a sharded store and the
-// reference oracle: accounts (the last one suspended), posts, and pages.
+// reference oracle: accounts (the last slot unregistered), posts, and pages.
 func batchWorld(t testing.TB, shards, accounts, posts, pages int) (*Store, *referenceStore, []string, []string, []string) {
 	t.Helper()
 	sharded := New(shards, 0)
@@ -54,16 +54,11 @@ func batchWorld(t testing.TB, shards, accounts, posts, pages int) (*Store, *refe
 		}
 		pageIDs = append(pageIDs, g.ID)
 	}
-	// Suspend the last account after content creation so it is never an
-	// author, only a (rejected) liker.
+	// Swap the last account slot for an ID no account is registered under
+	// after content creation, so it is never an author, only a (rejected)
+	// liker.
 	if accounts > 1 {
-		last := acctIDs[len(acctIDs)-1]
-		if err := sharded.SetSuspended(last, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.SetSuspended(last, true); err != nil {
-			t.Fatal(err)
-		}
+		acctIDs[len(acctIDs)-1] = "unregistered-account"
 	}
 	return sharded, oracle, acctIDs, postIDs, pageIDs
 }
@@ -87,8 +82,8 @@ func replayBatch(t *testing.T, sharded *Store, oracle *referenceStore, batch []L
 
 // TestAddLikeBatchMatchesSequential interleaves objects that land on
 // different stripes so the batch splits into several runs, and includes
-// every error class: duplicates (pre-existing and intra-batch), a
-// suspended liker, an unknown liker, and an unknown object.
+// every error class: duplicates (pre-existing and intra-batch), an
+// unregistered liker, an unknown liker, and an unknown object.
 func TestAddLikeBatchMatchesSequential(t *testing.T) {
 	for _, shards := range []int{1, 4, 64} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -96,7 +91,7 @@ func TestAddLikeBatchMatchesSequential(t *testing.T) {
 			meta := func(i int) WriteMeta {
 				return WriteMeta{AppID: "app-1", SourceIP: "203.0.113.9", At: batchEpoch.Add(time.Duration(i) * time.Second)}
 			}
-			suspended := accts[len(accts)-1]
+			unregistered := accts[len(accts)-1]
 			// Seed one pre-existing like so the batch hits ErrAlreadyLiked
 			// across the batch boundary too.
 			if err := sharded.AddLike(accts[0], posts[0], meta(0)); err != nil {
@@ -114,13 +109,13 @@ func TestAddLikeBatchMatchesSequential(t *testing.T) {
 				})
 			}
 			batch = append(batch,
-				LikeOp{AccountID: accts[0], ObjectID: posts[0], Meta: meta(50)},    // duplicate of the seeded like
-				LikeOp{AccountID: accts[1], ObjectID: pages[0], Meta: meta(51)},    // page like
-				LikeOp{AccountID: accts[1], ObjectID: pages[0], Meta: meta(52)},    // intra-batch duplicate
-				LikeOp{AccountID: accts[2], ObjectID: accts[3], Meta: meta(53)},    // profile like
-				LikeOp{AccountID: suspended, ObjectID: posts[1], Meta: meta(54)},   // suspended liker
-				LikeOp{AccountID: "nobody", ObjectID: posts[2], Meta: meta(55)},    // unknown liker
-				LikeOp{AccountID: accts[3], ObjectID: "no-object", Meta: meta(56)}, // unknown object
+				LikeOp{AccountID: accts[0], ObjectID: posts[0], Meta: meta(50)},     // duplicate of the seeded like
+				LikeOp{AccountID: accts[1], ObjectID: pages[0], Meta: meta(51)},     // page like
+				LikeOp{AccountID: accts[1], ObjectID: pages[0], Meta: meta(52)},     // intra-batch duplicate
+				LikeOp{AccountID: accts[2], ObjectID: accts[3], Meta: meta(53)},     // profile like
+				LikeOp{AccountID: unregistered, ObjectID: posts[1], Meta: meta(54)}, // unregistered liker
+				LikeOp{AccountID: "nobody", ObjectID: posts[2], Meta: meta(55)},     // unknown liker
+				LikeOp{AccountID: accts[3], ObjectID: "no-object", Meta: meta(56)},  // unknown object
 			)
 			replayBatch(t, sharded, oracle, batch)
 			objects := append(append(append([]string{}, posts...), pages...), accts...)
@@ -187,7 +182,7 @@ func TestApplyLikeRunLockScope(t *testing.T) {
 
 // FuzzAddLikeBatchGrouping derives a like batch from arbitrary bytes —
 // each byte selects a (liker, object) pair, covering repeated likers,
-// repeated objects, bogus IDs, profile/page targets, and a suspended
+// repeated objects, bogus IDs, profile/page targets, and an unregistered
 // account — and checks the batch→shard-run grouping against a sequential
 // AddLike replay on the single-lock reference store: identical per-op
 // errors and identical final crawl state, for shard counts from 1 to 128.

@@ -23,7 +23,6 @@ type graphStore interface {
 	CreateAccount(name, country string, at time.Time) Account
 	Account(id string) (Account, error)
 	AccountCount() int
-	SetSuspended(id string, suspended bool) error
 	CreatePage(ownerID, name string, at time.Time) (Page, error)
 	Page(id string) (Page, error)
 	CreatePost(authorID, message string, meta WriteMeta) (Post, error)
@@ -62,10 +61,9 @@ var (
 // diffWorld tracks the IDs both stores have minted so far (they must
 // agree, which the harness asserts on every create).
 type diffWorld struct {
-	accounts  []string
-	pages     []string
-	posts     []string
-	suspended map[string]bool
+	accounts []string
+	pages    []string
+	posts    []string
 }
 
 func sameErr(a, b error) bool {
@@ -76,7 +74,7 @@ func sameErr(a, b error) bool {
 		return true
 	}
 	for _, sentinel := range []error{
-		ErrNotFound, ErrSuspended, ErrAlreadyLiked, ErrNotLiked,
+		ErrNotFound, ErrAlreadyLiked, ErrNotLiked,
 		ErrEmptyMessage, ErrInvalidReference,
 	} {
 		if errors.Is(a, sentinel) != errors.Is(b, sentinel) {
@@ -112,7 +110,7 @@ func runDifferential(t *testing.T, seed int64, ops int, shards int, window, jitt
 	if g, want := sharded.RetentionWindow(), oracle.RetentionWindow(); g != want {
 		t.Fatalf("RetentionWindow = %v, oracle %v", g, want)
 	}
-	w := &diffWorld{suspended: make(map[string]bool)}
+	w := &diffWorld{}
 	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 
 	for i := 0; i < ops; i++ {
@@ -242,14 +240,6 @@ func runDifferential(t *testing.T, seed int64, ops int, shards int, window, jitt
 			want, werr := oracle.AddComment(commenter, post, msg, meta)
 			if !sameErr(gerr, werr) || got != want {
 				t.Fatalf("op %d: AddComment = %+v/%v, oracle %+v/%v", i, got, gerr, want, werr)
-			}
-		case op < 87: // suspend / reinstate
-			id := pick(rng, w.accounts)
-			suspend := rng.Intn(2) == 0
-			gerr := sharded.SetSuspended(id, suspend)
-			werr := oracle.SetSuspended(id, suspend)
-			if !sameErr(gerr, werr) {
-				t.Fatalf("op %d: SetSuspended = %v, oracle %v", i, gerr, werr)
 			}
 		case op < 93: // friendship
 			a := pick(rng, w.accounts)

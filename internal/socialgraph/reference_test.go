@@ -95,18 +95,6 @@ func (s *referenceStore) AccountCount() int {
 	return len(s.accounts)
 }
 
-// SetSuspended marks an account suspended or reinstated.
-func (s *referenceStore) SetSuspended(id string, suspended bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.accounts[id]
-	if !ok {
-		return fmt.Errorf("account %q: %w", id, ErrNotFound)
-	}
-	a.Suspended = suspended
-	return nil
-}
-
 // CreatePage registers a fan page owned by an account.
 func (s *referenceStore) CreatePage(ownerID, name string, at time.Time) (Page, error) {
 	s.mu.Lock()
@@ -143,14 +131,12 @@ func (s *referenceStore) CreatePost(authorID, message string, meta WriteMeta) (P
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	actor := authorID
-	if a, ok := s.accounts[authorID]; ok {
-		if a.Suspended {
-			return Post{}, fmt.Errorf("author %q: %w", authorID, ErrSuspended)
+	if _, ok := s.accounts[authorID]; !ok {
+		p, ok := s.pages[authorID]
+		if !ok {
+			return Post{}, fmt.Errorf("author %q: %w", authorID, ErrNotFound)
 		}
-	} else if p, ok := s.pages[authorID]; ok {
 		actor = p.OwnerID
-	} else {
-		return Post{}, fmt.Errorf("author %q: %w", authorID, ErrNotFound)
 	}
 	post := &Post{
 		ID:        s.minter.Next(ids.KindPost),
@@ -194,12 +180,8 @@ func (s *referenceStore) PostsByAuthor(authorID string) []Post {
 func (s *referenceStore) AddLike(accountID, objectID string, meta WriteMeta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, ok := s.accounts[accountID]
-	if !ok {
+	if _, ok := s.accounts[accountID]; !ok {
 		return fmt.Errorf("liker %q: %w", accountID, ErrNotFound)
-	}
-	if a.Suspended {
-		return fmt.Errorf("liker %q: %w", accountID, ErrSuspended)
 	}
 	targetID, err := s.ownerOfLocked(objectID)
 	if err != nil {
@@ -283,12 +265,8 @@ func (s *referenceStore) AddComment(accountID, postID, message string, meta Writ
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a, ok := s.accounts[accountID]
-	if !ok {
+	if _, ok := s.accounts[accountID]; !ok {
 		return Comment{}, fmt.Errorf("commenter %q: %w", accountID, ErrNotFound)
-	}
-	if a.Suspended {
-		return Comment{}, fmt.Errorf("commenter %q: %w", accountID, ErrSuspended)
 	}
 	post, ok := s.posts[postID]
 	if !ok {

@@ -38,7 +38,6 @@ import (
 // Errors returned by store operations.
 var (
 	ErrNotFound         = errors.New("socialgraph: object not found")
-	ErrSuspended        = errors.New("socialgraph: account suspended")
 	ErrAlreadyLiked     = errors.New("socialgraph: already liked")
 	ErrNotLiked         = errors.New("socialgraph: not liked")
 	ErrEmptyMessage     = errors.New("socialgraph: empty message")
@@ -60,7 +59,7 @@ type StoreError struct {
 }
 
 // Error implements error. The preallocated values render lazily and
-// without the ID ("liker: socialgraph: account suspended"); errors built
+// without the ID ("liker: socialgraph: object not found"); errors built
 // on cold paths keep the quoted-ID form.
 func (e *StoreError) Error() string {
 	if e.ID == "" {
@@ -76,14 +75,12 @@ func (e *StoreError) Unwrap() error { return e.Err }
 // (role, sentinel) pair that a like, unlike, or comment can reject with;
 // returning them is allocation-free (pinned by TestAllocGateDenialPaths).
 var (
-	errLikerNotFound      = &StoreError{Role: "liker", Err: ErrNotFound}
-	errLikerSuspended     = &StoreError{Role: "liker", Err: ErrSuspended}
-	errAlreadyLiked       = &StoreError{Role: "like", Err: ErrAlreadyLiked}
-	errNotLiked           = &StoreError{Role: "like", Err: ErrNotLiked}
-	errObjectInvalid      = &StoreError{Role: "object", Err: ErrInvalidReference}
-	errCommenterNotFound  = &StoreError{Role: "commenter", Err: ErrNotFound}
-	errCommenterSuspended = &StoreError{Role: "commenter", Err: ErrSuspended}
-	errPostNotFound       = &StoreError{Role: "post", Err: ErrNotFound}
+	errLikerNotFound     = &StoreError{Role: "liker", Err: ErrNotFound}
+	errAlreadyLiked      = &StoreError{Role: "like", Err: ErrAlreadyLiked}
+	errNotLiked          = &StoreError{Role: "like", Err: ErrNotLiked}
+	errObjectInvalid     = &StoreError{Role: "object", Err: ErrInvalidReference}
+	errCommenterNotFound = &StoreError{Role: "commenter", Err: ErrNotFound}
+	errPostNotFound      = &StoreError{Role: "post", Err: ErrNotFound}
 )
 
 // Account is a user account.
@@ -92,7 +89,6 @@ type Account struct {
 	Name      string
 	Country   string
 	CreatedAt time.Time
-	Suspended bool
 }
 
 // Page is a fan page that can own posts and receive likes.
@@ -242,19 +238,6 @@ func (s *Store) AccountCount() int {
 	return n
 }
 
-// SetSuspended marks an account suspended or reinstated. Suspended accounts
-// cannot perform writes.
-func (s *Store) SetSuspended(id string, suspended bool) error {
-	sh := s.lock(id)
-	defer sh.mu.Unlock()
-	a, ok := sh.accounts[id]
-	if !ok {
-		return fmt.Errorf("account %q: %w", id, ErrNotFound)
-	}
-	a.Suspended = suspended
-	return nil
-}
-
 // CreatePage registers a fan page owned by an account.
 func (s *Store) CreatePage(ownerID, name string, at time.Time) (Page, error) {
 	// Existence is a stable property (accounts are never deleted), so the
@@ -310,16 +293,13 @@ func (s *Store) CreatePost(authorID, message string, meta WriteMeta) (Post, erro
 	}
 	actor := authorID
 	authorShard := s.rlock(authorID)
-	if a, ok := authorShard.accounts[authorID]; ok {
-		if a.Suspended {
+	if _, ok := authorShard.accounts[authorID]; !ok {
+		p, ok := authorShard.pages[authorID]
+		if !ok {
 			authorShard.mu.RUnlock()
-			return Post{}, fmt.Errorf("author %q: %w", authorID, ErrSuspended)
+			return Post{}, fmt.Errorf("author %q: %w", authorID, ErrNotFound)
 		}
-	} else if p, ok := authorShard.pages[authorID]; ok {
 		actor = p.OwnerID
-	} else {
-		authorShard.mu.RUnlock()
-		return Post{}, fmt.Errorf("author %q: %w", authorID, ErrNotFound)
 	}
 	authorShard.mu.RUnlock()
 
@@ -427,9 +407,6 @@ func likeLocked(acctShard, objShard *shard, accountID, objectID string, meta Wri
 	a, ok := acctShard.accounts[accountID]
 	if !ok {
 		return errLikerNotFound
-	}
-	if a.Suspended {
-		return errLikerSuspended
 	}
 	targetID, err := ownerOfShard(objShard, objectID)
 	if err != nil {
@@ -585,9 +562,6 @@ func (s *Store) commentLocked(acctShard, postShard *shard, accountID, postID, me
 	a, ok := acctShard.accounts[accountID]
 	if !ok {
 		return Comment{}, errCommenterNotFound
-	}
-	if a.Suspended {
-		return Comment{}, errCommenterSuspended
 	}
 	post, ok := postShard.posts[postID]
 	if !ok {

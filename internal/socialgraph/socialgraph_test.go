@@ -121,31 +121,6 @@ func TestRemoveLike(t *testing.T) {
 	}
 }
 
-func TestSuspendedAccountCannotWrite(t *testing.T) {
-	s := New(0, 0)
-	alice := s.CreateAccount("alice", "IN", t0)
-	bob := s.CreateAccount("bob", "IN", t0)
-	p, _ := s.CreatePost(alice.ID, "post", meta("", "", t0))
-	if err := s.SetSuspended(bob.ID, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddLike(bob.ID, p.ID, meta("", "", t0)); !errors.Is(err, ErrSuspended) {
-		t.Fatalf("suspended like error = %v", err)
-	}
-	if _, err := s.CreatePost(bob.ID, "spam", meta("", "", t0)); !errors.Is(err, ErrSuspended) {
-		t.Fatalf("suspended post error = %v", err)
-	}
-	if _, err := s.AddComment(bob.ID, p.ID, "hi", meta("", "", t0)); !errors.Is(err, ErrSuspended) {
-		t.Fatalf("suspended comment error = %v", err)
-	}
-	if err := s.SetSuspended(bob.ID, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddLike(bob.ID, p.ID, meta("", "", t0)); err != nil {
-		t.Fatalf("reinstated like error = %v", err)
-	}
-}
-
 func TestComments(t *testing.T) {
 	s := New(0, 0)
 	alice := s.CreateAccount("alice", "IN", t0)

@@ -156,40 +156,6 @@ func TestStressFriendshipSymmetry(t *testing.T) {
 	}
 }
 
-func TestStressSuspendedWritersSettle(t *testing.T) {
-	s := New(0, 0)
-	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
-	author := s.CreateAccount("author", "IN", epoch)
-	post, err := s.CreatePost(author.ID, "p", WriteMeta{At: epoch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	actor := s.CreateAccount("actor", "IN", epoch)
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_ = s.SetSuspended(actor.ID, i%2 == 0)
-			_ = s.AddLike(actor.ID, post.ID, WriteMeta{At: epoch})
-			_ = s.RemoveLike(actor.ID, post.ID)
-		}(i)
-	}
-	wg.Wait()
-	// Once settled, a reinstated account must be able to write again and
-	// the store must be internally consistent.
-	if err := s.SetSuspended(actor.ID, false); err != nil {
-		t.Fatal(err)
-	}
-	_ = s.RemoveLike(actor.ID, post.ID)
-	if err := s.AddLike(actor.ID, post.ID, WriteMeta{At: epoch}); err != nil {
-		t.Fatalf("like after settle: %v", err)
-	}
-	if !s.HasLiked(actor.ID, post.ID) {
-		t.Fatal("HasLiked = false after successful AddLike")
-	}
-}
-
 // TestRetentionSweepRacesWriters runs a sweeper goroutine against 8
 // writers whose likes and comments carry advancing timestamps. Writers
 // pause at their midpoint until a sweep has evicted a like, so sweeps

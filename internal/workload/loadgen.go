@@ -158,12 +158,6 @@ type job struct {
 type frozenClock struct{ t time.Time }
 
 func (c frozenClock) Now() time.Time { return c.t }
-func (c frozenClock) After(time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- c.t
-	return ch
-}
-func (c frozenClock) Sleep(time.Duration) {}
 
 // loadIPPool is the small shared pool of synthetic client addresses
 // arrivals are attributed to.

@@ -22,13 +22,11 @@ var testOnlyAllowed = map[string]string{
 	"Store.AreFriends":          "pinned by the differential oracle's graphStore interface",
 	"SynchroTrap.GroupCount":    "read by the defense differential test",
 	"AllocMeter.SetSampleEvery": "AllocMeter is to be replaced by a layer meter (ROADMAP item 1)",
-	"Simulated.PendingWaiters":  "test seam: a test waits until a goroutine sleeps on the clock",
 	"Store.ShardCount":          "test seam: a test picks IDs that land on distinct shards",
 	"Store.AddLikeBatch":        "pinned by an allocation gate and a benchmark",
 	"Logger.Debugf":             "a sink the tokenflow analyzer checks",
 	"Logger.Infof":              "a sink the tokenflow analyzer checks",
 	"TestData":                  "analysistest's helper for the analyzer golden tests",
-	"waiterHeap.Swap":           "heap.Interface method, called by container/heap",
 	"StoreError.Unwrap":         "error-chain method, called by errors.Is and errors.As",
 	"statusWriter.Unwrap":       "called by http.ResponseController",
 }
