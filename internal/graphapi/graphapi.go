@@ -322,7 +322,7 @@ func New(prov provider.Provider, clock simclock.Clock, graph *socialgraph.Store,
 	a.errDuplicate = a.errMsg(provider.KindDuplicate, "GraphMethodException", "duplicate like")
 	a.errAppNotFound = a.errMsg(provider.KindInvalidToken, "OAuthException", "application not found")
 	a.codeLabels = make(map[int]string)
-	for k := provider.KindNone; k <= provider.KindAppSuspended; k++ {
+	for k := provider.KindNone; k < provider.NumKinds; k++ {
 		code := prov.ErrorCode(k)
 		a.codeLabels[code] = strconv.Itoa(code)
 	}
@@ -493,7 +493,7 @@ func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, ne
 	if app.Suspended {
 		return Request{}, a.err(provider.KindAppSuspended, "OAuthException", "application %s is disabled", app.ID)
 	}
-	if err := a.oauth.VerifySecretProof(info, c.AppSecretProof); err != nil {
+	if err := oauthsim.VerifySecretProof(app, info.Token, c.AppSecretProof); err != nil {
 		return Request{}, a.err(provider.KindSecretProof, "GraphMethodException", "%v", err)
 	}
 	if needScope != "" && !info.HasScope(needScope) {

@@ -3,6 +3,7 @@ package graphapi
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -56,6 +57,25 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestCodeLabelsCoverEveryKind checks that New precomputes the label of
+// every code its provider maps an error kind to, so no API error formats
+// its code per call.
+func TestCodeLabelsCoverEveryKind(t *testing.T) {
+	for _, name := range provider.Names() {
+		prov := provider.MustGet(name)
+		clock := simclock.NewSimulated(t0)
+		graph := socialgraph.New(0, 0)
+		reg := apps.NewRegistry()
+		a := New(prov, clock, graph, oauthsim.NewServer(prov, clock, reg, graph), reg, nil)
+		for k := provider.KindNone; k < provider.NumKinds; k++ {
+			code := prov.ErrorCode(k)
+			if got, want := a.codeLabels[code], strconv.Itoa(code); got != want {
+				t.Errorf("%s: codeLabels[%d] for %v = %q, want %q", name, code, k, got, want)
+			}
+		}
+	}
 }
 
 func (f *fixture) token(t *testing.T, scopes ...string) string {

@@ -442,20 +442,17 @@ func SecretProof(appSecret, token string) string {
 	return hex.EncodeToString(mac.Sum(nil))
 }
 
-// VerifySecretProof checks a presented proof against the app's secret. A
-// missing proof is only an error when the app requires it.
-func (s *Server) VerifySecretProof(info TokenInfo, proof string) error {
-	app, err := s.apps.Get(info.AppID)
-	if err != nil {
-		return ErrUnknownApp
-	}
+// VerifySecretProof checks a proof presented with token against the
+// secret of app, the application the token was issued to. A missing
+// proof is only an error when the app requires it.
+func VerifySecretProof(app apps.App, token, proof string) error {
 	if proof == "" {
 		if app.RequireAppSecret {
 			return ErrSecretProofRequired
 		}
 		return nil
 	}
-	want := SecretProof(app.Secret, info.Token)
+	want := SecretProof(app.Secret, token)
 	if !secrets.Equal(want, proof) {
 		return ErrBadSecretProof
 	}

@@ -254,15 +254,20 @@ func TestSecretProof(t *testing.T) {
 	res, _ := f.srv.Authorize(f.authorizeReq(ResponseToken))
 	info, _ := f.srv.Validate(res.AccessToken)
 
+	app, err := f.reg.Get(info.AppID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// App does not require the secret: empty proof passes, wrong proof fails.
-	if err := f.srv.VerifySecretProof(info, ""); err != nil {
+	if err := VerifySecretProof(app, info.Token, ""); err != nil {
 		t.Fatalf("empty proof err = %v", err)
 	}
-	if err := f.srv.VerifySecretProof(info, "deadbeef"); !errors.Is(err, ErrBadSecretProof) {
+	if err := VerifySecretProof(app, info.Token, "deadbeef"); !errors.Is(err, ErrBadSecretProof) {
 		t.Fatalf("bad proof err = %v", err)
 	}
 	good := SecretProof(f.app.Secret, info.Token)
-	if err := f.srv.VerifySecretProof(info, good); err != nil {
+	if err := VerifySecretProof(app, info.Token, good); err != nil {
 		t.Fatalf("good proof err = %v", err)
 	}
 
@@ -270,10 +275,13 @@ func TestSecretProof(t *testing.T) {
 	if err := f.reg.SetSecuritySettings(f.app.ID, true, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.srv.VerifySecretProof(info, ""); !errors.Is(err, ErrSecretProofRequired) {
+	if app, err = f.reg.Get(info.AppID); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySecretProof(app, info.Token, ""); !errors.Is(err, ErrSecretProofRequired) {
 		t.Fatalf("required proof err = %v", err)
 	}
-	if err := f.srv.VerifySecretProof(info, good); err != nil {
+	if err := VerifySecretProof(app, info.Token, good); err != nil {
 		t.Fatalf("good proof with requirement err = %v", err)
 	}
 }

@@ -96,12 +96,8 @@ type Sampler struct {
 
 // Register installs the runtime families on reg and returns a Sampler for
 // the delta-based ones. The scrape-time collectors are live immediately;
-// call Sample (or Start) to populate the histogram and rate gauges. A nil
-// clock defaults to real time.
+// call Sample (or Start) to populate the histogram and rate gauges.
 func Register(reg *obs.Registry, clock simclock.Clock) *Sampler {
-	if clock == nil {
-		clock = simclock.Real{}
-	}
 	registerCollectors(reg)
 	return &Sampler{
 		clock: clock,

@@ -61,6 +61,10 @@ const (
 	KindDuplicate
 	KindInvalidParam
 	KindAppSuspended
+
+	// NumKinds is one past the last kind, so a loop to it covers every
+	// kind; a new kind goes above it.
+	NumKinds
 )
 
 // String names the kind for diagnostics.

@@ -51,7 +51,8 @@ func (s *Store) AddLikeBatchInto(ops []LikeOp, errs []error) {
 // account stripe, deduplicated and acquired in ascending index order —
 // the batch generalisation of addLikePair, held inline for the same
 // reason (no unlock closure, no heap escape). The stripe set lives in a
-// stack buffer for every batch the API layer emits (cap 50).
+// stack buffer for every batch the API layer emits (cap 50). The object
+// is resolved once per stretch of ops that name it (see likeTarget).
 //
 //collusionvet:lockorder
 func (s *Store) applyLikeRun(run []LikeOp, errs []error, objIdx int) {
@@ -78,10 +79,16 @@ func (s *Store) applyLikeRun(run []LikeOp, errs []error, objIdx int) {
 		s.lockIdx(i)
 	}
 	objShard := s.shards[objIdx]
+	var t likeTarget
 	for i := range run {
 		op := &run[i]
-		errs[i] = likeLocked(s.shards[s.shardIndex(op.AccountID)], objShard, op.AccountID, op.ObjectID, op.Meta)
+		if i == 0 || op.ObjectID != t.id {
+			t.flush(objShard)
+			t.resolve(objShard, op.ObjectID)
+		}
+		errs[i] = s.likeLocked(s.shards[s.shardIndex(op.AccountID)], objShard, &t, op.AccountID, op.Meta)
 	}
+	t.flush(objShard)
 	for i := len(idxs) - 1; i >= 0; i-- {
 		s.shards[idxs[i]].mu.Unlock()
 	}

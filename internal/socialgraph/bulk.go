@@ -39,8 +39,7 @@ func (s *Store) CreateAccountBatch(seeds []AccountSeed, at time.Time) []Account 
 	for idx, accts := range byShard {
 		sh := s.lockIdx(idx)
 		for _, a := range accts {
-			cp := *a
-			sh.accounts[a.ID] = &cp
+			sh.accounts[a.ID] = &accountRec{Account: *a}
 		}
 		sh.mu.Unlock()
 	}

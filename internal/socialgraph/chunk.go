@@ -26,21 +26,23 @@ package socialgraph
 // state: the caller holds the stripe lock, exactly like likeLocked.
 //
 // Entries are cleared (zeroed) when a chunk returns to the pool so
-// pooled chunks never pin evicted IDs or activity records — chunk reuse
+// pooled chunks never pin evicted comment IDs or account records — chunk reuse
 // must not resurrect evicted edges (the differential and fuzz harnesses
 // drive interleaved writes/sweeps/crawls against the reference store to
 // prove it cannot).
 //
 // Chunk capacities are per entry class. Order entries are 24 bytes for
-// a comment (edgeRef: one string header and one int) and 80 for a like
-// (likeRef, which is the like's only record), and hot objects accumulate
-// thousands of them, so both order classes use 64-entry chunks (~1.5 KiB
-// and ~5 KiB). Activity entries are 136 bytes and most accounts under the
-// uniform-actor scale workload log only a handful of actions, so
-// activity chunks hold 16 entries (~2.2 KiB) — large enough to amortise
-// chunk overhead on collusion members that act for months, small enough
-// that a barely active account does not pay kilobytes of slack. See
-// DESIGN.md §12.
+// a comment (edgeRef: one string header and one int) and 40 for a like
+// (likeRef, which is the like's only record; see shard.go), and hot
+// objects accumulate thousands of them, so both order classes use
+// 64-entry chunks (~1.5 KiB and ~2.5 KiB). Activity entries
+// (activityRef) are 40 bytes with no pointer, so their chunks are
+// allocated noscan; each log lives in its account's record, and most
+// accounts under the uniform-actor scale workload log only a handful of
+// actions, so activity chunks hold 16 entries (640 B) — large enough to
+// amortise chunk overhead on collusion members that act for months,
+// small enough that a barely active account does not pay kilobytes of
+// slack. See DESIGN.md §12.
 
 const (
 	edgeChunkCap     = 64
@@ -104,10 +106,10 @@ type chunkList[T any] struct {
 type (
 	likeList     = chunkList[likeRef]
 	edgeList     = chunkList[edgeRef]
-	activityList = chunkList[Activity]
+	activityList = chunkList[activityRef]
 	likePool     = chunkPool[likeRef]
 	edgePool     = chunkPool[edgeRef]
-	activityPool = chunkPool[Activity]
+	activityPool = chunkPool[activityRef]
 )
 
 // append adds v at the end, drawing a new tail chunk from p only when
@@ -200,17 +202,17 @@ func (l *chunkList[T]) filter(p *chunkPool[T], keep func(*T) bool) (dropped int)
 	return dropped
 }
 
-// removeLike deletes the like entry whose liker is id, shifting only
-// within that entry's own chunk — the tail of the list is never copied
-// (the old slice representation re-appended everything after the
-// removal point). An emptied chunk is unlinked and pooled.
+// removeLike deletes the like entry whose liker's number is num,
+// shifting only within that entry's own chunk — the tail of the list is
+// never copied (the old slice representation re-appended everything
+// after the removal point). An emptied chunk is unlinked and pooled.
 //
 //collusionvet:locked
-func removeLike(l *likeList, p *likePool, id string) bool {
+func removeLike(l *likeList, p *likePool, num uint64) bool {
 	var prev *chunk[likeRef]
 	for c := l.head; c != nil; prev, c = c, c.next {
 		for i := 0; i < c.n; i++ {
-			if c.buf[i].id != id {
+			if c.buf[i].acct.log.num != num {
 				continue
 			}
 			copy(c.buf[i:c.n-1], c.buf[i+1:c.n])

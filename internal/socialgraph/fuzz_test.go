@@ -37,7 +37,7 @@ func FuzzShardRouting(f *testing.F) {
 			sh := s.shardFor(id)
 			//collusionvet:allow lockorder -- test plants a record under the store's API
 			sh.mu.Lock()
-			sh.accounts[id] = &Account{ID: id, Name: "fuzz", CreatedAt: time.Unix(0, 0)}
+			sh.accounts[id] = &accountRec{Account: Account{ID: id, Name: "fuzz", CreatedAt: time.Unix(0, 0)}}
 			sh.mu.Unlock()
 			got, err := s.Account(id)
 			if err != nil {

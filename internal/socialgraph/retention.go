@@ -68,14 +68,15 @@ func (s *Store) RetentionSweep(now time.Time) SweepResult {
 }
 
 // evictBefore drops this stripe's likes, comments, and activity entries
-// with At strictly before cutoff. Timestamps within an object's history
-// are not necessarily monotone (organic workloads scatter At within a
-// day), so eviction filters by value rather than trimming a prefix. A
-// like history is first judged on its bounds: one whose oldest like is
-// inside the window is skipped, and one whose newest like is outside it
-// is retired whole without visiting its entries; only a history that
-// straddles the cutoff is filtered entry by entry, and its bounds are
-// then recomputed exactly from the survivors. Survivors compact in place
+// whose wall time is strictly before cutoff's. Timestamps within an
+// object's history are not necessarily monotone (organic workloads
+// scatter At within a day), so eviction filters by value rather than
+// trimming a prefix. A like history is first judged on its bounds: one
+// whose oldest like is inside the window is skipped, and one whose
+// newest like is outside it is retired whole without visiting its
+// entries; only a history that straddles the cutoff is filtered entry by
+// entry, and its bounds are then recomputed exactly from the survivors.
+// Survivors compact in place
 // and whole evicted chunks return to the shard pools (see
 // chunkList.filter) — the sweep itself allocates nothing, and it is what
 // refills the free lists that keep steady-state writes allocation-free.
@@ -83,28 +84,30 @@ func (s *Store) RetentionSweep(now time.Time) SweepResult {
 //
 //collusionvet:locked
 func (sh *shard) evictBefore(cutoff time.Time) (likes, comments, activities int64) {
+	cut := wallOf(cutoff)
 	for obj, h := range sh.likes {
-		if !h.oldest.Before(cutoff) {
+		if !h.oldest.before(cut) {
 			continue
 		}
-		if h.newest.Before(cutoff) {
+		if h.newest.before(cut) {
 			likes += int64(h.order.total)
 			sh.retireLikeHistory(obj, h)
 			continue
 		}
 		set := h.set
-		var oldest, newest time.Time
+		var oldest, newest wallTime
 		kept := false
 		likes += int64(h.order.filter(&sh.edges, func(r *likeRef) bool {
-			if r.at.Before(cutoff) {
-				delete(set, r.id)
+			at := r.at()
+			if at.before(cut) {
+				delete(set, r.acct.log.num)
 				return false
 			}
-			if !kept || r.at.Before(oldest) {
-				oldest = r.at
+			if !kept || at.before(oldest) {
+				oldest = at
 			}
-			if !kept || r.at.After(newest) {
-				newest = r.at
+			if !kept || newest.before(at) {
+				newest = at
 			}
 			kept = true
 			return true
@@ -129,14 +132,13 @@ func (sh *shard) evictBefore(cutoff time.Time) (likes, comments, activities int6
 			delete(sh.commentOrder, post)
 		}
 	}
-	for acct, l := range sh.activity {
-		activities += int64(l.filter(&sh.acts, func(a *Activity) bool {
-			return !a.At.Before(cutoff)
-		}))
-		if l.total == 0 {
-			sh.freeActList = append(sh.freeActList, l)
-			delete(sh.activity, acct)
+	for _, log := range sh.logs {
+		if log.entries.total == 0 {
+			continue
 		}
+		activities += int64(log.entries.filter(&sh.acts, func(e *activityRef) bool {
+			return !e.at().before(cut)
+		}))
 	}
 	return likes, comments, activities
 }
@@ -159,8 +161,8 @@ func (s *Store) RetainedEdges() EdgeStats {
 			st.Likes += int64(len(h.set))
 		}
 		st.Comments += int64(len(sh.comments))
-		for _, l := range sh.activity {
-			st.Activities += int64(l.total)
+		for _, log := range sh.logs {
+			st.Activities += int64(log.entries.total)
 		}
 		sh.mu.RUnlock()
 	}
@@ -185,6 +187,7 @@ func (s *Store) LikesPage(objectID string, after, limit int) (page []Like, next 
 	// strictly ascending across the list), then the page walks entries by
 	// absolute position — the same position-window semantics the flat
 	// slice had.
+	attrs := s.attrs.snapshot()
 	c, i, pos := searchEdges(&h.order, after)
 	end := h.order.total
 	if limit > 0 && pos+limit < end {
@@ -192,7 +195,7 @@ func (s *Store) LikesPage(objectID string, after, limit int) (page []Like, next 
 	}
 	for c != nil && pos < end {
 		for i < c.n && pos < end {
-			page = append(page, c.buf[i].like(objectID))
+			page = append(page, c.buf[i].like(objectID, attrs))
 			pos++
 			i++
 		}

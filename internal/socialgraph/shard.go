@@ -2,6 +2,7 @@ package socialgraph
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -40,59 +41,200 @@ type edgeRef struct {
 	id  string
 }
 
+// The two records of a like, its likeRef in the object's history and its
+// activityRef in the liker's log, hold no strings: a store ID is kept as
+// the number ids.Minter formatted (kind·10¹⁵+n), an app ID or source IP
+// as a handle from the store's attrTable, and a time as Unix seconds and
+// nanoseconds (a time.Time carries a *Location). A likeRef's one pointer
+// is the liker's account record, and an activityRef has none, so the
+// collector never scans activity chunks. Entries become strings again
+// only when a read API renders them; times read back in UTC.
+
 // likeRef is one entry of an object's like order, and the like's only
-// record: the liker's account ID, the arrival sequence, and the
+// record: the arrival sequence, the liker's account record, and the
 // attribution the like carries. The object ID is the history's key, so
 // it is not repeated here.
 type likeRef struct {
-	seq      int
-	id       string
-	appID    string
-	sourceIP string
-	at       time.Time
+	seq     int
+	acct    *accountRec
+	sec     int64
+	nsec    int32
+	app, ip uint32
+}
+
+// activityRef is one entry of an account's activity log. The actor is
+// the account whose record holds the log, so it is not repeated here.
+type activityRef struct {
+	object, target uint64
+	sec            int64
+	nsec           int32
+	app, ip        uint32
+	verb           uint8 // index into verbs
+}
+
+// verbs maps an activityRef's verb index to its Verb.
+var verbs = [...]Verb{verbPost: VerbPost, verbLike: VerbLike, verbComment: VerbComment}
+
+const (
+	verbPost uint8 = iota
+	verbLike
+	verbComment
+)
+
+// accountRec is the store's record of one account: the Account it hands
+// out and, once the account has acted, its activity log.
+type accountRec struct {
+	Account
+	log *activityLog
+}
+
+// activityLog is one account's outgoing activity and the account's
+// minted number, the key of every like set the account is in. It is
+// created the first time the account acts and kept for the account's
+// lifetime, and listed in its stripe's logs, so that a never-active
+// account (most of a scale-mode world) costs no more than its Account
+// and sweeps visit only accounts that have acted.
+type activityLog struct {
+	num     uint64
+	entries activityList
 }
 
 // sequence lets searchEdges seek in either order class.
 func (r edgeRef) sequence() int { return r.seq }
 func (r likeRef) sequence() int { return r.seq }
 
-// like renders the entry as the Like it records on objectID.
-func (r *likeRef) like(objectID string) Like {
-	return Like{AccountID: r.id, ObjectID: objectID, AppID: r.appID, SourceIP: r.sourceIP, At: r.at}
+// like renders the entry as the Like it records on objectID; attrs is a
+// snapshot of the store's attribution strings.
+func (r *likeRef) like(objectID string, attrs []string) Like {
+	return Like{
+		AccountID: r.acct.ID, ObjectID: objectID,
+		AppID: attrs[r.app], SourceIP: attrs[r.ip], At: utc(r.sec, r.nsec),
+	}
+}
+
+// activity renders the entry as the Activity it records for actorID.
+func (r *activityRef) activity(actorID string, attrs []string) Activity {
+	return Activity{
+		ActorID: actorID, Verb: verbs[r.verb],
+		ObjectID: strconv.FormatUint(r.object, 10), TargetID: strconv.FormatUint(r.target, 10),
+		AppID: attrs[r.app], SourceIP: attrs[r.ip], At: utc(r.sec, r.nsec),
+	}
+}
+
+// wallTime is an instant as Unix seconds and nanoseconds. Retention and
+// the like-history bounds compare wall times.
+type wallTime struct {
+	sec  int64
+	nsec int32
+}
+
+func wallOf(t time.Time) wallTime { return wallTime{t.Unix(), int32(t.Nanosecond())} }
+
+func (w wallTime) before(u wallTime) bool {
+	return w.sec < u.sec || w.sec == u.sec && w.nsec < u.nsec
+}
+
+func (r *likeRef) at() wallTime     { return wallTime{r.sec, r.nsec} }
+func (r *activityRef) at() wallTime { return wallTime{r.sec, r.nsec} }
+
+// utc rebuilds an entry's time.
+func utc(sec int64, nsec int32) time.Time { return time.Unix(sec, int64(nsec)).UTC() }
+
+// idNum returns the number a minted ID spells and whether id is that
+// number's canonical decimal form (no sign, no leading zero), so that
+// numbers and IDs correspond one to one.
+func idNum(id string) (uint64, bool) {
+	if id == "" || len(id) > 19 || id[0] == '0' {
+		return 0, false
+	}
+	var n uint64
+	for i := 0; i < len(id); i++ {
+		d := id[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + uint64(d)
+	}
+	return n, true
+}
+
+// attrTable interns the attribution strings writes carry, app IDs and
+// source IPs, as handles shared by every stripe. Handle 0 is "". The
+// table only grows: a handle, once issued, names its string for the
+// store's lifetime, so a reader may index a snapshot of strs without
+// holding mu. No other lock is taken while mu is held, so interning
+// under shard locks cannot deadlock.
+type attrTable struct {
+	mu   sync.RWMutex
+	ids  map[string]uint32
+	strs []string
+}
+
+// intern returns s's handle, issuing one on first sight.
+func (t *attrTable) intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	t.mu.RLock()
+	h, ok := t.ids[s]
+	t.mu.RUnlock()
+	if ok {
+		return h
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h, ok := t.ids[s]; ok {
+		return h
+	}
+	h = uint32(len(t.strs))
+	t.strs = append(t.strs, s)
+	t.ids[s] = h
+	return h
+}
+
+// snapshot returns the strings by handle. Every handle an entry holds
+// was issued before the entry was written, so a snapshot taken under
+// the entry's shard lock covers it.
+func (t *attrTable) snapshot() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.strs
 }
 
 // likeHistory is one object's like state: the idempotency set of liker
-// IDs and the chunked arrival order that holds the likes themselves,
+// numbers and the chunked arrival order that holds the likes themselves,
 // kept together so the hot write path pays one map probe instead of two.
-// oldest and newest bound the At of the retained likes: no retained like
-// is older than oldest or newer than newest. A like widens them; a
-// RemoveLike leaves them alone, so they may be loose but are never wrong,
-// and a retention sweep can skip or retire a whole history on them (see
-// evictBefore). Evicting an object's last like retires the whole history
-// to the shard's free list with its (cleared) set map, so re-liking a
-// swept object allocates neither.
+// oldest and newest bound the wall time of the retained likes: no
+// retained like is older than oldest or newer than newest. A like widens
+// them; a RemoveLike leaves them alone, so they may be loose but are
+// never wrong, and a retention sweep can skip or retire a whole history
+// on them (see evictBefore). Evicting an object's last like retires the
+// whole history to the shard's free list with its (cleared) set map, so
+// re-liking a swept object allocates neither.
 type likeHistory struct {
-	set            map[string]struct{}
+	set            map[uint64]struct{}
 	order          likeList
-	oldest, newest time.Time
+	oldest, newest wallTime
 }
 
 // shard is one lock stripe of the store. Observable semantics match the
 // reference store's flat maps exactly; each shard holds only the keys
-// that hash to it. Edge history (like order, comment order, activity
-// logs) lives in chunked lists drawn from the shard-local pools below —
-// see chunk.go for the memory model.
+// that hash to it. Edge history (like order, comment order, and the
+// accounts' activity logs) lives in chunked lists drawn from the
+// shard-local pools below — see chunk.go for the memory model.
 type shard struct {
 	mu            sync.RWMutex
-	accounts      map[string]*Account
+	accounts      map[string]*accountRec
 	pages         map[string]*Page
 	posts         map[string]*Post
 	comments      map[string]*Comment
 	likes         map[string]*likeHistory
 	postsByAuthor map[string][]string
 	commentOrder  map[string]*edgeList
-	activity      map[string]*activityList
 	friends       map[string]map[string]bool
+	// logs lists the activity log of every account on this stripe that
+	// has acted (see activityLog).
+	logs []*activityLog
 	// likeSeq and commentSeq hold each object's next arrival sequence.
 	// They outlive the edges themselves (an object whose whole history
 	// ages out keeps its counter) so sequences stay monotone forever.
@@ -108,7 +250,6 @@ type shard struct {
 	acts         activityPool
 	freeHist     []*likeHistory
 	freeEdgeList []*edgeList
-	freeActList  []*activityList
 	freeComments []*Comment
 }
 
@@ -118,14 +259,13 @@ type shard struct {
 // repeated incremental map growth this way.
 func newShardSized(hint int) *shard {
 	return &shard{
-		accounts:      make(map[string]*Account, hint),
+		accounts:      make(map[string]*accountRec, hint),
 		pages:         make(map[string]*Page),
 		posts:         make(map[string]*Post),
 		comments:      make(map[string]*Comment),
 		likes:         make(map[string]*likeHistory),
 		postsByAuthor: make(map[string][]string),
 		commentOrder:  make(map[string]*edgeList),
-		activity:      make(map[string]*activityList),
 		friends:       make(map[string]map[string]bool),
 		likeSeq:       make(map[string]int),
 		commentSeq:    make(map[string]int),
@@ -139,6 +279,19 @@ func newShardSized(hint int) *shard {
 // container through the shard's free lists; all of them touch shard
 // state and require the shard's write lock — the same caller-holds-lock
 // contract likeLocked documents.
+
+// logOf returns a's activity log, creating it on the account's first
+// action.
+//
+//collusionvet:locked
+func (sh *shard) logOf(a *accountRec) *activityLog {
+	if a.log == nil {
+		num, _ := idNum(a.ID)
+		a.log = &activityLog{num: num}
+		sh.logs = append(sh.logs, a.log)
+	}
+	return a.log
+}
 
 // likeHistoryFor returns objectID's like history, reusing a retired one
 // (its set map arrives cleared) before allocating.
@@ -154,7 +307,7 @@ func (sh *shard) likeHistoryFor(objectID string) *likeHistory {
 		sh.freeHist[n-1] = nil
 		sh.freeHist = sh.freeHist[:n-1]
 	} else {
-		h = &likeHistory{set: make(map[string]struct{})}
+		h = &likeHistory{set: make(map[uint64]struct{})}
 	}
 	sh.likes[objectID] = h
 	return h
@@ -189,25 +342,6 @@ func (sh *shard) commentOrderFor(postID string) *edgeList {
 		l = new(edgeList)
 	}
 	sh.commentOrder[postID] = l
-	return l
-}
-
-// activityFor returns accountID's activity list, pooling headers.
-//
-//collusionvet:locked
-func (sh *shard) activityFor(accountID string) *activityList {
-	if l, ok := sh.activity[accountID]; ok {
-		return l
-	}
-	var l *activityList
-	if n := len(sh.freeActList); n > 0 {
-		l = sh.freeActList[n-1]
-		sh.freeActList[n-1] = nil
-		sh.freeActList = sh.freeActList[:n-1]
-	} else {
-		l = new(activityList)
-	}
-	sh.activity[accountID] = l
 	return l
 }
 

@@ -158,6 +158,7 @@ type Store struct {
 	shards     []*shard
 	mask       uint32
 	contention *metrics.ShardContention
+	attrs      *attrTable
 
 	// retentionNanos is the analytics window in nanoseconds; 0 (the
 	// default) means infinite retention and makes sweeps no-ops.
@@ -189,6 +190,7 @@ func New(n, accountHint int) *Store {
 		shards:     shards,
 		mask:       uint32(n - 1),
 		contention: metrics.NewShardContention(n),
+		attrs:      &attrTable{ids: make(map[string]uint32), strs: []string{""}},
 		retention:  &metrics.RetentionCounters{},
 	}
 }
@@ -204,16 +206,16 @@ func (s *Store) Contention() *metrics.ShardContention { return s.contention }
 
 // CreateAccount registers a new account and returns it.
 func (s *Store) CreateAccount(name, country string, at time.Time) Account {
-	a := &Account{
+	a := &accountRec{Account: Account{
 		ID:        s.minter.Next(ids.KindAccount),
 		Name:      name,
 		Country:   country,
 		CreatedAt: at,
-	}
+	}}
 	sh := s.lock(a.ID)
 	sh.accounts[a.ID] = a
 	sh.mu.Unlock()
-	return *a
+	return a.Account
 }
 
 // Account returns the account with the given ID.
@@ -224,7 +226,7 @@ func (s *Store) Account(id string) (Account, error) {
 	if !ok {
 		return Account{}, fmt.Errorf("account %q: %w", id, ErrNotFound)
 	}
-	return *a, nil
+	return a.Account, nil
 }
 
 // AccountCount returns the number of registered accounts.
@@ -317,11 +319,9 @@ func (s *Store) CreatePost(authorID, message string, meta WriteMeta) (Post, erro
 	sh.postsByAuthor[authorID] = append(sh.postsByAuthor[authorID], post.ID)
 	sh.mu.Unlock()
 
+	entry := s.activityEntry(verbPost, post.ID, authorID, meta)
 	sh = s.lock(actor)
-	sh.activityFor(actor).append(&sh.acts, Activity{
-		ActorID: actor, Verb: VerbPost, ObjectID: post.ID, TargetID: authorID,
-		AppID: meta.AppID, SourceIP: meta.SourceIP, At: meta.At,
-	})
+	sh.logOf(sh.accounts[actor]).entries.append(&sh.acts, entry)
 	sh.mu.Unlock()
 	return *post, nil
 }
@@ -383,7 +383,11 @@ func (s *Store) addLikePair(accountID, objectID string, meta WriteMeta) error {
 	if hi != lo {
 		s.lockIdx(hi)
 	}
-	err := likeLocked(s.shards[ai], s.shards[oi], accountID, objectID, meta)
+	objShard := s.shards[oi]
+	var t likeTarget
+	t.resolve(objShard, objectID)
+	err := s.likeLocked(s.shards[ai], objShard, &t, accountID, meta)
+	t.flush(objShard)
 	if hi != lo {
 		s.shards[hi].mu.Unlock()
 	}
@@ -391,49 +395,88 @@ func (s *Store) addLikePair(accountID, objectID string, meta WriteMeta) error {
 	return err
 }
 
-// likeLocked validates and applies one like. The caller must hold the
-// write locks of both shards; AddLike and AddLikeBatch share this core so
-// batched and sequential likes have identical semantics by construction.
-//
-// The like itself lives only in its order entry; the history's set holds
-// the liker ID for the idempotency check. The success path is
-// allocation-free at steady state: the like history and its chunks come
-// from the shard free lists, and the activity entry
-// lands in a pooled chunk (pinned by TestAllocGateAddLikeBatchSteadyState).
-// Denials return the preallocated StoreError values.
+// likeTarget is the liked object's state a like reads and advances: its
+// owner, its history and its next arrival sequence. A batch resolves it
+// once per run of likes on one object, so a burst looks its object up
+// once instead of once per like.
+type likeTarget struct {
+	id         string
+	num, owner uint64 // the object's and its owner's minted numbers
+	err        error  // errObjectInvalid when the object is not likeable
+	h          *likeHistory
+	seq, seq0  int // next arrival sequence, and its value at resolve
+}
+
+// resolve points t at objectID, which lives on sh (write-locked by the
+// caller). A missing history stays nil until the first like creates it,
+// so a run whose likes are all rejected leaves no empty history behind.
 //
 //collusionvet:locked
-func likeLocked(acctShard, objShard *shard, accountID, objectID string, meta WriteMeta) error {
+func (t *likeTarget) resolve(sh *shard, objectID string) {
+	owner, err := ownerOfShard(sh, objectID)
+	seq := sh.likeSeq[objectID]
+	*t = likeTarget{id: objectID, err: err, h: sh.likes[objectID], seq: seq, seq0: seq}
+	if err == nil {
+		t.num, _ = idNum(objectID)
+		t.owner, _ = idNum(owner)
+	}
+}
+
+// flush stores the sequences the likes on t consumed.
+//
+//collusionvet:locked
+func (t *likeTarget) flush(sh *shard) {
+	if t.seq != t.seq0 {
+		sh.likeSeq[t.id] = t.seq
+	}
+}
+
+// likeLocked validates and applies one like on the resolved object t.
+// The caller must hold the write locks of both shards; AddLike and
+// AddLikeBatch share this core so batched and sequential likes have
+// identical semantics by construction.
+//
+// The like itself lives only in its order entry; the history's set holds
+// the liker's number for the idempotency check. The success path is
+// allocation-free at steady state: the like history and its chunks come
+// from the shard free lists, and the activity entry lands in a pooled
+// chunk of the liker's activity log (pinned by
+// TestAllocGateAddLikeBatchSteadyState). Denials return the preallocated
+// StoreError values.
+//
+//collusionvet:locked
+func (s *Store) likeLocked(acctShard, objShard *shard, t *likeTarget, accountID string, meta WriteMeta) error {
 	a, ok := acctShard.accounts[accountID]
 	if !ok {
 		return errLikerNotFound
 	}
-	targetID, err := ownerOfShard(objShard, objectID)
-	if err != nil {
-		return err
+	if t.err != nil {
+		return t.err
 	}
-	h := objShard.likeHistoryFor(objectID)
-	if _, dup := h.set[accountID]; dup {
+	if t.h == nil {
+		t.h = objShard.likeHistoryFor(t.id)
+	}
+	h := t.h
+	log := acctShard.logOf(a)
+	if _, dup := h.set[log.num]; dup {
 		return errAlreadyLiked
 	}
-	// Store the account record's own ID string so the set and the entry
-	// retain the canonical heap string, not a caller-transient copy.
-	h.set[a.ID] = struct{}{}
+	h.set[log.num] = struct{}{}
+	at := wallOf(meta.At)
 	if h.order.total == 0 {
-		h.oldest, h.newest = meta.At, meta.At
-	} else if meta.At.Before(h.oldest) {
-		h.oldest = meta.At
-	} else if meta.At.After(h.newest) {
-		h.newest = meta.At
+		h.oldest, h.newest = at, at
+	} else if at.before(h.oldest) {
+		h.oldest = at
+	} else if h.newest.before(at) {
+		h.newest = at
 	}
-	seq := objShard.likeSeq[objectID]
-	objShard.likeSeq[objectID] = seq + 1
+	app, ip := s.attrs.intern(meta.AppID), s.attrs.intern(meta.SourceIP)
 	h.order.append(&objShard.edges, likeRef{
-		seq: seq, id: a.ID, appID: meta.AppID, sourceIP: meta.SourceIP, at: meta.At,
+		seq: t.seq, acct: a, sec: at.sec, nsec: at.nsec, app: app, ip: ip,
 	})
-	acctShard.activityFor(a.ID).append(&acctShard.acts, Activity{
-		ActorID: a.ID, Verb: VerbLike, ObjectID: objectID, TargetID: targetID,
-		AppID: meta.AppID, SourceIP: meta.SourceIP, At: meta.At,
+	t.seq++
+	log.entries.append(&acctShard.acts, activityRef{
+		object: t.num, target: t.owner, sec: at.sec, nsec: at.nsec, app: app, ip: ip, verb: verbLike,
 	})
 	return nil
 }
@@ -444,17 +487,21 @@ func likeLocked(acctShard, objShard *shard, accountID, objectID string, meta Wri
 // object whose last like is removed retires its whole history to the
 // shard free list.
 func (s *Store) RemoveLike(accountID, objectID string) error {
+	num, ok := idNum(accountID)
+	if !ok {
+		return errNotLiked
+	}
 	sh := s.lock(objectID)
 	defer sh.mu.Unlock()
 	h, ok := sh.likes[objectID]
 	if !ok {
 		return errNotLiked
 	}
-	if _, liked := h.set[accountID]; !liked {
+	if _, liked := h.set[num]; !liked {
 		return errNotLiked
 	}
-	delete(h.set, accountID)
-	removeLike(&h.order, &sh.edges, accountID)
+	delete(h.set, num)
+	removeLike(&h.order, &sh.edges, num)
 	if len(h.set) == 0 {
 		sh.retireLikeHistory(objectID, h)
 	}
@@ -470,10 +517,11 @@ func (s *Store) Likes(objectID string) []Like {
 	if !ok {
 		return nil
 	}
+	attrs := s.attrs.snapshot()
 	out := make([]Like, 0, h.order.total)
 	for c := h.order.head; c != nil; c = c.next {
 		for i := 0; i < c.n; i++ {
-			out = append(out, c.buf[i].like(objectID))
+			out = append(out, c.buf[i].like(objectID, attrs))
 		}
 	}
 	return out
@@ -491,7 +539,7 @@ func (s *Store) Likers(objectID string) []string {
 	out := make([]string, 0, h.order.total)
 	for c := h.order.head; c != nil; c = c.next {
 		for i := 0; i < c.n; i++ {
-			out = append(out, c.buf[i].id)
+			out = append(out, c.buf[i].acct.ID)
 		}
 	}
 	return out
@@ -509,13 +557,17 @@ func (s *Store) LikeCount(objectID string) int {
 
 // HasLiked reports whether the account has liked the object.
 func (s *Store) HasLiked(accountID, objectID string) bool {
+	num, ok := idNum(accountID)
+	if !ok {
+		return false
+	}
 	sh := s.rlock(objectID)
 	defer sh.mu.RUnlock()
 	h, ok := sh.likes[objectID]
 	if !ok {
 		return false
 	}
-	_, liked := h.set[accountID]
+	_, liked := h.set[num]
 	return liked
 }
 
@@ -579,11 +631,20 @@ func (s *Store) commentLocked(acctShard, postShard *shard, accountID, postID, me
 	seq := postShard.commentSeq[postID]
 	postShard.commentSeq[postID] = seq + 1
 	postShard.commentOrderFor(postID).append(&postShard.commentEdges, edgeRef{seq: seq, id: c.ID})
-	acctShard.activityFor(a.ID).append(&acctShard.acts, Activity{
-		ActorID: a.ID, Verb: VerbComment, ObjectID: c.ID, TargetID: post.AuthorID,
-		AppID: meta.AppID, SourceIP: meta.SourceIP, At: meta.At,
-	})
+	acctShard.logOf(a).entries.append(&acctShard.acts, s.activityEntry(verbComment, c.ID, post.AuthorID, meta))
 	return *c, nil
+}
+
+// activityEntry builds the activity entry of a post or a comment. A like
+// builds its own from the object it resolved (see likeLocked).
+func (s *Store) activityEntry(verb uint8, objectID, targetID string, meta WriteMeta) activityRef {
+	object, _ := idNum(objectID)
+	target, _ := idNum(targetID)
+	at := wallOf(meta.At)
+	return activityRef{
+		object: object, target: target, sec: at.sec, nsec: at.nsec,
+		app: s.attrs.intern(meta.AppID), ip: s.attrs.intern(meta.SourceIP), verb: verb,
+	}
 }
 
 // Comments returns the comments on a post in creation order.
@@ -610,13 +671,16 @@ func (s *Store) Comments(postID string) []Comment {
 func (s *Store) ActivityLog(accountID string) []Activity {
 	sh := s.rlock(accountID)
 	defer sh.mu.RUnlock()
-	l, ok := sh.activity[accountID]
-	if !ok {
+	a, ok := sh.accounts[accountID]
+	if !ok || a.log == nil || a.log.entries.total == 0 {
 		return nil
 	}
-	out := make([]Activity, 0, l.total)
-	for c := l.head; c != nil; c = c.next {
-		out = append(out, c.buf[:c.n]...)
+	attrs := s.attrs.snapshot()
+	out := make([]Activity, 0, a.log.entries.total)
+	for c := a.log.entries.head; c != nil; c = c.next {
+		for i := 0; i < c.n; i++ {
+			out = append(out, c.buf[i].activity(a.ID, attrs))
+		}
 	}
 	return out
 }
@@ -625,15 +689,17 @@ func (s *Store) ActivityLog(accountID string) []Activity {
 func (s *Store) ActivitySince(accountID string, t time.Time) []Activity {
 	sh := s.rlock(accountID)
 	defer sh.mu.RUnlock()
-	l, ok := sh.activity[accountID]
-	if !ok {
+	a, ok := sh.accounts[accountID]
+	if !ok || a.log == nil {
 		return nil
 	}
+	attrs := s.attrs.snapshot()
+	since := wallOf(t)
 	var out []Activity
-	for c := l.head; c != nil; c = c.next {
+	for c := a.log.entries.head; c != nil; c = c.next {
 		for i := 0; i < c.n; i++ {
-			if !c.buf[i].At.Before(t) {
-				out = append(out, c.buf[i])
+			if !c.buf[i].at().before(since) {
+				out = append(out, c.buf[i].activity(a.ID, attrs))
 			}
 		}
 	}

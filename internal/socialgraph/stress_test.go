@@ -156,6 +156,95 @@ func TestStressFriendshipSymmetry(t *testing.T) {
 	}
 }
 
+// TestAttrTableInternRace applies like batches on several stripes at
+// once, and crawls each writer's object and likers between batches.
+// Each writer's object and likers live on a pair of stripes of its own,
+// so the writers' lock scopes never overlap and only the attribution
+// table, the one store structure every stripe shares, orders their
+// interning. Every writer interns the same app IDs and a source IP of
+// its own per like, so first sightings and lookups overlap throughout,
+// and every like must read back with the attribution it was written
+// with. Run under -race.
+func TestAttrTableInternRace(t *testing.T) {
+	const (
+		writers = 4
+		likers  = 40
+		batch   = 10
+	)
+	s := New(2*writers, 0)
+	epoch := time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
+	owner := s.CreateAccount("owner", "IN", epoch)
+	posts := make([]string, writers)
+	for filled := 0; filled < writers; {
+		p, err := s.CreatePost(owner.ID, "p", WriteMeta{At: epoch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := s.ShardIndexOf(p.ID) / 2; posts[w] == "" {
+			posts[w] = p.ID
+			filled++
+		}
+	}
+	accts := make([][]string, writers)
+	for filled := 0; filled < writers; {
+		id := s.CreateAccount("l", "IN", epoch).ID
+		w := s.ShardIndexOf(id) / 2
+		if len(accts[w]) == likers {
+			continue
+		}
+		if accts[w] = append(accts[w], id); len(accts[w]) == likers {
+			filled++
+		}
+	}
+	meta := func(w, i int) WriteMeta {
+		return WriteMeta{
+			AppID:    fmt.Sprintf("app-%d", (w+i)%5),
+			SourceIP: fmt.Sprintf("10.%d.%d.1", w, i),
+			At:       epoch.Add(time.Duration(i) * time.Second),
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := range posts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ops := make([]LikeOp, 0, batch)
+			for i := 0; i < likers; i += batch {
+				ops = ops[:0]
+				for j := i; j < i+batch; j++ {
+					ops = append(ops, LikeOp{AccountID: accts[w][j], ObjectID: posts[w], Meta: meta(w, j)})
+				}
+				for j, err := range s.AddLikeBatch(ops) {
+					if err != nil {
+						t.Errorf("writer %d op %d: %v", w, i+j, err)
+					}
+				}
+				s.Likes(posts[w])
+				s.ActivityLog(accts[w][i])
+			}
+		}()
+	}
+	wg.Wait()
+
+	for w, post := range posts {
+		likes := s.Likes(post)
+		if len(likes) != likers {
+			t.Fatalf("Likes(post %d) has %d likes, want %d", w, len(likes), likers)
+		}
+		for i, l := range likes {
+			m := meta(w, i)
+			if l.AccountID != accts[w][i] || l.AppID != m.AppID || l.SourceIP != m.SourceIP || !l.At.Equal(m.At) {
+				t.Fatalf("Likes(post %d)[%d] = %+v, want %s with %+v", w, i, l, accts[w][i], m)
+			}
+			log := s.ActivityLog(accts[w][i])
+			if len(log) != 1 || log[0].ObjectID != post || log[0].AppID != m.AppID || log[0].SourceIP != m.SourceIP || !log[0].At.Equal(m.At) {
+				t.Fatalf("ActivityLog(writer %d liker %d) = %+v, want its like of %s with %+v", w, i, log, post, m)
+			}
+		}
+	}
+}
+
 // TestRetentionSweepRacesWriters runs a sweeper goroutine against 8
 // writers whose likes and comments carry advancing timestamps. Writers
 // pause at their midpoint until a sweep has evicted a like, so sweeps
