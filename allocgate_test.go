@@ -311,7 +311,7 @@ func TestAllocGateGraphAPIDenialObserved(t *testing.T) {
 	w.p.API.Chain().Append(defense.NewTokenRateLimiter(w.clock, 0, time.Hour))
 	ops := make([]graphapi.BatchLikeOp, burst)
 	for i, tok := range w.tokens {
-		ops[i] = graphapi.BatchLikeOp{AccessToken: tok, SourceIP: "198.51.100.7"}
+		ops[i] = graphapi.BatchLikeOp{Token: tok, IP: "198.51.100.7"}
 	}
 	ctx := obs.UnsampledContext(context.Background())
 	batch := func(ops []graphapi.BatchLikeOp) func() {

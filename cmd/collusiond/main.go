@@ -38,9 +38,9 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/traces, and pprof on this address (empty disables)")
 	flag.Parse()
 
-	// All diagnostics flow through the redacting leveled logger — member
+	// All diagnostics flow through the redacting logger — member
 	// tokens must never reach stderr intact, even inside error strings.
-	logger := obs.NewLogger("collusiond", os.Stderr, obs.LevelInfo).WithClock(simclock.Real{})
+	logger := obs.NewLogger("collusiond", os.Stderr, simclock.Real{})
 
 	if *appID == "" || *redirect == "" {
 		logger.Fatalf("-app and -redirect are required (see platformd output)")

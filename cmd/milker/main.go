@@ -38,9 +38,9 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/traces, and pprof on this address (empty disables)")
 	flag.Parse()
 
-	// All diagnostics flow through the redacting leveled logger — a
+	// All diagnostics flow through the redacting logger — a
 	// token in an error string is masked before it can reach stderr.
-	logger := obs.NewLogger("milker", os.Stderr, obs.LevelInfo).WithClock(simclock.Real{})
+	logger := obs.NewLogger("milker", os.Stderr, simclock.Real{})
 
 	// The campaign's own telemetry: progress counters plus pprof, so a
 	// long milking run can be watched and profiled while it works.

@@ -52,10 +52,14 @@ func runScale(args []string) {
 		fmt.Fprintf(os.Stderr, "repro scale: %v\n", err)
 		os.Exit(1)
 	}
+	built := time.Since(t0)
+	// Collect first, so the heap figure is the graph, not the garbage
+	// its construction left behind.
+	runtime.GC()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	fmt.Printf("built in %v: %d pages, %d hot posts, %d friend edges, heap %d MiB\n",
-		time.Since(t0).Round(time.Millisecond), len(w.Pages), len(w.Posts),
+		built.Round(time.Millisecond), len(w.Pages), len(w.Posts),
 		w.FriendEdges, mem.HeapAlloc>>20)
 
 	// Runtime families on the same registry /metrics would serve; the
@@ -108,7 +112,7 @@ func runScale(args []string) {
 	}
 	fmt.Printf("  retained at end: %d likes, %d comments, %d activities\n",
 		rep.Retained.Likes, rep.Retained.Comments, rep.Retained.Activities)
-	snap := w.Graph.Retention().Snapshot()
+	snap := w.Graph.Retention()
 	fmt.Printf("  retention counters: sweeps %d, evicted likes %d, comments %d, activities %d\n",
 		snap.Sweeps, snap.Likes, snap.Comments, snap.Activities)
 	rt := rep.RuntimeEnd

@@ -88,14 +88,14 @@ func TestRetentionSweepDefenseEquivalence(t *testing.T) {
 	}
 
 	// The sweeps genuinely ran on the windowed study and evicted nothing.
-	snap := swept.Scenario.Platform.Graph.Retention().Snapshot()
+	snap := swept.Scenario.Platform.Graph.Retention()
 	if snap.Sweeps != rounds {
 		t.Fatalf("swept study ran %d sweeps, want %d", snap.Sweeps, rounds)
 	}
 	if snap.Likes != 0 || snap.Comments != 0 || snap.Activities != 0 {
 		t.Fatalf("in-window sweeps evicted: %+v", snap)
 	}
-	if base.Scenario.Platform.Graph.Retention().Snapshot().Sweeps != 0 {
+	if base.Scenario.Platform.Graph.Retention().Sweeps != 0 {
 		t.Fatal("base study's no-op sweeps were counted")
 	}
 }

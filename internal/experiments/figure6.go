@@ -73,7 +73,6 @@ func Figure6(cfg Figure6Config) (Figure6Result, error) {
 	for _, ni := range study.Scenario.Networks {
 		name := ni.Spec.Name
 		est := study.Estimators[name]
-		hist := est.PostsLikedHistogram()
 		panel := Figure6Panel{
 			Network:   name,
 			Fraction:  make(map[int]float64),
@@ -86,7 +85,7 @@ func Figure6(cfg Figure6Config) (Figure6Result, error) {
 			YLabel: "percentage of accounts",
 		}
 		s := Series{Label: name}
-		for _, bin := range hist.Bins() {
+		for _, bin := range est.PostsLikedHistogram() {
 			panel.Fraction[bin.Value] = bin.Fraction
 			s.Points = append(s.Points, SeriesPoint{X: float64(bin.Value), Y: 100 * bin.Fraction})
 		}

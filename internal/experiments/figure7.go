@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/honeypot"
 	"repro/internal/workload"
@@ -75,16 +77,8 @@ func Figure7(cfg Figure7Config) (Figure7Result, error) {
 	for _, ni := range study.Scenario.Networks {
 		name := ni.Spec.Name
 		hp := study.Honeypots[name]
-		series := honeypot.HourlySeries(hp.OutgoingActivities(), origin)
-		panel := Figure7Panel{Network: name, LikesPerHour: make([]int, cfg.Hours)}
-		for _, pt := range series.Points() {
-			if pt.Bucket >= 0 && pt.Bucket < cfg.Hours {
-				panel.LikesPerHour[pt.Bucket] = int(pt.Count)
-				if int(pt.Count) > panel.MaxPerHour {
-					panel.MaxPerHour = int(pt.Count)
-				}
-			}
-		}
+		counts := honeypot.HourlyCounts(hp.OutgoingActivities(), origin, cfg.Hours)
+		panel := Figure7Panel{Network: name, LikesPerHour: counts, MaxPerHour: slices.Max(counts)}
 		fig := Figure{
 			ID:     "figure7",
 			Title:  "Hourly likes performed by the honeypot account — " + name,

@@ -57,7 +57,7 @@ func TestTable4UnchangedByInfiniteRetention(t *testing.T) {
 	}
 	// The sweeps did run (the campaign advanced many hours), they just
 	// never evicted: the counters prove the machinery was exercised.
-	snap := retained.Study.Scenario.Platform.Graph.Retention().Snapshot()
+	snap := retained.Study.Scenario.Platform.Graph.Retention()
 	if snap.Sweeps == 0 {
 		t.Fatal("no sweeps ran during the campaign")
 	}

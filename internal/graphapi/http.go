@@ -489,7 +489,7 @@ func parseLikeBatch(ops []batchOp, defaultToken, fwd string) (string, []BatchLik
 		if ip == "" {
 			ip = fwdIP
 		}
-		out[i] = BatchLikeOp{AccessToken: token, AppSecretProof: vals.Get("appsecret_proof"), SourceIP: ip}
+		out[i] = BatchLikeOp{Token: token, AppSecretProof: vals.Get("appsecret_proof"), IP: ip}
 	}
 	return objectID, out, true
 }

@@ -123,12 +123,13 @@ func (m *batchMemo) asn(internet *netsim.Internet, ip string) (netsim.ASN, bool)
 	return e.asn, e.ok
 }
 
-// BatchLikeOp is one like in a batch: the op's bearer token, its
-// app-secret proof, and the source IP the action originates from.
+// BatchLikeOp is one like in a batch: the member token that performs
+// it, its app-secret proof (empty unless the app requires one), and the
+// source IP the action originates from.
 type BatchLikeOp struct {
-	AccessToken    string
+	Token          string
 	AppSecretProof string
-	SourceIP       string
+	IP             string
 }
 
 // LikeBatch publishes one like on objectID per op and returns one error
@@ -168,7 +169,7 @@ func (a *API) LikeBatch(ctx context.Context, objectID string, ops []BatchLikeOp)
 		if i > 0 {
 			opCtx = unsampled
 		}
-		cc := CallContext{AccessToken: op.AccessToken, AppSecretProof: op.AppSecretProof, SourceIP: op.SourceIP}
+		cc := CallContext{AccessToken: op.Token, AppSecretProof: op.AppSecretProof, SourceIP: op.IP}
 		req, err := a.authenticateMemo(opCtx, cc, VerbLike, a.scopePublish, start, memo)
 		if err != nil {
 			errs[i] = err
@@ -182,7 +183,7 @@ func (a *API) LikeBatch(ctx context.Context, objectID string, ops []BatchLikeOp)
 		apply = append(apply, socialgraph.LikeOp{
 			AccountID: req.Token.AccountID,
 			ObjectID:  objectID,
-			Meta:      socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: op.SourceIP, At: req.At},
+			Meta:      socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: op.IP, At: req.At},
 		})
 		applyIdx = append(applyIdx, i)
 	}

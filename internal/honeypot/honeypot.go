@@ -12,8 +12,10 @@
 package honeypot
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -21,7 +23,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/collusion"
 	"repro/internal/ids"
-	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
@@ -258,66 +259,83 @@ func (h *Honeypot) OutgoingActivities() []socialgraph.Activity {
 // and derives the Table 4 row, the Figure 4 curve, and the Figure 6
 // histogram.
 type Estimator struct {
-	tracker *metrics.UniqueTracker
 	// likesPerAccount counts how many of the honeypot's posts each
-	// account liked (Figure 6).
+	// account liked; its keys are the distinct likers (Table 4's
+	// membership estimate) and its values Figure 6's histogram.
 	likesPerAccount map[string]int
-	postsSubmitted  int
+	curve           []CurvePoint
 	totalLikes      int
+}
+
+// CurvePoint is the estimator's state after one post: the post index
+// and the cumulative likes and distinct likers so far (Figure 4).
+type CurvePoint struct {
+	Step             int
+	CumulativeEvents int
+	CumulativeUnique int
 }
 
 // NewEstimator returns an empty estimator.
 func NewEstimator() *Estimator {
-	return &Estimator{
-		tracker:         metrics.NewUniqueTracker(),
-		likesPerAccount: make(map[string]int),
-	}
+	return &Estimator{likesPerAccount: make(map[string]int)}
 }
 
 // ObservePost ingests the crawled likers of one milked post.
 func (e *Estimator) ObservePost(likers []string) {
-	e.tracker.Step(likers)
-	e.postsSubmitted++
 	e.totalLikes += len(likers)
 	for _, id := range likers {
 		e.likesPerAccount[id]++
 	}
+	e.curve = append(e.curve, CurvePoint{
+		Step:             len(e.curve) + 1,
+		CumulativeEvents: e.totalLikes,
+		CumulativeUnique: len(e.likesPerAccount),
+	})
 }
 
 // MembershipEstimate returns the number of unique accounts observed so
 // far — a strict lower bound on the network's membership.
-func (e *Estimator) MembershipEstimate() int {
-	return int(e.tracker.Unique())
-}
+func (e *Estimator) MembershipEstimate() int { return len(e.likesPerAccount) }
 
 // PostsSubmitted returns how many posts have been ingested.
-func (e *Estimator) PostsSubmitted() int { return e.postsSubmitted }
+func (e *Estimator) PostsSubmitted() int { return len(e.curve) }
 
 // TotalLikes returns the total likes observed.
 func (e *Estimator) TotalLikes() int { return e.totalLikes }
 
 // AvgLikesPerPost returns the mean likes per milked post.
 func (e *Estimator) AvgLikesPerPost() float64 {
-	if e.postsSubmitted == 0 {
+	if len(e.curve) == 0 {
 		return 0
 	}
-	return float64(e.totalLikes) / float64(e.postsSubmitted)
+	return float64(e.totalLikes) / float64(len(e.curve))
 }
 
-// Curve returns the cumulative (likes, unique accounts) series per post
-// index — Figure 4.
-func (e *Estimator) Curve() []metrics.UniquePoint {
-	return e.tracker.Points()
+// Curve returns one point per ingested post — Figure 4.
+func (e *Estimator) Curve() []CurvePoint { return slices.Clone(e.curve) }
+
+// Bin is one bar of the Figure 6 histogram: the accounts that liked
+// Value of the honeypot's posts, and their share of all likers.
+type Bin struct {
+	Value    int
+	Count    int
+	Fraction float64
 }
 
-// PostsLikedHistogram returns the Figure 6 histogram: for each account,
-// how many of the honeypot's posts it liked.
-func (e *Estimator) PostsLikedHistogram() *metrics.IntHistogram {
-	h := metrics.NewIntHistogram()
+// PostsLikedHistogram returns the Figure 6 histogram in ascending value
+// order: for each number of the honeypot's posts, how many accounts
+// liked exactly that many.
+func (e *Estimator) PostsLikedHistogram() []Bin {
+	counts := make(map[int]int)
 	for _, n := range e.likesPerAccount {
-		h.Observe(n)
+		counts[n]++
 	}
-	return h
+	bins := make([]Bin, 0, len(counts))
+	for v, c := range counts {
+		bins = append(bins, Bin{Value: v, Count: c, Fraction: float64(c) / float64(len(e.likesPerAccount))})
+	}
+	slices.SortFunc(bins, func(a, b Bin) int { return cmp.Compare(a.Value, b.Value) })
+	return bins
 }
 
 // AccountsLikingAtMost returns the fraction of observed accounts that
@@ -362,13 +380,18 @@ func SummarizeOutgoing(acts []socialgraph.Activity) OutgoingSummary {
 	}
 }
 
-// HourlySeries buckets activities into hours since origin — Figure 7.
-func HourlySeries(acts []socialgraph.Activity, origin time.Time) *metrics.Series {
-	s := metrics.NewSeries(origin, time.Hour)
+// HourlyCounts counts activities per hour since origin over the first
+// hours hours — Figure 7. Activity before origin or after the last hour
+// is not counted.
+func HourlyCounts(acts []socialgraph.Activity, origin time.Time, hours int) []int {
+	counts := make([]int, hours)
 	for _, a := range acts {
-		s.Observe(a.At, 1)
+		d := a.At.Sub(origin)
+		if h := int(d / time.Hour); d >= 0 && h < hours {
+			counts[h]++
+		}
 	}
-	return s
+	return counts
 }
 
 var _ Site = (*collusion.Network)(nil)

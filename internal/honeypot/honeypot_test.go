@@ -2,8 +2,11 @@ package honeypot
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/apps"
@@ -206,8 +209,7 @@ func TestEstimatorDiminishingReturns(t *testing.T) {
 	if curve[2].CumulativeEvents != 9 || curve[2].CumulativeUnique != 5 {
 		t.Fatalf("curve[2] = %+v", curve[2])
 	}
-	hist := e.PostsLikedHistogram()
-	bins := hist.Bins()
+	bins := e.PostsLikedHistogram()
 	// a:2 b:2 c:2 d:2 e:1 → bin(1)=1, bin(2)=4
 	if len(bins) != 2 || bins[0].Count != 1 || bins[1].Count != 4 {
 		t.Fatalf("histogram = %+v", bins)
@@ -222,6 +224,9 @@ func TestEstimatorEmpty(t *testing.T) {
 	if e.AvgLikesPerPost() != 0 || e.MembershipEstimate() != 0 || e.AccountsLikingAtMost(1) != 0 {
 		t.Fatal("empty estimator not zero")
 	}
+	if len(e.Curve()) != 0 || len(e.PostsLikedHistogram()) != 0 {
+		t.Fatal("empty estimator has a curve or histogram")
+	}
 }
 
 func TestSolveArithmetic(t *testing.T) {
@@ -233,19 +238,67 @@ func TestSolveArithmetic(t *testing.T) {
 	}
 }
 
+// Property: the Figure 4 curve and the Figure 6 histogram agree with
+// the estimator's totals for any sequence of crawled posts.
+func TestQuickEstimatorInvariants(t *testing.T) {
+	f := func(posts [][]byte) bool {
+		e := NewEstimator()
+		for _, p := range posts {
+			likers := make([]string, len(p))
+			for i, x := range p {
+				likers[i] = fmt.Sprintf("a%d", x%32)
+			}
+			e.ObservePost(likers)
+		}
+		curve := e.Curve()
+		if len(curve) != len(posts) || e.PostsSubmitted() != len(posts) {
+			return false
+		}
+		events, prevUnique := 0, 0
+		for i, pt := range curve {
+			events += len(posts[i])
+			if pt.Step != i+1 || pt.CumulativeEvents != events {
+				return false
+			}
+			if pt.CumulativeUnique < prevUnique || pt.CumulativeUnique > pt.CumulativeEvents {
+				return false
+			}
+			prevUnique = pt.CumulativeUnique
+		}
+		if prevUnique != e.MembershipEstimate() || events != e.TotalLikes() {
+			return false
+		}
+		bins := e.PostsLikedHistogram()
+		count, frac := 0, 0.0
+		for i, b := range bins {
+			if i > 0 && b.Value <= bins[i-1].Value {
+				return false // bins must ascend by value
+			}
+			count += b.Count
+			frac += b.Fraction
+		}
+		return count == e.MembershipEstimate() && (count == 0 || math.Abs(frac-1) < 1e-9)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHourlySeries checks HourlyCounts, Figure 7's series.
 func TestHourlySeries(t *testing.T) {
 	acts := []socialgraph.Activity{
+		{At: t0.Add(-time.Minute)}, // before the origin
+		{At: t0},
 		{At: t0.Add(30 * time.Minute)},
-		{At: t0.Add(45 * time.Minute)},
-		{At: t0.Add(5 * time.Hour)},
+		{At: t0.Add(3*time.Hour + 59*time.Minute)}, // last hour
+		{At: t0.Add(4 * time.Hour)},                // one past the last hour
 	}
-	s := HourlySeries(acts, t0)
-	pts := s.Points()
-	if len(pts) != 6 {
-		t.Fatalf("points = %d", len(pts))
+	got := HourlyCounts(acts, t0, 4)
+	if want := []int{2, 0, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("HourlyCounts = %v, want %v", got, want)
 	}
-	if pts[0].Count != 2 || pts[5].Count != 1 {
-		t.Fatalf("series = %+v", pts)
+	if got := HourlyCounts(nil, t0, 3); !slices.Equal(got, []int{0, 0, 0}) {
+		t.Fatalf("HourlyCounts(nil) = %v", got)
 	}
 }
 

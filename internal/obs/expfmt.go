@@ -68,7 +68,7 @@ func (f *family) writeText(w io.Writer) error {
 	for _, s := range sers {
 		switch f.kind {
 		case KindCounter:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, formatLabels(f.labels, s.labelValues), s.counter.Value()); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, formatLabels(f.labels, s.labelValues), s.counter.Load()); err != nil {
 				return err
 			}
 		case KindGauge:

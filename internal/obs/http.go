@@ -3,6 +3,7 @@ package obs
 import (
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 )
 
@@ -56,30 +57,12 @@ func (o *Observer) Middleware(next http.Handler, prefix string, endpointFn func(
 		next.ServeHTTP(rec, r.WithContext(ctx))
 		elapsed := o.T().now().Sub(start)
 
-		span.SetAttr("status", itoa(rec.status))
+		status := strconv.Itoa(rec.status)
+		span.SetAttr("status", status)
 		span.End()
-		requests.Inc(endpoint, itoa(rec.status))
+		requests.Inc(endpoint, status)
 		latency.Observe(elapsed.Seconds(), endpoint)
 	})
-}
-
-// itoa avoids strconv on the request path for the common 3-digit case.
-func itoa(n int) string {
-	if n >= 100 && n < 1000 {
-		return string([]byte{byte('0' + n/100), byte('0' + n/10%10), byte('0' + n%10)})
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if i == len(buf) {
-		i--
-		buf[i] = '0'
-	}
-	return string(buf[i:])
 }
 
 // MetricsHandler serves the registry in Prometheus text exposition format.

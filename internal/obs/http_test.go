@@ -233,7 +233,7 @@ func TestTracesDroppedCollector(t *testing.T) {
 // for a client's headers after ReadHeaderTimeout.
 func TestServersCarryHeaderTimeout(t *testing.T) {
 	o := New(simclock.NewSimulated(traceEpoch), DefaultPlatformLabel)
-	debug := o.ServeDebug("127.0.0.1:0", NewLogger("test", io.Discard, LevelInfo))
+	debug := o.ServeDebug("127.0.0.1:0", NewLogger("test", io.Discard, simclock.NewSimulated(traceEpoch)))
 	defer debug.Close()
 	for name, srv := range map[string]*http.Server{
 		"NewServer":  NewServer("127.0.0.1:0", http.NotFoundHandler()),

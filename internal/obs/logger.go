@@ -11,66 +11,28 @@ import (
 	"repro/internal/simclock"
 )
 
-// Level is a log severity. Messages below a Logger's minimum are dropped
-// before formatting, so disabled debug logging costs one comparison.
-type Level int8
-
-// Severities, in ascending order.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the fixed-width upper-case name used in log lines.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "DEBUG"
-	case LevelInfo:
-		return "INFO"
-	case LevelWarn:
-		return "WARN"
-	case LevelError:
-		return "ERROR"
-	default:
-		return "LOG"
-	}
-}
-
-// Logger is the daemons' leveled logger. It exists for one reason beyond
-// levels: every argument and the final formatted line are forced through
-// internal/redact before reaching the writer, so a token that slips into
-// an error string or URL cannot reach a log file intact. The tokenflow
-// analyzer additionally treats the *f methods as credential sinks, the
-// same as Span.SetAttr — static analysis catches what it can, and the
-// runtime scrubbing catches values that flow in dynamically.
+// Logger is the daemons' logger. Every argument and the final formatted
+// line are forced through internal/redact before reaching the writer, so
+// a token that slips into an error string or URL cannot reach a log file
+// intact. The tokenflow analyzer additionally treats the *f methods as
+// credential sinks, the same as Span.SetAttr — static analysis catches
+// what it can, and the runtime scrubbing catches values that flow in
+// dynamically.
 //
 // A nil *Logger is a valid no-op, except Fatalf, which still exits.
 type Logger struct {
 	mu    sync.Mutex
 	w     io.Writer
-	min   Level
 	name  string
 	clock simclock.Clock
 	exit  func(int) // Fatalf seam; defaults to os.Exit
 }
 
-// NewLogger returns a logger writing lines tagged with name to w,
-// dropping messages below min. Lines carry no timestamp until a clock is
-// attached with WithClock — consistent with the clock-injection rule
-// (obs is a simulation-adjacent package and must not read ambient time).
-func NewLogger(name string, w io.Writer, min Level) *Logger {
-	return &Logger{w: w, min: min, name: name, exit: os.Exit}
-}
-
-// WithClock attaches a clock for line timestamps and returns the logger.
-func (l *Logger) WithClock(clock simclock.Clock) *Logger {
-	if l != nil {
-		l.clock = clock
-	}
-	return l
+// NewLogger returns a logger writing lines tagged with name to w, each
+// stamped with the clock's time (obs is a simulation-adjacent package
+// and must not read ambient time).
+func NewLogger(name string, w io.Writer, clock simclock.Clock) *Logger {
+	return &Logger{w: w, name: name, clock: clock, exit: os.Exit}
 }
 
 // scrubArg redacts one argument. URL-shaped values get structure-aware
@@ -93,39 +55,30 @@ func scrubArg(a any) any {
 	}
 }
 
-func (l *Logger) logf(lv Level, format string, args ...any) {
-	if l == nil || lv < l.min || l.w == nil {
+func (l *Logger) logf(level, format string, args ...any) {
+	if l == nil {
 		return
 	}
 	for i, a := range args {
 		args[i] = scrubArg(a)
 	}
 	msg := redact.String(fmt.Sprintf(format, args...))
-	var stamp string
-	if l.clock != nil {
-		stamp = l.clock.Now().UTC().Format("2006-01-02T15:04:05.000Z") + " "
-	}
+	stamp := l.clock.Now().UTC().Format("2006-01-02T15:04:05.000Z")
 	l.mu.Lock()
-	fmt.Fprintf(l.w, "%s%s %s: %s\n", stamp, lv, l.name, msg)
+	fmt.Fprintf(l.w, "%s %s %s: %s\n", stamp, level, l.name, msg)
 	l.mu.Unlock()
 }
 
-// Debugf logs at debug level. Arguments are redacted; see Logger.
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
-
-// Infof logs at info level. Arguments are redacted; see Logger.
-func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
-
 // Warnf logs at warn level. Arguments are redacted; see Logger.
-func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args...) }
+func (l *Logger) Warnf(format string, args ...any) { l.logf("WARN", format, args...) }
 
 // Errorf logs at error level. Arguments are redacted; see Logger.
-func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }
+func (l *Logger) Errorf(format string, args ...any) { l.logf("ERROR", format, args...) }
 
 // Fatalf logs at error level and exits with status 1. Unlike the other
 // methods it acts even on a nil logger (the process must still die).
 func (l *Logger) Fatalf(format string, args ...any) {
-	l.logf(LevelError, format, args...)
+	l.logf("ERROR", format, args...)
 	if l != nil && l.exit != nil {
 		l.exit(1)
 		return

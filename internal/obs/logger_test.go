@@ -10,22 +10,18 @@ import (
 	"repro/internal/simclock"
 )
 
+var logEpoch = time.Date(2015, 11, 1, 0, 0, 0, 0, time.UTC)
+
 func TestLoggerLevelsAndFormat(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger("milker", &sb, LevelInfo)
+	l := NewLogger("milker", &sb, simclock.NewSimulated(logEpoch))
 
-	l.Debugf("dropped %d", 1) // below min: dropped before formatting
-	l.Infof("posts=%d", 7)
-	l.Warnf("slow")
+	l.Warnf("slow %d", 7)
 	l.Errorf("boom: %v", errors.New("dial refused"))
 
 	out := sb.String()
-	if strings.Contains(out, "dropped") {
-		t.Errorf("debug line leaked past LevelInfo:\n%s", out)
-	}
 	for _, want := range []string{
-		"INFO milker: posts=7\n",
-		"WARN milker: slow\n",
+		"WARN milker: slow 7\n",
 		"ERROR milker: boom: dial refused\n",
 	} {
 		if !strings.Contains(out, want) {
@@ -36,10 +32,8 @@ func TestLoggerLevelsAndFormat(t *testing.T) {
 
 func TestLoggerTimestamps(t *testing.T) {
 	var sb strings.Builder
-	clock := simclock.NewSimulated(time.Date(2015, 11, 1, 0, 0, 0, 0, time.UTC))
-	l := NewLogger("d", &sb, LevelDebug).WithClock(clock)
-	l.Infof("hello")
-	if want := "2015-11-01T00:00:00.000Z INFO d: hello\n"; sb.String() != want {
+	NewLogger("d", &sb, simclock.NewSimulated(logEpoch)).Warnf("hello")
+	if want := "2015-11-01T00:00:00.000Z WARN d: hello\n"; sb.String() != want {
 		t.Errorf("got %q, want %q", sb.String(), want)
 	}
 }
@@ -50,13 +44,13 @@ func TestLoggerTimestamps(t *testing.T) {
 func TestLoggerRedactsArguments(t *testing.T) {
 	const tok = "EAACEdEose0cBA1234567890"
 	var sb strings.Builder
-	l := NewLogger("d", &sb, LevelDebug)
+	l := NewLogger("d", &sb, simclock.NewSimulated(logEpoch))
 
-	l.Infof("joined with access_token=%s", tok)
+	l.Warnf("joined with access_token=%s", tok)
 	l.Errorf("req failed: %v", errors.New("GET /me?access_token="+tok+": 401"))
 	u, _ := url.Parse("https://site.example/cb#access_token=" + tok + "&expires_in=0")
 	l.Warnf("redirect %s", u)
-	l.Debugf("submit token=" + tok)
+	l.Errorf("submit token=" + tok)
 
 	out := sb.String()
 	if strings.Contains(out, tok) {
@@ -73,7 +67,7 @@ func TestLoggerRedactsArguments(t *testing.T) {
 func TestLoggerFatalf(t *testing.T) {
 	var sb strings.Builder
 	code := -1
-	l := NewLogger("d", &sb, LevelError)
+	l := NewLogger("d", &sb, simclock.NewSimulated(logEpoch))
 	l.exit = func(c int) { code = c }
 	l.Fatalf("token=%s invalid", "EAACEdEose0cBA")
 	if code != 1 {
@@ -86,6 +80,6 @@ func TestLoggerFatalf(t *testing.T) {
 
 func TestLoggerNil(t *testing.T) {
 	var l *Logger
-	l.Infof("no panic")  // no-op
+	l.Warnf("no panic")  // no-op
 	l.Errorf("no panic") // no-op
 }

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/metrics"
 )
 
 // Kind is a metric family's type, matching the Prometheus TYPE keywords.
@@ -63,9 +61,17 @@ type family struct {
 // series is one label-value combination of a family.
 type series struct {
 	labelValues []string
-	counter     *metrics.Counter // KindCounter
-	gaugeBits   atomic.Uint64    // KindGauge (float64 bits)
-	hist        *histogram       // KindHistogram
+	counter     atomic.Int64  // KindCounter
+	gaugeBits   atomic.Uint64 // KindGauge (float64 bits)
+	hist        *histogram    // KindHistogram
+}
+
+// add increments a counter series; counters only go up.
+func (s *series) add(delta int64) {
+	if delta < 0 {
+		panic("obs: negative counter add")
+	}
+	s.counter.Add(delta)
 }
 
 // histogram is a fixed-bucket latency histogram. Buckets hold
@@ -147,10 +153,7 @@ func (f *family) get(labelValues []string) *series {
 	s, ok := f.series[string(key)]
 	if !ok {
 		s = &series{labelValues: append([]string(nil), labelValues...)}
-		switch f.kind {
-		case KindCounter:
-			s.counter = &metrics.Counter{}
-		case KindHistogram:
+		if f.kind == KindHistogram {
 			s.hist = &histogram{counts: make([]atomic.Int64, len(f.buckets)+1)}
 		}
 		f.series[string(key)] = s
@@ -175,7 +178,7 @@ func (v *CounterVec) With(labelValues ...string) *BoundCounter {
 	if v == nil {
 		return nil
 	}
-	return &BoundCounter{c: v.fam.get(labelValues).counter}
+	return &BoundCounter{s: v.fam.get(labelValues)}
 }
 
 // Add increments the series for the label values by delta.
@@ -183,22 +186,22 @@ func (v *CounterVec) Add(delta int64, labelValues ...string) {
 	if v == nil {
 		return
 	}
-	v.fam.get(labelValues).counter.Add(delta)
+	v.fam.get(labelValues).add(delta)
 }
 
 // Inc increments the series for the label values by one.
 func (v *CounterVec) Inc(labelValues ...string) { v.Add(1, labelValues...) }
 
-// BoundCounter is a counter pre-bound to its label values — a wrapped
-// internal/metrics.Counter that tolerates nil (unobserved) instruments.
-type BoundCounter struct{ c *metrics.Counter }
+// BoundCounter is a counter pre-bound to its label values. A nil
+// *BoundCounter (an unobserved instrument) is a valid no-op.
+type BoundCounter struct{ s *series }
 
-// Add increments by delta (panics if negative, per the Counter contract).
+// Add increments by delta, which must not be negative.
 func (b *BoundCounter) Add(delta int64) {
 	if b == nil {
 		return
 	}
-	b.c.Add(delta)
+	b.s.add(delta)
 }
 
 // Inc increments by one.
@@ -209,7 +212,7 @@ func (b *BoundCounter) Value() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.c.Value()
+	return b.s.counter.Load()
 }
 
 // GaugeVec is a gauge family.

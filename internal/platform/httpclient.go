@@ -261,9 +261,10 @@ func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) er
 
 // LikeBatch implements Client over POST /batch, chunked at the
 // provider's batch-op cap. Each op rides as one batched POST /{object}/likes
-// with its own token, and its source IP travels in the op's source_ip
-// field so attribution survives coalescing. A transport-level failure
-// marks every op of the failed chunk with the same error.
+// with its own token and, when set, its appsecret_proof; its source IP
+// travels in the op's source_ip field so attribution survives
+// coalescing. A transport-level failure marks every op of the failed
+// chunk with the same error.
 func (c *HTTPClient) LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error {
 	errs := make([]error, len(ops))
 	for start := 0; start < len(ops); start += c.maxBatch {
@@ -286,10 +287,14 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 	}
 	batch := make([]batchOp, len(ops))
 	for i, op := range ops {
+		body := tokenForm(op.Token)
+		if op.AppSecretProof != "" {
+			body += "&appsecret_proof=" + url.QueryEscape(op.AppSecretProof)
+		}
 		batch[i] = batchOp{
 			Method:      http.MethodPost,
 			RelativeURL: "/" + objectID + "/likes",
-			Body:        "access_token=" + url.QueryEscape(op.Token),
+			Body:        body,
 			SourceIP:    op.IP,
 		}
 	}

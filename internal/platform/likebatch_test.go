@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/graphapi"
+	"repro/internal/oauthsim"
 	"repro/internal/socialgraph"
 )
 
@@ -95,6 +96,47 @@ func TestLikeBatchEmptyAndSingle(t *testing.T) {
 			errs := client.LikeBatch(context.Background(), w.post.ID, []BatchLike{{Token: tok, IP: "203.0.113.1"}})
 			if len(errs) != 1 || errs[0] != nil {
 				t.Fatalf("single-op batch = %v", errs)
+			}
+		})
+	}
+}
+
+// TestLikeBatchAppSecretProof: both transports carry an op's
+// appsecret_proof, so a batch for an app that requires one lands with the
+// proof and is refused with code 104 without it.
+func TestLikeBatchAppSecretProof(t *testing.T) {
+	w := newWorld(t)
+	app := w.p.Apps.Register(apps.Config{
+		Name:              "Secured",
+		RedirectURI:       "https://secured.example/cb",
+		ClientFlowEnabled: true,
+		RequireAppSecret:  true,
+		Lifetime:          apps.LongTerm,
+		Permissions:       []string{apps.PermPublicProfile, apps.PermPublishActions},
+	})
+	for name, client := range clientsUnderTest(t, w) {
+		t.Run(name, func(t *testing.T) {
+			m := w.p.Graph.CreateAccount("proof-"+name, "IN", t0)
+			tok, err := client.AuthorizeImplicit(app.ID, app.RedirectURI, m.ID,
+				[]string{apps.PermPublishActions, apps.PermPublicProfile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			post, err := w.p.Graph.CreatePost(w.author.ID, "proof post "+name, socialgraph.WriteMeta{At: t0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := client.LikeBatch(context.Background(), post.ID, []BatchLike{{Token: tok, IP: "203.0.113.1"}})
+			if code := ErrorCode(errs[0]); code != graphapi.CodeSecretProof {
+				t.Fatalf("op without proof: code %d (%v), want %d", code, errs[0], graphapi.CodeSecretProof)
+			}
+			proof := oauthsim.SecretProof(app.Secret, tok)
+			errs = client.LikeBatch(context.Background(), post.ID, []BatchLike{{Token: tok, AppSecretProof: proof, IP: "203.0.113.1"}})
+			if errs[0] != nil {
+				t.Fatalf("op with proof: %v", errs[0])
+			}
+			if n := w.p.Graph.LikeCount(post.ID); n != 1 {
+				t.Fatalf("LikeCount = %d, want 1", n)
 			}
 		})
 	}

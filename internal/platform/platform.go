@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/apps"
@@ -114,13 +113,13 @@ func registerGraphCollectors(o *obs.Observer, graph *socialgraph.Store) {
 		"Retention sweeps completed.",
 		obs.KindCounter, nil,
 		func() []obs.Sample {
-			return []obs.Sample{{Value: float64(graph.Retention().Snapshot().Sweeps)}}
+			return []obs.Sample{{Value: float64(graph.Retention().Sweeps)}}
 		})
 	o.M().Collector("socialgraph_retention_evicted_total",
 		"Edge-history entries evicted by retention sweeps, by class.",
 		obs.KindCounter, []string{"class"},
 		func() []obs.Sample {
-			snap := graph.Retention().Snapshot()
+			snap := graph.Retention()
 			return []obs.Sample{
 				{Labels: []string{"like"}, Value: float64(snap.Likes)},
 				{Labels: []string{"comment"}, Value: float64(snap.Comments)},
@@ -216,12 +215,9 @@ type Client interface {
 	FriendsOf(token, ip string) ([]Profile, error)
 }
 
-// BatchLike is one like in a homogeneous batch: the member token that
-// performs it and the source IP it should appear to originate from.
-type BatchLike struct {
-	Token string
-	IP    string
-}
+// BatchLike is one like in a homogeneous batch; both transports take
+// the Graph API's own op.
+type BatchLike = graphapi.BatchLikeOp
 
 // LocalClient implements Client with direct in-process calls.
 type LocalClient struct {
@@ -281,23 +277,10 @@ func (c *LocalClient) LikeCtx(ctx context.Context, token, objectID, ip string) e
 }
 
 // LikeBatch implements Client with one direct call into the API's
-// batched like endpoint. The ops are translated into a pooled buffer,
-// cleared before it goes back so the pool never pins a token.
+// batched like endpoint.
 func (c *LocalClient) LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error {
-	buf := batchOpsPool.Get().(*[]graphapi.BatchLikeOp)
-	apiOps := (*buf)[:0]
-	for _, op := range ops {
-		apiOps = append(apiOps, graphapi.BatchLikeOp{AccessToken: op.Token, SourceIP: op.IP})
-	}
-	errs := c.p.API.LikeBatch(ctx, objectID, apiOps)
-	clear(apiOps)
-	*buf = apiOps[:0]
-	batchOpsPool.Put(buf)
-	return errs
+	return c.p.API.LikeBatch(ctx, objectID, ops)
 }
-
-// batchOpsPool recycles LocalClient.LikeBatch's op buffers.
-var batchOpsPool = sync.Pool{New: func() any { return new([]graphapi.BatchLikeOp) }}
 
 // CommentCtx implements Client.
 func (c *LocalClient) CommentCtx(ctx context.Context, token, postID, message, ip string) (string, error) {

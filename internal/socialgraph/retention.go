@@ -1,10 +1,6 @@
 package socialgraph
 
-import (
-	"time"
-
-	"repro/internal/metrics"
-)
+import "time"
 
 // Edge-history retention. Multi-year open-loop runs accumulate likes,
 // comments, and activity-log entries without bound; the defenses only
@@ -32,15 +28,31 @@ func (s *Store) RetentionWindow() time.Duration {
 	return time.Duration(s.retentionNanos.Load())
 }
 
-// Retention returns the store's eviction counters. They are exported via
-// /metrics by the platform's scrape-time collectors.
-func (s *Store) Retention() *metrics.RetentionCounters { return s.retention }
-
 // SweepResult reports how many edges one RetentionSweep evicted.
 type SweepResult struct {
 	Likes      int64
 	Comments   int64
 	Activities int64
+}
+
+// RetentionTotals are the store's eviction counters: the sweeps that ran
+// and the edges they evicted, per class.
+type RetentionTotals struct {
+	Sweeps     int64
+	Likes      int64
+	Comments   int64
+	Activities int64
+}
+
+// Retention returns the eviction totals so far. The platform exports
+// them via /metrics at scrape time.
+func (s *Store) Retention() RetentionTotals {
+	return RetentionTotals{
+		Sweeps:     s.sweeps.Load(),
+		Likes:      s.evictedLikes.Load(),
+		Comments:   s.evictedComments.Load(),
+		Activities: s.evictedActivities.Load(),
+	}
 }
 
 // RetentionSweep evicts all edge history older than now minus the
@@ -63,7 +75,10 @@ func (s *Store) RetentionSweep(now time.Time) SweepResult {
 		res.Comments += comments
 		res.Activities += activities
 	}
-	s.retention.RecordSweep(res.Likes, res.Comments, res.Activities)
+	s.sweeps.Add(1)
+	s.evictedLikes.Add(res.Likes)
+	s.evictedComments.Add(res.Comments)
+	s.evictedActivities.Add(res.Activities)
 	return res
 }
 

@@ -85,7 +85,7 @@ func TestRetentionSweepEvictsOnlyOldEdges(t *testing.T) {
 		t.Fatalf("re-like after eviction: %v", err)
 	}
 	// Counters accumulated.
-	snap := w.s.Retention().Snapshot()
+	snap := w.s.Retention()
 	if snap.Sweeps != 1 || snap.Likes != 4 || snap.Comments != 1 {
 		t.Fatalf("retention counters = %+v", snap)
 	}
@@ -102,7 +102,7 @@ func TestRetentionInfiniteWindowIsNoop(t *testing.T) {
 	if res := w.s.RetentionSweep(epoch.AddDate(10, 0, 0)); res != (SweepResult{}) {
 		t.Fatalf("infinite-window sweep evicted %+v", res)
 	}
-	if got := w.s.Retention().Snapshot().Sweeps; got != 0 {
+	if got := w.s.Retention().Sweeps; got != 0 {
 		t.Fatalf("no-op sweep counted: %d", got)
 	}
 	if got := w.s.LikeCount(w.posts[0]); got != 5 {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -433,15 +434,61 @@ func (s *Store) shardFor(id string) *shard {
 	return s.shards[s.shardIndex(id)]
 }
 
+// Contention counts, per stripe, the lock acquisitions and how many of
+// them had to wait because another goroutine held the stripe (the
+// try-lock fast path failed). The counters are atomic, so they can be
+// read during traffic; such a read is approximate.
+type Contention []stripeLocks
+
+// stripeLocks is one stripe's counters, padded to a cache line so that
+// neighbouring stripes' counters do not false-share: counting must not
+// bring back the contention the striping removes.
+type stripeLocks struct {
+	acquired, contended atomic.Int64
+	_                   [48]byte
+}
+
+func (c Contention) record(i int, contended bool) {
+	c[i].acquired.Add(1)
+	if contended {
+		c[i].contended.Add(1)
+	}
+}
+
+// StripeContention is one stripe's counters in a Snapshot.
+type StripeContention struct {
+	Shard     int
+	Acquired  int64
+	Contended int64
+}
+
+// Snapshot returns the counters in stripe order.
+func (c Contention) Snapshot() []StripeContention {
+	out := make([]StripeContention, len(c))
+	for i := range c {
+		out[i] = StripeContention{Shard: i, Acquired: c[i].acquired.Load(), Contended: c[i].contended.Load()}
+	}
+	return out
+}
+
+// Totals returns the counters summed over stripes.
+func (c Contention) Totals() (acquired, contended int64) {
+	for i := range c {
+		acquired += c[i].acquired.Load()
+		contended += c[i].contended.Load()
+	}
+	return acquired, contended
+}
+
 // rlockIdx read-locks stripe i, recording lock pressure.
 //
 //collusionvet:lockorder
 func (s *Store) rlockIdx(i int) *shard {
 	sh := s.shards[i]
 	if sh.mu.TryRLock() {
-		s.contention.Record(i, false)
+		s.contention.record(i, false)
 	} else {
-		s.contention.Record(i, true)
+		s.contention.record(i, true)
 		sh.mu.RLock()
 	}
 	return sh
@@ -453,9 +500,9 @@ func (s *Store) rlockIdx(i int) *shard {
 func (s *Store) lockIdx(i int) *shard {
 	sh := s.shards[i]
 	if sh.mu.TryLock() {
-		s.contention.Record(i, false)
+		s.contention.record(i, false)
 	} else {
-		s.contention.Record(i, true)
+		s.contention.record(i, true)
 		sh.mu.Lock()
 	}
 	return sh

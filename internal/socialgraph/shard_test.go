@@ -3,6 +3,7 @@ package socialgraph
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -100,6 +101,33 @@ func TestContentionCountersSequential(t *testing.T) {
 	snap := s.Contention().Snapshot()
 	if len(snap) != s.ShardCount() {
 		t.Fatalf("Snapshot length = %d, want %d", len(snap), s.ShardCount())
+	}
+}
+
+// TestContentionCountersConcurrent: counters recorded from many
+// goroutines at once lose no increment, and each lands on its stripe.
+func TestContentionCountersConcurrent(t *testing.T) {
+	const shards, workers, per = 8, 16, 1000
+	c := make(Contention, shards)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.record((w+i)%shards, i%2 == 0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	acq, cont := c.Totals()
+	if acq != workers*per || cont != workers*per/2 {
+		t.Fatalf("Totals = %d acquired, %d contended; want %d, %d", acq, cont, workers*per, workers*per/2)
+	}
+	for _, pt := range c.Snapshot() {
+		if pt.Acquired != workers*per/shards {
+			t.Fatalf("stripe %d acquired %d, want %d", pt.Shard, pt.Acquired, workers*per/shards)
+		}
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/metrics"
 )
 
 // Errors returned by store operations.
@@ -157,13 +156,15 @@ type Store struct {
 	minter     *ids.Minter
 	shards     []*shard
 	mask       uint32
-	contention *metrics.ShardContention
+	contention Contention
 	attrs      *attrTable
 
 	// retentionNanos is the analytics window in nanoseconds; 0 (the
 	// default) means infinite retention and makes sweeps no-ops.
 	retentionNanos atomic.Int64
-	retention      *metrics.RetentionCounters
+	// The eviction totals, bumped once per sweep under no lock so that
+	// a scrape reads them without touching a stripe.
+	sweeps, evictedLikes, evictedComments, evictedActivities atomic.Int64
 }
 
 // New returns an empty Store striped across n shards with its
@@ -189,9 +190,8 @@ func New(n, accountHint int) *Store {
 		minter:     ids.NewMinter(),
 		shards:     shards,
 		mask:       uint32(n - 1),
-		contention: metrics.NewShardContention(n),
+		contention: make(Contention, n),
 		attrs:      &attrTable{ids: make(map[string]uint32), strs: []string{""}},
-		retention:  &metrics.RetentionCounters{},
 	}
 }
 
@@ -202,7 +202,7 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 // lock acquisition is recorded along with whether it had to wait, so the
 // experiment harness can report whether the stripe count matches the
 // offered load.
-func (s *Store) Contention() *metrics.ShardContention { return s.contention }
+func (s *Store) Contention() Contention { return s.contention }
 
 // CreateAccount registers a new account and returns it.
 func (s *Store) CreateAccount(name, country string, at time.Time) Account {

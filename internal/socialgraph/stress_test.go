@@ -333,4 +333,7 @@ func TestRetentionSweepRacesWriters(t *testing.T) {
 	if sum.Comments+retained.Comments != comments.Load() {
 		t.Fatalf("comments: %d evicted + %d retained != %d applied", sum.Comments, retained.Comments, comments.Load())
 	}
+	if tot := w.s.Retention(); tot.Likes != sum.Likes || tot.Comments != sum.Comments {
+		t.Fatalf("Retention() = %+v, the sweeps returned %+v", tot, sum)
+	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,24 +165,10 @@ func (c frozenClock) Now() time.Time { return c.t }
 var loadIPPool = func() []string {
 	out := make([]string, 64)
 	for i := range out {
-		out[i] = "198.51.100." + itoa(i)
+		out[i] = "198.51.100." + strconv.Itoa(i)
 	}
 	return out
 }()
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [3]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
 
 // RunLoad drives the open-loop workload against the world and reports
 // totals, retention behaviour, and the like-latency SLO quantiles.

@@ -24,8 +24,6 @@ var testOnlyAllowed = map[string]string{
 	"AllocMeter.SetSampleEvery": "AllocMeter is to be replaced by a layer meter (ROADMAP item 1)",
 	"Store.ShardCount":          "test seam: a test picks IDs that land on distinct shards",
 	"Store.AddLikeBatch":        "pinned by an allocation gate and a benchmark",
-	"Logger.Debugf":             "a sink the tokenflow analyzer checks",
-	"Logger.Infof":              "a sink the tokenflow analyzer checks",
 	"TestData":                  "analysistest's helper for the analyzer golden tests",
 	"StoreError.Unwrap":         "error-chain method, called by errors.Is and errors.As",
 	"statusWriter.Unwrap":       "called by http.ResponseController",
