@@ -405,11 +405,12 @@ func BenchmarkPolicyChainEvaluate(b *testing.B) {
 	blocker.Block(64500)
 	chain.Append(blocker)
 	req := graphapi.Request{
-		Verb:     graphapi.VerbLike,
-		ObjectID: "post",
-		Token:    oauthsim.TokenInfo{Token: "tok", AccountID: "acct"},
-		SourceIP: "192.0.2.1",
-		ASN:      65000,
+		Verb:      graphapi.VerbLike,
+		ObjectID:  "post",
+		Token:     "tok",
+		AccountID: "acct",
+		SourceIP:  "192.0.2.1",
+		ASN:       65000,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -92,14 +92,17 @@ func Leak(accessToken string) string {
 	}
 }
 
-// TestFactsDumpGolden pins the decoded fact set of internal/oauthsim:
-// the exact ReturnsCredential / ParamIsCredential / CredField lines the
-// package exports to its importers. A diff here means the taint
-// summaries changed — deliberate analyzer work, or an accidental
-// regression in the facts pipeline.
+// TestFactsDumpGolden pins the decoded fact sets of internal/oauthsim
+// and internal/graphapi: the exact ReturnsCredential /
+// ParamIsCredential / CredField lines each package exports to its
+// importers. graphapi's set includes the policy request's token field,
+// so a change that drops the credential taint of what every policy
+// sees fails here. A diff means the taint summaries changed —
+// deliberate analyzer work, or an accidental regression in the facts
+// pipeline.
 func TestFactsDumpGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("compiles the module and analyzes the oauthsim closure")
+		t.Skip("compiles the module and analyzes the oauthsim and graphapi closures")
 	}
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -107,18 +110,20 @@ func TestFactsDumpGolden(t *testing.T) {
 	}
 	tool := buildTool(t, root)
 
-	dump := exec.Command(tool, "-facts", "repro/internal/oauthsim")
-	dump.Dir = root
-	out, err := dump.Output()
-	if err != nil {
-		t.Fatalf("collusionvet -facts: %v", err)
-	}
-	golden, err := os.ReadFile(filepath.Join(root, "cmd", "collusionvet", "testdata", "oauthsim.facts"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != string(golden) {
-		t.Errorf("-facts repro/internal/oauthsim diverged from testdata/oauthsim.facts:\ngot:\n%s\nwant:\n%s", out, golden)
+	for _, pkg := range []string{"oauthsim", "graphapi"} {
+		dump := exec.Command(tool, "-facts", "repro/internal/"+pkg)
+		dump.Dir = root
+		out, err := dump.Output()
+		if err != nil {
+			t.Fatalf("collusionvet -facts repro/internal/%s: %v", pkg, err)
+		}
+		golden, err := os.ReadFile(filepath.Join(root, "cmd", "collusionvet", "testdata", pkg+".facts"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != string(golden) {
+			t.Errorf("-facts repro/internal/%s diverged from testdata/%s.facts:\ngot:\n%s\nwant:\n%s", pkg, pkg, out, golden)
+		}
 	}
 }
 

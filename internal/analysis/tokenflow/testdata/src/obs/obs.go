@@ -45,23 +45,21 @@ func attrClean(span *Span, token string) {
 // on the scrubber for.
 type Logger struct{}
 
-func (l *Logger) Debugf(format string, args ...any) {}
-func (l *Logger) Infof(format string, args ...any)  {}
 func (l *Logger) Warnf(format string, args ...any)  {}
 func (l *Logger) Errorf(format string, args ...any) {}
 func (l *Logger) Fatalf(format string, args ...any) {}
 
 // Credentials flowing into log lines raw are flagged.
 func logLeaks(log *Logger, token string, secret string) {
-	log.Infof("joined with %s", token)       // want `bearer-token leak: .token. flows into obs\.Infof`
+	log.Warnf("joined with %s", token)       // want `bearer-token leak: .token. flows into obs\.Warnf`
 	log.Errorf("auth failed for %s", secret) // want `bearer-token leak: .secret. flows into obs\.Errorf`
-	log.Debugf("%s", "t="+token)             // want `bearer-token leak`
+	log.Warnf("%s", "t="+token)              // want `bearer-token leak`
 	log.Fatalf("cannot refresh %s", token)   // want `bearer-token leak: .token. flows into obs\.Fatalf`
 }
 
 // Redacted arguments and credential-free lines pass.
 func logClean(log *Logger, token string, delivered int) {
-	log.Infof("joined with %s", mask(token))
+	log.Warnf("joined with %s", mask(token))
 	log.Warnf("delivered %d likes", delivered)
 	log.Errorf("metrics server: address in use")
 }

@@ -788,7 +788,7 @@ func obsSink(fn *types.Func) bool {
 	switch fn.Name() {
 	case "SetAttr", "Event":
 		return true
-	case "Debugf", "Infof", "Warnf", "Errorf", "Fatalf":
+	case "Warnf", "Errorf", "Fatalf":
 		// The obs.Logger methods. They redact at runtime as a backstop,
 		// but a credential reaching them is still a bug the analyzer
 		// should surface at the call site.

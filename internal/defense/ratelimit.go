@@ -129,7 +129,7 @@ func (l *TokenRateLimiter) Evaluate(req graphapi.Request) graphapi.Decision {
 	l.mu.RLock()
 	limit, reason := l.limit, l.reason
 	l.mu.RUnlock()
-	if !l.window.allow(req.Token.Token, limit) {
+	if !l.window.allow(req.Token, limit) {
 		return graphapi.Denied(l.Name(), reason)
 	}
 	return graphapi.Allowed()
@@ -235,8 +235,8 @@ func (b *ASBlocker) Evaluate(req graphapi.Request) graphapi.Decision {
 	if !b.blocked[req.ASN] {
 		return graphapi.Allowed()
 	}
-	if len(b.apps) > 0 && !b.apps[req.App.ID] {
+	if len(b.apps) > 0 && !b.apps[req.AppID] {
 		return graphapi.Allowed()
 	}
-	return graphapi.Denied(b.Name(), fmt.Sprintf("AS%d blocked for app %s", req.ASN, req.App.ID))
+	return graphapi.Denied(b.Name(), fmt.Sprintf("AS%d blocked for app %s", req.ASN, req.AppID))
 }

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/graphapi"
 	"repro/internal/netsim"
-	"repro/internal/oauthsim"
 	"repro/internal/simclock"
 )
 
@@ -17,12 +15,13 @@ var t0 = time.Date(2016, time.August, 1, 0, 0, 0, 0, time.UTC)
 
 func likeReq(token, ip string, asn netsim.ASN, appID string) graphapi.Request {
 	return graphapi.Request{
-		Verb:     graphapi.VerbLike,
-		ObjectID: "post-1",
-		Token:    oauthsim.TokenInfo{Token: token, AccountID: "acct-" + token},
-		App:      apps.App{ID: appID},
-		SourceIP: ip,
-		ASN:      asn,
+		Verb:      graphapi.VerbLike,
+		ObjectID:  "post-1",
+		Token:     token,
+		AccountID: "acct-" + token,
+		AppID:     appID,
+		SourceIP:  ip,
+		ASN:       asn,
 	}
 }
 

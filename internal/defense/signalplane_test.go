@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/graphapi"
-	"repro/internal/oauthsim"
 )
 
 // feedCross replays the same cross-platform burst pattern into a plane's
@@ -21,11 +20,11 @@ func feedCross(p *SignalPlane, nIPs, nPerPlatform int) {
 			at := start.Add(time.Duration(obj) * time.Hour)
 			for ip := 0; ip < nIPs; ip++ {
 				tap.Evaluate(graphapi.Request{
-					Verb:     graphapi.VerbLike,
-					ObjectID: fmt.Sprintf("%s-post-%d", plat, obj),
-					SourceIP: fmt.Sprintf("10.0.0.%d", ip),
-					At:       at,
-					Token:    oauthsim.TokenInfo{AccountID: fmt.Sprintf("acct-%s-%d", plat, ip)},
+					Verb:      graphapi.VerbLike,
+					ObjectID:  fmt.Sprintf("%s-post-%d", plat, obj),
+					SourceIP:  fmt.Sprintf("10.0.0.%d", ip),
+					At:        at,
+					AccountID: fmt.Sprintf("acct-%s-%d", plat, ip),
 				})
 			}
 		}
@@ -67,11 +66,11 @@ func TestSignalPlaneSharedKeepsUnrelatedIPsApart(t *testing.T) {
 	start := time.Unix(1700000000, 0)
 	for obj := 0; obj < 12; obj++ {
 		tap.Evaluate(graphapi.Request{
-			Verb:     graphapi.VerbLike,
-			ObjectID: fmt.Sprintf("lonely-post-%d", obj),
-			SourceIP: "192.168.9.9",
-			At:       start.Add(time.Duration(obj) * time.Hour),
-			Token:    oauthsim.TokenInfo{AccountID: "loner"},
+			Verb:      graphapi.VerbLike,
+			ObjectID:  fmt.Sprintf("lonely-post-%d", obj),
+			SourceIP:  "192.168.9.9",
+			At:        start.Add(time.Duration(obj) * time.Hour),
+			AccountID: "loner",
 		})
 	}
 	got := p.Detect()

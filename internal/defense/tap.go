@@ -24,7 +24,7 @@ func (t *SynchroTap) Name() string { return "synchrotrap-tap" }
 // Evaluate implements graphapi.Policy.
 func (t *SynchroTap) Evaluate(req graphapi.Request) graphapi.Decision {
 	if req.Verb == graphapi.VerbLike {
-		t.trap.Record(req.Token.AccountID, req.ObjectID, req.At)
+		t.trap.Record(req.AccountID, req.ObjectID, req.At)
 	}
 	return graphapi.Allowed()
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/graphapi"
-	"repro/internal/oauthsim"
 )
 
 func TestSynchroTapRecordsLikes(t *testing.T) {
@@ -15,10 +14,10 @@ func TestSynchroTapRecordsLikes(t *testing.T) {
 		t.Fatalf("Name = %q", tap.Name())
 	}
 	req := graphapi.Request{
-		Verb:     graphapi.VerbLike,
-		ObjectID: "post-1",
-		Token:    oauthsim.TokenInfo{AccountID: "acct-1"},
-		At:       t0,
+		Verb:      graphapi.VerbLike,
+		ObjectID:  "post-1",
+		AccountID: "acct-1",
+		At:        t0,
 	}
 	if d := tap.Evaluate(req); !d.Allow {
 		t.Fatal("tap denied a request")

@@ -226,6 +226,18 @@ func TestDebugTokenIntrospection(t *testing.T) {
 	if data["is_valid"] != true || data["user_id"] != f.user.ID || data["app_id"] != f.app.ID {
 		t.Fatalf("data = %+v", data)
 	}
+	// A second token with the same scope list shares its storage on the
+	// server; both still introspect their scopes as issued.
+	for _, input := range []string{tok, f.token(t)} {
+		_, data = get(url.Values{
+			"client_id":     {f.app.ID},
+			"client_secret": {f.app.Secret},
+			"input_token":   {input},
+		})
+		if got := fmt.Sprint(data["scopes"]); got != "[publish_actions]" {
+			t.Fatalf("scopes = %s, want [publish_actions]", got)
+		}
+	}
 
 	// Invalidated token introspects as invalid.
 	f.oauth.Invalidate(tok, "swept")

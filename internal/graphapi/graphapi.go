@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -41,16 +42,20 @@ const (
 )
 
 // Request is the normalized form of one Graph API call, as seen by the
-// policy chain.
+// policy chain: the verb and its object, and the attribution tuple the
+// defenses key on. The chain and each policy receive it by value, so it
+// carries the token's account and app IDs rather than their records
+// (144 bytes).
 type Request struct {
-	Verb     Verb
-	ObjectID string
-	Message  string // comment/post body
-	Token    oauthsim.TokenInfo
-	App      apps.App
-	SourceIP string
-	ASN      netsim.ASN // 0 when the source IP maps to no registered AS
-	At       time.Time
+	Verb      Verb
+	ObjectID  string
+	Message   string // comment/post body
+	Token     string // the presented bearer token
+	AccountID string // the token's account
+	AppID     string // the token's application
+	SourceIP  string
+	ASN       netsim.ASN // 0 when the source IP maps to no registered AS
+	At        time.Time
 }
 
 // Decision is a policy verdict.
@@ -79,9 +84,12 @@ type Policy interface {
 // served. The paper deployed countermeasures incrementally over the
 // Figure 5 timeline; Chain.Append models exactly that.
 type Chain struct {
-	mu       sync.RWMutex
-	policies []Policy
-	denials  map[string]int64
+	// policies is a copy-on-write snapshot: Append publishes a new slice,
+	// so Evaluate reads the list with one atomic load and no lock.
+	policies atomic.Pointer[[]Policy]
+
+	mu      sync.Mutex // guards Append and denials
+	denials map[string]int64
 }
 
 // NewChain returns an empty chain (allows everything).
@@ -89,20 +97,26 @@ func NewChain() *Chain {
 	return &Chain{denials: make(map[string]int64)}
 }
 
+// snapshot returns the current policy list; callers must not mutate it.
+func (c *Chain) snapshot() []Policy {
+	if p := c.policies.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Append adds a policy at the end of the chain.
 func (c *Chain) Append(p Policy) {
 	c.mu.Lock()
-	c.policies = append(c.policies, p)
+	next := append(append([]Policy(nil), c.snapshot()...), p)
+	c.policies.Store(&next)
 	c.mu.Unlock()
 }
 
 // Evaluate runs the request through every policy in order, stopping at the
 // first denial.
 func (c *Chain) Evaluate(req Request) Decision {
-	c.mu.RLock()
-	policies := c.policies
-	c.mu.RUnlock()
-	for _, p := range policies {
+	for _, p := range c.snapshot() {
 		if d := p.Evaluate(req); !d.Allow {
 			c.mu.Lock()
 			c.denials[d.Policy]++
@@ -115,8 +129,8 @@ func (c *Chain) Evaluate(req Request) Decision {
 
 // Denials returns a copy of the per-policy denial counters.
 func (c *Chain) Denials() map[string]int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make(map[string]int64, len(c.denials))
 	for k, v := range c.denials {
 		out[k] = v
@@ -126,10 +140,9 @@ func (c *Chain) Denials() map[string]int64 {
 
 // Names lists the active policies in evaluation order.
 func (c *Chain) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, len(c.policies))
-	for i, p := range c.policies {
+	policies := c.snapshot()
+	out := make([]string, len(policies))
+	for i, p := range policies {
 		out[i] = p.Name()
 	}
 	return out
@@ -407,7 +420,7 @@ func (a *API) finish(span *obs.Span, op int, start time.Time, err error) {
 
 // evaluate runs the policy chain under a defense.chain span and counts
 // denials as defense actions. req is a pointer purely to spare the hot
-// path a second ~130-byte Request copy; evaluate does not mutate it.
+// path a second 144-byte Request copy; evaluate does not mutate it.
 func (a *API) evaluate(ctx context.Context, req *Request) Decision {
 	_, span := a.obs.T().StartSpanAt(ctx, "defense.chain", req.At)
 	as := a.allocs.Begin(ctx, "defense.chain")
@@ -456,8 +469,9 @@ type CallContext struct {
 }
 
 // authenticate validates the bearer token and security settings, and
-// builds the policy request skeleton. at is the request timestamp the
-// caller already read from the clock.
+// builds the policy request skeleton: the attribution tuple filled from
+// the token's grant. at is the request timestamp the caller already
+// read from the clock.
 func (a *API) authenticate(ctx context.Context, c CallContext, verb Verb, needScope string, at time.Time) (Request, error) {
 	return a.authenticateMemo(ctx, c, verb, needScope, at, nil)
 }
@@ -500,11 +514,12 @@ func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, ne
 		return Request{}, a.err(provider.KindPermission, "OAuthException", "requires %s permission", needScope)
 	}
 	req := Request{
-		Verb:     verb,
-		Token:    info,
-		App:      app,
-		SourceIP: c.SourceIP,
-		At:       at,
+		Verb:      verb,
+		Token:     c.AccessToken,
+		AccountID: info.AccountID,
+		AppID:     info.AppID,
+		SourceIP:  c.SourceIP,
+		At:        at,
 	}
 	if a.internet != nil && c.SourceIP != "" {
 		if memo != nil {
@@ -526,7 +541,7 @@ func (a *API) Me(c CallContext) (_ socialgraph.Account, err error) {
 	if err != nil {
 		return socialgraph.Account{}, err
 	}
-	acct, err := a.graph.Account(req.Token.AccountID)
+	acct, err := a.graph.Account(req.AccountID)
 	if err != nil {
 		return socialgraph.Account{}, a.err(provider.KindNotFound, "GraphMethodException", "account missing")
 	}
@@ -546,9 +561,9 @@ func (a *API) Like(c CallContext, objectID string) (err error) {
 	if d := a.evaluate(ctx, &req); !d.Allow {
 		return a.denialError(d)
 	}
-	meta := socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: c.SourceIP, At: req.At}
+	meta := socialgraph.WriteMeta{AppID: req.AppID, SourceIP: c.SourceIP, At: req.At}
 	writeErr := a.applyShard(ctx, req.At, objectID, func() error {
-		return a.graph.AddLike(req.Token.AccountID, objectID, meta)
+		return a.graph.AddLike(req.AccountID, objectID, meta)
 	})
 	return a.likeWriteError(writeErr, objectID)
 }
@@ -584,7 +599,7 @@ func (a *API) Unlike(c CallContext, objectID string) (err error) {
 		return a.denialError(d)
 	}
 	writeErr := a.applyShard(ctx, req.At, objectID, func() error {
-		return a.graph.RemoveLike(req.Token.AccountID, objectID)
+		return a.graph.RemoveLike(req.AccountID, objectID)
 	})
 	switch {
 	case writeErr == nil:
@@ -610,11 +625,11 @@ func (a *API) Comment(c CallContext, postID, message string) (_ socialgraph.Comm
 	if d := a.evaluate(ctx, &req); !d.Allow {
 		return socialgraph.Comment{}, a.denialError(d)
 	}
-	meta := socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: c.SourceIP, At: req.At}
+	meta := socialgraph.WriteMeta{AppID: req.AppID, SourceIP: c.SourceIP, At: req.At}
 	var cm socialgraph.Comment
 	writeErr := a.applyShard(ctx, req.At, postID, func() error {
 		var e error
-		cm, e = a.graph.AddComment(req.Token.AccountID, postID, message, meta)
+		cm, e = a.graph.AddComment(req.AccountID, postID, message, meta)
 		return e
 	})
 	switch {
@@ -641,8 +656,8 @@ func (a *API) Publish(c CallContext, message string) (_ socialgraph.Post, err er
 	if d := a.evaluate(ctx, &req); !d.Allow {
 		return socialgraph.Post{}, a.denialError(d)
 	}
-	meta := socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: c.SourceIP, At: req.At}
-	p, err := a.graph.CreatePost(req.Token.AccountID, message, meta)
+	meta := socialgraph.WriteMeta{AppID: req.AppID, SourceIP: c.SourceIP, At: req.At}
+	p, err := a.graph.CreatePost(req.AccountID, message, meta)
 	switch {
 	case err == nil:
 		return p, nil
@@ -663,7 +678,7 @@ func (a *API) Feed(c CallContext) (_ []socialgraph.Post, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.graph.PostsByAuthor(req.Token.AccountID), nil
+	return a.graph.PostsByAuthor(req.AccountID), nil
 }
 
 // Friends lists the token account's friends. It requires the
@@ -676,7 +691,7 @@ func (a *API) Friends(c CallContext) (_ []socialgraph.Account, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := a.graph.Friends(req.Token.AccountID)
+	ids := a.graph.Friends(req.AccountID)
 	out := make([]socialgraph.Account, 0, len(ids))
 	for _, id := range ids {
 		if acct, err := a.graph.Account(id); err == nil {

@@ -1,9 +1,12 @@
 package graphapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,22 +283,128 @@ func TestPolicyChainOrder(t *testing.T) {
 	}
 }
 
-func TestRequestCarriesASN(t *testing.T) {
+// TestChainAppendDuringEvaluate appends policies while other goroutines
+// evaluate requests: under -race it fails if Evaluate reads the policy
+// list unsynchronized, and the denial counts must match the denials the
+// evaluators saw.
+func TestChainAppendDuringEvaluate(t *testing.T) {
+	c := NewChain()
+	const n = 50
+	var denied atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if d := c.Evaluate(Request{Verb: VerbLike}); !d.Allow {
+					denied.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		c.Append(denyPolicy{name: strconv.Itoa(i), deny: func(Request) bool { return i%10 == 9 }})
+	}
+	wg.Wait()
+	names := c.Names()
+	if len(names) != n {
+		t.Fatalf("Names = %d policies, want %d", len(names), n)
+	}
+	for i, name := range names {
+		if name != strconv.Itoa(i) {
+			t.Fatalf("Names[%d] = %q", i, name)
+		}
+	}
+	var counted int64
+	for _, v := range c.Denials() {
+		counted += v
+	}
+	if counted != denied.Load() {
+		t.Fatalf("Denials sum to %d, evaluators saw %d denials", counted, denied.Load())
+	}
+}
+
+// TestRequestCarriesAttributionTuple records what the policy chain sees
+// on each write path: the presented token, the token's account and app,
+// the source IP, and its AS (0 outside every registered AS). The batch
+// mixes tokens of two apps and IPs in and out of the registered AS, so a
+// per-batch memo that leaked one op's app or AS into another shows.
+func TestRequestCarriesAttributionTuple(t *testing.T) {
 	f := newFixture(t)
-	var captured Request
-	f.api.Chain().Append(denyPolicy{name: "capture", deny: func(r Request) bool {
-		captured = r
+	var seen []Request
+	f.api.Chain().Append(denyPolicy{name: "record", deny: func(r Request) bool {
+		seen = append(seen, r)
 		return false
 	}})
-	ctx := CallContext{AccessToken: f.token(t), SourceIP: "203.0.113.50"}
+	other := f.reg.Register(apps.Config{
+		Name:              "Other",
+		RedirectURI:       "https://other.example/cb",
+		ClientFlowEnabled: true,
+		Lifetime:          apps.LongTerm,
+		Permissions:       []string{apps.PermPublishActions},
+	})
+	member := f.graph.CreateAccount("member-2", "IN", t0)
+	res, err := f.oauth.Authorize(oauthsim.AuthorizeRequest{
+		AppID:        other.ID,
+		RedirectURI:  other.RedirectURI,
+		ResponseType: oauthsim.ResponseToken,
+		Scopes:       []string{apps.PermPublishActions},
+		AccountID:    member.ID,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokA, tokB := f.token(t), res.AccessToken
+	post2, err := f.graph.CreatePost(member.ID, "second post", socialgraph.WriteMeta{At: t0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inAS, outside = "203.0.113.50", "198.51.100.7"
+
+	ctx := CallContext{AccessToken: tokA, SourceIP: inAS}
 	if err := f.api.Like(ctx, f.post.ID); err != nil {
 		t.Fatal(err)
 	}
-	if captured.ASN != 64500 {
-		t.Fatalf("captured ASN = %d, want 64500", captured.ASN)
+	if _, err := f.api.Comment(ctx, f.post.ID, "nice"); err != nil {
+		t.Fatal(err)
 	}
-	if captured.SourceIP != "203.0.113.50" || !captured.At.Equal(t0) {
-		t.Fatalf("captured = %+v", captured)
+	if _, err := f.api.Publish(CallContext{AccessToken: tokB, SourceIP: outside}, "status"); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range f.api.LikeBatch(context.Background(), post2.ID, []BatchLikeOp{
+		{Token: tokA, IP: outside},
+		{Token: tokB, IP: inAS},
+	}) {
+		if err != nil {
+			t.Fatalf("batch op %d: %v", i, err)
+		}
+	}
+
+	a := Request{Token: tokA, AccountID: f.user.ID, AppID: f.app.ID, At: t0}
+	b := Request{Token: tokB, AccountID: member.ID, AppID: other.ID, At: t0}
+	with := func(r Request, verb Verb, object, message, ip string, asn netsim.ASN) Request {
+		r.Verb, r.ObjectID, r.Message, r.SourceIP, r.ASN = verb, object, message, ip, asn
+		return r
+	}
+	want := []Request{
+		with(a, VerbLike, f.post.ID, "", inAS, 64500),
+		with(a, VerbComment, f.post.ID, "nice", inAS, 64500),
+		with(b, VerbPost, "", "status", outside, 0),
+		with(a, VerbLike, post2.ID, "", outside, 0),
+		with(b, VerbLike, post2.ID, "", inAS, 64500),
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("policy saw %d requests, want %d: %+v", len(seen), len(want), seen)
+	}
+	for i, got := range seen {
+		if !got.At.Equal(want[i].At) {
+			t.Errorf("request %d: At = %v, want %v", i, got.At, want[i].At)
+		}
+		got.At = want[i].At
+		if got != want[i] {
+			t.Errorf("request %d:\n got %+v\nwant %+v", i, got, want[i])
+		}
 	}
 }
 

@@ -181,9 +181,9 @@ func (a *API) LikeBatch(ctx context.Context, objectID string, ops []BatchLikeOp)
 			continue
 		}
 		apply = append(apply, socialgraph.LikeOp{
-			AccountID: req.Token.AccountID,
+			AccountID: req.AccountID,
 			ObjectID:  objectID,
-			Meta:      socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: op.IP, At: req.At},
+			Meta:      socialgraph.WriteMeta{AppID: req.AppID, SourceIP: op.IP, At: req.At},
 		})
 		applyIdx = append(applyIdx, i)
 	}

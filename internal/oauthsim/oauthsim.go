@@ -21,6 +21,7 @@ package oauthsim
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -73,22 +74,24 @@ type TokenInfo struct {
 	Token     string
 	AccountID string
 	AppID     string
-	// Scopes is built once at issuance and read-only thereafter; Validate
-	// hands the same backing array to every caller. Callers must not
-	// mutate it — the copy-per-validation this replaces was a third of
-	// the like pipeline's allocation count.
+	// Scopes is read-only: every token issued with an equal list shares
+	// the server's one copy of it, and Validate hands that array to every
+	// caller.
 	Scopes    []string
 	IssuedAt  time.Time
 	ExpiresAt time.Time
-	// Invalidated is non-zero when the token was administratively revoked;
-	// Reason records the countermeasure responsible.
-	Invalidated   bool
-	InvalidReason string
+}
 
-	// invalidErr is the preformatted Validate error for a revoked token,
-	// built once at invalidation so the (very hot, post-intervention)
-	// invalidated-token denial allocates nothing per call.
-	invalidErr error
+// grant is the token map's entry: the issued record, never written after
+// issuance, and the revocation state, written under the server's write
+// lock and read under its read lock.
+type grant struct {
+	info TokenInfo
+	// revoked is the preformatted Validate error of an administratively
+	// revoked token, nil while the token is live. It is built once per
+	// Invalidate or InvalidateAccount call so the (very hot, post-
+	// intervention) invalidated-token denial allocates nothing per call.
+	revoked error
 }
 
 // HasScope reports whether the token grants the permission.
@@ -148,11 +151,17 @@ type Server struct {
 	graph *socialgraph.Store
 
 	mu     sync.RWMutex
-	tokens map[string]*TokenInfo
+	tokens map[string]*grant
 	// byAccount indexes live token strings per account for bulk
 	// invalidation (Sec. 6.2 invalidates all tokens of milked accounts).
 	byAccount map[string]map[string]bool
 	codes     map[string]authCode
+	// scopeLists interns issued scope lists by their joined form, so every
+	// token with an equal list shares one backing array and the like
+	// path's scope scan reads an array that stays in cache. A map, not a
+	// scan: the dialog accepts any repetition of approved scopes, so a
+	// client can mint unboundedly many distinct lists.
+	scopeLists map[string][]string
 
 	// Telemetry, wired by SetObserver; nil-safe no-ops until then.
 	obs         *obs.Observer
@@ -167,13 +176,14 @@ type Server struct {
 // settings).
 func NewServer(prov provider.Provider, clock simclock.Clock, registry *apps.Registry, graph *socialgraph.Store) *Server {
 	return &Server{
-		clock:     clock,
-		prov:      prov,
-		apps:      registry,
-		graph:     graph,
-		tokens:    make(map[string]*TokenInfo),
-		byAccount: make(map[string]map[string]bool),
-		codes:     make(map[string]authCode),
+		clock:      clock,
+		prov:       prov,
+		apps:       registry,
+		graph:      graph,
+		tokens:     make(map[string]*grant),
+		byAccount:  make(map[string]map[string]bool),
+		codes:      make(map[string]authCode),
+		scopeLists: make(map[string][]string),
 	}
 }
 
@@ -301,26 +311,20 @@ func (s *Server) ExchangeForLongLived(appID, appSecret, token string) (TokenInfo
 		return TokenInfo{}, fmt.Errorf("%w: token belongs to another application", ErrTokenNotFound)
 	}
 	now := s.clock.Now()
-	long := &TokenInfo{
+	long := &grant{info: TokenInfo{
 		Token:     s.prov.MintToken(),
 		AccountID: info.AccountID,
 		AppID:     appID,
-		Scopes:    append([]string(nil), info.Scopes...),
+		Scopes:    info.Scopes, // already interned
 		IssuedAt:  now,
 		ExpiresAt: now.Add(apps.LongTermDuration),
-	}
+	}}
 	s.mu.Lock()
-	s.tokens[long.Token] = long
-	acct := s.byAccount[long.AccountID]
-	if acct == nil {
-		acct = make(map[string]bool)
-		s.byAccount[long.AccountID] = acct
-	}
-	acct[long.Token] = true
+	s.record(long)
 	s.mu.Unlock()
-	s.noteIssued(appID, long.Token, "long-lived")
-	out := *long
-	out.Scopes = append([]string(nil), long.Scopes...)
+	s.noteIssued(appID, long.info.Token, "long-lived")
+	out := long.info
+	out.Scopes = append([]string(nil), info.Scopes...)
 	return out, nil
 }
 
@@ -341,68 +345,93 @@ func (s *Server) noteIssued(appID, token, grant string) {
 // issue mints and records a token for the account/app pair.
 func (s *Server) issue(accountID string, app apps.App, scopes []string) TokenInfo {
 	now := s.clock.Now()
-	info := &TokenInfo{
+	g := &grant{info: TokenInfo{
 		Token:     s.prov.MintToken(),
 		AccountID: accountID,
 		AppID:     app.ID,
-		Scopes:    append([]string(nil), scopes...),
 		IssuedAt:  now,
 		ExpiresAt: now.Add(app.Lifetime.Duration()),
-	}
+	}}
 	s.mu.Lock()
-	s.tokens[info.Token] = info
-	acct := s.byAccount[accountID]
-	if acct == nil {
-		acct = make(map[string]bool)
-		s.byAccount[accountID] = acct
-	}
-	acct[info.Token] = true
+	g.info.Scopes = s.scopeList(scopes)
+	s.record(g)
 	s.mu.Unlock()
-	s.noteIssued(app.ID, info.Token, "user")
-	return *info
+	s.noteIssued(app.ID, g.info.Token, "user")
+	return g.info
 }
 
-// Validate checks a bearer token and returns its record. The error
-// distinguishes unknown, expired, and invalidated tokens. A token that
-// fails the provider's surface format check is rejected as unknown
-// before any state is consulted — the check is alloc-free, so this
-// stays off the validation allocation budget.
-func (s *Server) Validate(token string) (TokenInfo, error) {
+// scopeList returns the server's one copy of a scope list, interning it
+// on first use. The caller holds the write lock. The key is built on the
+// stack, so a hit allocates nothing. Each scope is length-prefixed: no
+// separator could tell ["a,b"] from ["a", "b"] for a caller that
+// bypasses the dialog's comma split.
+func (s *Server) scopeList(scopes []string) []string {
+	var buf [256]byte
+	key := buf[:0]
+	for _, scope := range scopes {
+		key = binary.AppendUvarint(key, uint64(len(scope)))
+		key = append(key, scope...)
+	}
+	if list, ok := s.scopeLists[string(key)]; ok {
+		return list
+	}
+	list := append([]string(nil), scopes...)
+	s.scopeLists[string(key)] = list
+	return list
+}
+
+// record indexes a new grant by token and account. The caller holds the
+// write lock.
+func (s *Server) record(g *grant) {
+	s.tokens[g.info.Token] = g
+	acct := s.byAccount[g.info.AccountID]
+	if acct == nil {
+		acct = make(map[string]bool)
+		s.byAccount[g.info.AccountID] = acct
+	}
+	acct[g.info.Token] = true
+}
+
+// Validate checks a bearer token and returns the issued record, which
+// the caller must treat as read-only (Scopes included); validation
+// allocates nothing. The error distinguishes unknown, expired, and
+// invalidated tokens. A token that fails the provider's surface format
+// check is rejected as unknown before any state is consulted — the
+// check is alloc-free, so this stays off the validation allocation
+// budget.
+func (s *Server) Validate(token string) (*TokenInfo, error) {
 	if s.prov.CheckToken(token) != nil {
-		return TokenInfo{}, ErrTokenNotFound
+		return nil, ErrTokenNotFound
 	}
 	s.mu.RLock()
-	info, ok := s.tokens[token]
+	g, ok := s.tokens[token]
+	var revoked error
+	if ok {
+		revoked = g.revoked
+	}
 	s.mu.RUnlock()
 	if !ok {
-		return TokenInfo{}, ErrTokenNotFound
+		return nil, ErrTokenNotFound
 	}
-	if info.Invalidated {
-		if info.invalidErr != nil {
-			return TokenInfo{}, info.invalidErr
-		}
-		return TokenInfo{}, ErrTokenInvalidated
+	if revoked != nil {
+		return nil, revoked
 	}
-	if s.clock.Now().After(info.ExpiresAt) {
-		return TokenInfo{}, ErrTokenExpired
+	if s.clock.Now().After(g.info.ExpiresAt) {
+		return nil, ErrTokenExpired
 	}
-	// The returned record shares the issuance-time Scopes array (see
-	// TokenInfo); validation itself allocates nothing.
-	return *info, nil
+	return &g.info, nil
 }
 
 // Invalidate administratively revokes a token. Revoking an unknown token is
 // a no-op and reports false.
 func (s *Server) Invalidate(token, reason string) bool {
 	s.mu.Lock()
-	info, ok := s.tokens[token]
-	if !ok || info.Invalidated {
+	g, ok := s.tokens[token]
+	if !ok || g.revoked != nil {
 		s.mu.Unlock()
 		return false
 	}
-	info.Invalidated = true
-	info.InvalidReason = reason
-	info.invalidErr = fmt.Errorf("%w (%s)", ErrTokenInvalidated, reason)
+	g.revoked = fmt.Errorf("%w (%s)", ErrTokenInvalidated, reason)
 	s.mu.Unlock()
 	s.invalidated.Inc(reason)
 	return true
@@ -413,16 +442,14 @@ func (s *Server) Invalidate(token, reason string) bool {
 func (s *Server) InvalidateAccount(accountID, reason string) int {
 	s.mu.Lock()
 	n := 0
-	var invalidErr error // shared by every token revoked for this reason
+	var revoked error // shared by every token revoked for this reason
 	for token := range s.byAccount[accountID] {
-		info := s.tokens[token]
-		if info != nil && !info.Invalidated {
-			if invalidErr == nil {
-				invalidErr = fmt.Errorf("%w (%s)", ErrTokenInvalidated, reason)
+		g := s.tokens[token]
+		if g != nil && g.revoked == nil {
+			if revoked == nil {
+				revoked = fmt.Errorf("%w (%s)", ErrTokenInvalidated, reason)
 			}
-			info.Invalidated = true
-			info.InvalidReason = reason
-			info.invalidErr = invalidErr
+			g.revoked = revoked
 			n++
 		}
 	}
@@ -466,8 +493,8 @@ func (s *Server) LiveTokenCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, info := range s.tokens {
-		if !info.Invalidated && !now.After(info.ExpiresAt) {
+	for _, g := range s.tokens {
+		if g.revoked == nil && !now.After(g.info.ExpiresAt) {
 			n++
 		}
 	}

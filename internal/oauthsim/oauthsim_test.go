@@ -2,6 +2,9 @@ package oauthsim
 
 import (
 	"errors"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,6 +249,124 @@ func TestInvalidateAccount(t *testing.T) {
 	}
 	if n := f.srv.InvalidateAccount(f.user.ID, "sweep"); n != 0 {
 		t.Fatalf("second sweep revoked %d", n)
+	}
+}
+
+// TestValidateRacesInvalidation validates two tokens while two other
+// goroutines revoke them, one by account sweep and one by token. Under
+// -race it fails if Validate reads the revocation state outside the
+// server's lock; a read outside it races only while the revocation lands
+// between the unlock and the read, so the test runs several rounds.
+func TestValidateRacesInvalidation(t *testing.T) {
+	f := newFixture(t, apps.Config{})
+	other := f.graph.CreateAccount("member-2", "IN", t0)
+	for round := 0; round < 10; round++ {
+		resA, err := f.srv.Authorize(f.authorizeReq(ResponseToken))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqB := f.authorizeReq(ResponseToken)
+		reqB.AccountID = other.ID
+		resB, err := f.srv.Authorize(reqB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks := []string{resA.AccessToken, resB.AccessToken}
+
+		started := make(chan struct{})
+		var unexpected error
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if i == 1 {
+					close(started)
+				}
+				for _, tok := range toks {
+					if _, err := f.srv.Validate(tok); err != nil && !errors.Is(err, ErrTokenInvalidated) && unexpected == nil {
+						unexpected = err
+					}
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-started
+			f.srv.InvalidateAccount(f.user.ID, "account-sweep")
+		}()
+		go func() {
+			defer wg.Done()
+			<-started
+			f.srv.Invalidate(resB.AccessToken, "token-sweep")
+		}()
+		wg.Wait()
+		if unexpected != nil {
+			t.Fatalf("round %d: Validate during revocation: %v", round, unexpected)
+		}
+
+		for i, reason := range []string{"account-sweep", "token-sweep"} {
+			_, err := f.srv.Validate(toks[i])
+			if !errors.Is(err, ErrTokenInvalidated) || !strings.Contains(err.Error(), "("+reason+")") {
+				t.Errorf("round %d: token revoked by %s: err = %v", round, reason, err)
+			}
+		}
+	}
+}
+
+// TestScopeListsShared pins scope-list interning: tokens issued with
+// equal lists share one backing array, while another order, another
+// list, or the same names split differently get their own; and
+// ExchangeForLongLived returns a private copy of the shared list.
+func TestScopeListsShared(t *testing.T) {
+	f := newFixture(t, apps.Config{
+		Name:              "Scopes",
+		RedirectURI:       "https://scopes.example/cb",
+		ClientFlowEnabled: true,
+		Lifetime:          apps.ShortTerm,
+		Permissions:       []string{"a", "b", "a,b"},
+	})
+	issue := func(scopes ...string) *TokenInfo {
+		t.Helper()
+		req := f.authorizeReq(ResponseToken)
+		req.Scopes = scopes
+		res, err := f.srv.Authorize(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := f.srv.Validate(res.AccessToken)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(info.Scopes, scopes) {
+			t.Fatalf("Scopes = %q, want %q", info.Scopes, scopes)
+		}
+		return info
+	}
+	ab := issue("a", "b")
+	if got := issue("a", "b"); &got.Scopes[0] != &ab.Scopes[0] {
+		t.Error("equal scope lists do not share storage")
+	}
+	for _, scopes := range [][]string{{"b", "a"}, {"a"}, {"a", "b", "b"}, {"a,b"}} {
+		if got := issue(scopes...); &got.Scopes[0] == &ab.Scopes[0] {
+			t.Errorf("%q shares storage with [a b]", scopes)
+		}
+	}
+
+	long, err := f.srv.ExchangeForLongLived(f.app.ID, f.app.Secret, ab.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &long.Scopes[0] == &ab.Scopes[0] {
+		t.Fatal("ExchangeForLongLived returned the shared scope list")
+	}
+	long.Scopes[0] = "mutated"
+	info, err := f.srv.Validate(long.Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(info.Scopes, []string{"a", "b"}) || &info.Scopes[0] != &ab.Scopes[0] {
+		t.Fatalf("long-lived token scopes = %q, want the shared [a b]", info.Scopes)
 	}
 }
 
