@@ -479,3 +479,51 @@ func TestAllocGateMilkNetwork(t *testing.T) {
 		t.Errorf("MilkNetwork(hublaa.me) = %.0f allocs/run, gate %d", allocs, gate)
 	}
 }
+
+// TestAllocGateActivityLog pins the activity read-back at a cost that
+// does not grow with the log: ActivityLog and ActivitySince format every
+// entry's object and target IDs into one shared string, so a 200-entry
+// log costs the allocations of a 1-entry log. detection.Extract reads
+// each labelled account's whole log; per-entry formatting there once
+// multiplied BenchmarkExtensionDetection's allocation count.
+func TestAllocGateActivityLog(t *testing.T) {
+	graph := socialgraph.New(8, 0)
+	now := benchEpoch
+	author := graph.CreateAccount("author", "IN", now)
+	meta := socialgraph.WriteMeta{AppID: "app", SourceIP: "192.0.2.1", At: now}
+	logOf := func(likes int) string {
+		liker := graph.CreateAccount("liker", "IN", now)
+		for i := 0; i < likes; i++ {
+			post, err := graph.CreatePost(author.ID, "p", meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := graph.AddLike(liker.ID, post.ID, meta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return liker.ID
+	}
+	short, long := logOf(1), logOf(200)
+	reads := []struct {
+		name string
+		read func(id string) []socialgraph.Activity
+	}{
+		{"ActivityLog", graph.ActivityLog},
+		{"ActivitySince", func(id string) []socialgraph.Activity { return graph.ActivitySince(id, now) }},
+	}
+	for _, r := range reads {
+		var perLog [2]float64
+		for i, id := range []string{short, long} {
+			want := 1 + 199*i
+			if got := len(r.read(id)); got != want {
+				t.Fatalf("%s: %d entries, want %d", r.name, got, want)
+			}
+			perLog[i] = testing.AllocsPerRun(50, func() { r.read(id) })
+		}
+		t.Logf("%s: 1 entry %.0f allocs/run, 200 entries %.0f allocs/run", r.name, perLog[0], perLog[1])
+		if perLog[0] != perLog[1] {
+			t.Errorf("%s: 1 entry %.0f allocs/run, 200 entries %.0f; want equal", r.name, perLog[0], perLog[1])
+		}
+	}
+}

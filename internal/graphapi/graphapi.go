@@ -495,11 +495,13 @@ func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, ne
 		span.SetAttr("app", info.AppID)
 		span.SetAttr("token", redact.Token(c.AccessToken))
 	}
-	var app apps.App
+	var app *apps.App
 	if memo != nil {
 		app, err = memo.app(a.registry, info.AppID)
 	} else {
-		app, err = a.registry.Get(info.AppID)
+		var got apps.App
+		got, err = a.registry.Get(info.AppID)
+		app = &got
 	}
 	if err != nil {
 		return Request{}, a.errAppNotFound

@@ -100,15 +100,18 @@ func putScratch(s *batchScratch) {
 	scratchPool.Put(s)
 }
 
-func (m *batchMemo) app(r *apps.Registry, id string) (apps.App, error) {
+// app returns the registry's record of app id, read once per batch. The
+// record is the memo's own copy: it is valid, and must not be written,
+// until the batch ends.
+func (m *batchMemo) app(r *apps.Registry, id string) (*apps.App, error) {
 	for i := range m.apps {
 		if m.apps[i].id == id {
-			return m.apps[i].app, m.apps[i].err
+			return &m.apps[i].app, m.apps[i].err
 		}
 	}
 	app, err := r.Get(id)
 	m.apps = append(m.apps, memoApp{id: id, app: app, err: err})
-	return app, err
+	return &m.apps[len(m.apps)-1].app, err
 }
 
 func (m *batchMemo) asn(internet *netsim.Internet, ip string) (netsim.ASN, bool) {

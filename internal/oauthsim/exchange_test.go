@@ -2,6 +2,7 @@ package oauthsim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,5 +111,44 @@ func TestInvalidateAccountCoversExchangedTokens(t *testing.T) {
 	}
 	if _, err := f.srv.Validate(long.Token); !errors.Is(err, ErrTokenInvalidated) {
 		t.Fatalf("long token survived account sweep: %v", err)
+	}
+}
+
+// TestInvalidateAccountChain walks an account's grant chain: a token and
+// the long-lived token exchanged for it are both revoked with the sweep's
+// reason, another account's token stays live, and a second sweep finds
+// nothing left to revoke.
+func TestInvalidateAccountChain(t *testing.T) {
+	f := shortTermFixture(t)
+	res, err := f.srv.Authorize(f.authorizeReq(ResponseToken))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := f.srv.ExchangeForLongLived(f.app.ID, f.app.Secret, res.AccessToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := f.graph.CreateAccount("other", "IN", t0)
+	req := f.authorizeReq(ResponseToken)
+	req.AccountID = other.ID
+	otherRes, err := f.srv.Authorize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if n := f.srv.InvalidateAccount(f.user.ID, "chain-sweep"); n != 2 {
+		t.Fatalf("InvalidateAccount = %d, want 2 (token + exchanged token)", n)
+	}
+	for _, tok := range []string{res.AccessToken, long.Token} {
+		_, err := f.srv.Validate(tok)
+		if !errors.Is(err, ErrTokenInvalidated) || !strings.Contains(err.Error(), "(chain-sweep)") {
+			t.Fatalf("swept token err = %v, want invalidated (chain-sweep)", err)
+		}
+	}
+	if info, err := f.srv.Validate(otherRes.AccessToken); err != nil || info.AccountID != other.ID {
+		t.Fatalf("other account's token revoked or misattributed: err %v", err)
+	}
+	if n := f.srv.InvalidateAccount(f.user.ID, "chain-sweep"); n != 0 {
+		t.Fatalf("second InvalidateAccount = %d, want 0", n)
 	}
 }

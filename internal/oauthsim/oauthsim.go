@@ -92,10 +92,15 @@ type grant struct {
 	// Invalidate or InvalidateAccount call so the (very hot, post-
 	// intervention) invalidated-token denial allocates nothing per call.
 	revoked error
+	// prev is the account's grant issued before this one (see
+	// Server.byAccount). Grants are never deleted, so the chain never
+	// needs unlinking.
+	prev *grant
 }
 
-// HasScope reports whether the token grants the permission.
-func (t TokenInfo) HasScope(scope string) bool {
+// HasScope reports whether the token grants the permission. The
+// receiver is a pointer so the like path's scope check copies no record.
+func (t *TokenInfo) HasScope(scope string) bool {
 	for _, s := range t.Scopes {
 		if s == scope {
 			return true
@@ -152,9 +157,12 @@ type Server struct {
 
 	mu     sync.RWMutex
 	tokens map[string]*grant
-	// byAccount indexes live token strings per account for bulk
+	// byAccount holds each account's newest grant, the head of a chain
+	// through every grant the account was issued (grant.prev), for bulk
 	// invalidation (Sec. 6.2 invalidates all tokens of milked accounts).
-	byAccount map[string]map[string]bool
+	// Nearly every account holds one token, so the index costs one
+	// pointer per grant rather than a map per account.
+	byAccount map[string]*grant
 	codes     map[string]authCode
 	// scopeLists interns issued scope lists by their joined form, so every
 	// token with an equal list shares one backing array and the like
@@ -181,7 +189,7 @@ func NewServer(prov provider.Provider, clock simclock.Clock, registry *apps.Regi
 		apps:       registry,
 		graph:      graph,
 		tokens:     make(map[string]*grant),
-		byAccount:  make(map[string]map[string]bool),
+		byAccount:  make(map[string]*grant),
 		codes:      make(map[string]authCode),
 		scopeLists: make(map[string][]string),
 	}
@@ -380,16 +388,12 @@ func (s *Server) scopeList(scopes []string) []string {
 	return list
 }
 
-// record indexes a new grant by token and account. The caller holds the
-// write lock.
+// record indexes a new grant by token and pushes it onto its account's
+// chain. The caller holds the write lock.
 func (s *Server) record(g *grant) {
 	s.tokens[g.info.Token] = g
-	acct := s.byAccount[g.info.AccountID]
-	if acct == nil {
-		acct = make(map[string]bool)
-		s.byAccount[g.info.AccountID] = acct
-	}
-	acct[g.info.Token] = true
+	g.prev = s.byAccount[g.info.AccountID]
+	s.byAccount[g.info.AccountID] = g
 }
 
 // Validate checks a bearer token and returns the issued record, which
@@ -443,9 +447,8 @@ func (s *Server) InvalidateAccount(accountID, reason string) int {
 	s.mu.Lock()
 	n := 0
 	var revoked error // shared by every token revoked for this reason
-	for token := range s.byAccount[accountID] {
-		g := s.tokens[token]
-		if g != nil && g.revoked == nil {
+	for g := s.byAccount[accountID]; g != nil; g = g.prev {
+		if g.revoked == nil {
 			if revoked == nil {
 				revoked = fmt.Errorf("%w (%s)", ErrTokenInvalidated, reason)
 			}
@@ -471,8 +474,8 @@ func SecretProof(appSecret, token string) string {
 
 // VerifySecretProof checks a proof presented with token against the
 // secret of app, the application the token was issued to. A missing
-// proof is only an error when the app requires it.
-func VerifySecretProof(app apps.App, token, proof string) error {
+// proof is only an error when the app requires it. app is only read.
+func VerifySecretProof(app *apps.App, token, proof string) error {
 	if proof == "" {
 		if app.RequireAppSecret {
 			return ErrSecretProofRequired

@@ -381,14 +381,14 @@ func TestSecretProof(t *testing.T) {
 	}
 
 	// App does not require the secret: empty proof passes, wrong proof fails.
-	if err := VerifySecretProof(app, info.Token, ""); err != nil {
+	if err := VerifySecretProof(&app, info.Token, ""); err != nil {
 		t.Fatalf("empty proof err = %v", err)
 	}
-	if err := VerifySecretProof(app, info.Token, "deadbeef"); !errors.Is(err, ErrBadSecretProof) {
+	if err := VerifySecretProof(&app, info.Token, "deadbeef"); !errors.Is(err, ErrBadSecretProof) {
 		t.Fatalf("bad proof err = %v", err)
 	}
 	good := SecretProof(f.app.Secret, info.Token)
-	if err := VerifySecretProof(app, info.Token, good); err != nil {
+	if err := VerifySecretProof(&app, info.Token, good); err != nil {
 		t.Fatalf("good proof err = %v", err)
 	}
 
@@ -399,10 +399,10 @@ func TestSecretProof(t *testing.T) {
 	if app, err = f.reg.Get(info.AppID); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifySecretProof(app, info.Token, ""); !errors.Is(err, ErrSecretProofRequired) {
+	if err := VerifySecretProof(&app, info.Token, ""); !errors.Is(err, ErrSecretProofRequired) {
 		t.Fatalf("required proof err = %v", err)
 	}
-	if err := VerifySecretProof(app, info.Token, good); err != nil {
+	if err := VerifySecretProof(&app, info.Token, good); err != nil {
 		t.Fatalf("good proof with requirement err = %v", err)
 	}
 }

@@ -202,17 +202,17 @@ func (l *chunkList[T]) filter(p *chunkPool[T], keep func(*T) bool) (dropped int)
 	return dropped
 }
 
-// removeLike deletes the like entry whose liker's number is num,
+// removeLike deletes the like entry whose liker's serial is serial,
 // shifting only within that entry's own chunk — the tail of the list is
 // never copied (the old slice representation re-appended everything
 // after the removal point). An emptied chunk is unlinked and pooled.
 //
 //collusionvet:locked
-func removeLike(l *likeList, p *likePool, num uint64) bool {
+func removeLike(l *likeList, p *likePool, serial uint32) bool {
 	var prev *chunk[likeRef]
 	for c := l.head; c != nil; prev, c = c, c.next {
 		for i := 0; i < c.n; i++ {
-			if c.buf[i].acct.log.num != num {
+			if c.buf[i].acct.log.serial != serial {
 				continue
 			}
 			copy(c.buf[i:c.n-1], c.buf[i+1:c.n])

@@ -109,13 +109,12 @@ func (sh *shard) evictBefore(cutoff time.Time) (likes, comments, activities int6
 			sh.retireLikeHistory(obj, h)
 			continue
 		}
-		set := h.set
 		var oldest, newest wallTime
 		kept := false
 		likes += int64(h.order.filter(&sh.edges, func(r *likeRef) bool {
 			at := r.at()
 			if at.before(cut) {
-				delete(set, r.acct.log.num)
+				h.set.remove(r.acct.log.serial)
 				return false
 			}
 			if !kept || at.before(oldest) {
@@ -173,7 +172,7 @@ func (s *Store) RetainedEdges() EdgeStats {
 	for i := range s.shards {
 		sh := s.rlockIdx(i)
 		for _, h := range sh.likes {
-			st.Likes += int64(len(h.set))
+			st.Likes += int64(h.set.n)
 		}
 		st.Comments += int64(len(sh.comments))
 		for _, log := range sh.logs {

@@ -2,7 +2,6 @@ package socialgraph
 
 import (
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,13 +89,13 @@ type accountRec struct {
 }
 
 // activityLog is one account's outgoing activity and the account's
-// minted number, the key of every like set the account is in. It is
+// serial, its key in every liker set it is in (see accountSerial). It is
 // created the first time the account acts and kept for the account's
 // lifetime, and listed in its stripe's logs, so that a never-active
 // account (most of a scale-mode world) costs no more than its Account
 // and sweeps visit only accounts that have acted.
 type activityLog struct {
-	num     uint64
+	serial  uint32
 	entries activityList
 }
 
@@ -113,11 +112,11 @@ func (r *likeRef) like(objectID string, attrs []string) Like {
 	}
 }
 
-// activity renders the entry as the Activity it records for actorID.
-func (r *activityRef) activity(actorID string, attrs []string) Activity {
+// activity renders the entry as the Activity it records for actorID,
+// given its object and target numbers in decimal.
+func (r *activityRef) activity(actorID, objectID, targetID string, attrs []string) Activity {
 	return Activity{
-		ActorID: actorID, Verb: verbs[r.verb],
-		ObjectID: strconv.FormatUint(r.object, 10), TargetID: strconv.FormatUint(r.target, 10),
+		ActorID: actorID, Verb: verbs[r.verb], ObjectID: objectID, TargetID: targetID,
 		AppID: attrs[r.app], SourceIP: attrs[r.ip], At: utc(r.sec, r.nsec),
 	}
 }
@@ -203,17 +202,17 @@ func (t *attrTable) snapshot() []string {
 }
 
 // likeHistory is one object's like state: the idempotency set of liker
-// numbers and the chunked arrival order that holds the likes themselves,
+// serials and the chunked arrival order that holds the likes themselves,
 // kept together so the hot write path pays one map probe instead of two.
 // oldest and newest bound the wall time of the retained likes: no
 // retained like is older than oldest or newer than newest. A like widens
 // them; a RemoveLike leaves them alone, so they may be loose but are
 // never wrong, and a retention sweep can skip or retire a whole history
 // on them (see evictBefore). Evicting an object's last like retires the
-// whole history to the shard's free list with its (cleared) set map, so
-// re-liking a swept object allocates neither.
+// whole history to the shard's free list with its (cleared) set table,
+// so re-liking a swept object allocates neither.
 type likeHistory struct {
-	set            map[uint64]struct{}
+	set            likerSet
 	order          likeList
 	oldest, newest wallTime
 }
@@ -282,20 +281,25 @@ func newShardSized(hint int) *shard {
 // contract likeLocked documents.
 
 // logOf returns a's activity log, creating it on the account's first
-// action.
+// action. Every account ID is minted, so its serial exists below 2³²
+// accounts; past that a liker set could not hold it, and logOf panics.
 //
 //collusionvet:locked
 func (sh *shard) logOf(a *accountRec) *activityLog {
 	if a.log == nil {
 		num, _ := idNum(a.ID)
-		a.log = &activityLog{num: num}
+		serial, ok := accountSerial(num)
+		if !ok {
+			panic("socialgraph: account " + a.ID + " has no 32-bit serial")
+		}
+		a.log = &activityLog{serial: serial}
 		sh.logs = append(sh.logs, a.log)
 	}
 	return a.log
 }
 
 // likeHistoryFor returns objectID's like history, reusing a retired one
-// (its set map arrives cleared) before allocating.
+// (its set arrives cleared) before allocating.
 //
 //collusionvet:locked
 func (sh *shard) likeHistoryFor(objectID string) *likeHistory {
@@ -308,7 +312,7 @@ func (sh *shard) likeHistoryFor(objectID string) *likeHistory {
 		sh.freeHist[n-1] = nil
 		sh.freeHist = sh.freeHist[:n-1]
 	} else {
-		h = &likeHistory{set: make(map[uint64]struct{})}
+		h = new(likeHistory)
 	}
 	sh.likes[objectID] = h
 	return h
@@ -320,7 +324,7 @@ func (sh *shard) likeHistoryFor(objectID string) *likeHistory {
 //
 //collusionvet:locked
 func (sh *shard) retireLikeHistory(objectID string, h *likeHistory) {
-	clear(h.set)
+	h.set.clear()
 	h.order.release(&sh.edges)
 	sh.freeHist = append(sh.freeHist, h)
 	delete(sh.likes, objectID)

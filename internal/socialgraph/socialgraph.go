@@ -27,7 +27,10 @@ package socialgraph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -437,7 +440,7 @@ func (t *likeTarget) flush(sh *shard) {
 // identical semantics by construction.
 //
 // The like itself lives only in its order entry; the history's set holds
-// the liker's number for the idempotency check. The success path is
+// the liker's serial for the idempotency check. The success path is
 // allocation-free at steady state: the like history and its chunks come
 // from the shard free lists, and the activity entry lands in a pooled
 // chunk of the liker's activity log (pinned by
@@ -458,10 +461,9 @@ func (s *Store) likeLocked(acctShard, objShard *shard, t *likeTarget, accountID 
 	}
 	h := t.h
 	log := acctShard.logOf(a)
-	if _, dup := h.set[log.num]; dup {
+	if !h.set.add(log.serial) {
 		return errAlreadyLiked
 	}
-	h.set[log.num] = struct{}{}
 	at := wallOf(meta.At)
 	if h.order.total == 0 {
 		h.oldest, h.newest = at, at
@@ -487,22 +489,19 @@ func (s *Store) likeLocked(acctShard, objShard *shard, t *likeTarget, accountID 
 // object whose last like is removed retires its whole history to the
 // shard free list.
 func (s *Store) RemoveLike(accountID, objectID string) error {
-	num, ok := idNum(accountID)
+	num, _ := idNum(accountID) // a malformed ID reads as 0, which has no serial
+	serial, ok := accountSerial(num)
 	if !ok {
 		return errNotLiked
 	}
 	sh := s.lock(objectID)
 	defer sh.mu.Unlock()
 	h, ok := sh.likes[objectID]
-	if !ok {
+	if !ok || !h.set.remove(serial) {
 		return errNotLiked
 	}
-	if _, liked := h.set[num]; !liked {
-		return errNotLiked
-	}
-	delete(h.set, num)
-	removeLike(&h.order, &sh.edges, num)
-	if len(h.set) == 0 {
+	removeLike(&h.order, &sh.edges, serial)
+	if h.set.n == 0 {
 		sh.retireLikeHistory(objectID, h)
 	}
 	return nil
@@ -550,25 +549,22 @@ func (s *Store) LikeCount(objectID string) int {
 	sh := s.rlock(objectID)
 	defer sh.mu.RUnlock()
 	if h, ok := sh.likes[objectID]; ok {
-		return len(h.set)
+		return h.set.n
 	}
 	return 0
 }
 
 // HasLiked reports whether the account has liked the object.
 func (s *Store) HasLiked(accountID, objectID string) bool {
-	num, ok := idNum(accountID)
+	num, _ := idNum(accountID)
+	serial, ok := accountSerial(num)
 	if !ok {
 		return false
 	}
 	sh := s.rlock(objectID)
 	defer sh.mu.RUnlock()
 	h, ok := sh.likes[objectID]
-	if !ok {
-		return false
-	}
-	_, liked := h.set[num]
-	return liked
+	return ok && h.set.has(serial)
 }
 
 // AddComment records a comment on a post. Comment records are co-located
@@ -667,43 +663,78 @@ func (s *Store) Comments(postID string) []Comment {
 }
 
 // ActivityLog returns the account's outgoing activity in chronological
-// (insertion) order, sized and filled in one pass over the chunks.
+// (insertion) order. The returned ObjectIDs and TargetIDs share one
+// string (see activitySince).
 func (s *Store) ActivityLog(accountID string) []Activity {
-	sh := s.rlock(accountID)
-	defer sh.mu.RUnlock()
-	a, ok := sh.accounts[accountID]
-	if !ok || a.log == nil || a.log.entries.total == 0 {
-		return nil
-	}
-	attrs := s.attrs.snapshot()
-	out := make([]Activity, 0, a.log.entries.total)
-	for c := a.log.entries.head; c != nil; c = c.next {
-		for i := 0; i < c.n; i++ {
-			out = append(out, c.buf[i].activity(a.ID, attrs))
-		}
-	}
-	return out
+	return s.activitySince(accountID, wallTime{sec: math.MinInt64})
 }
 
 // ActivitySince returns the account's outgoing activity at or after t.
+// The returned ObjectIDs and TargetIDs share one string (see
+// activitySince).
 func (s *Store) ActivitySince(accountID string, t time.Time) []Activity {
+	return s.activitySince(accountID, wallOf(t))
+}
+
+// activitySince renders the account's activity entries at or after
+// since, in insertion order, in two allocations whatever their number:
+// the slice, and one string holding every entry's object and target
+// number in decimal, which each Activity's ObjectID and TargetID slice.
+// A first pass counts and sizes the entries, a second formats the
+// numbers, and a third fills the slice.
+func (s *Store) activitySince(accountID string, since wallTime) []Activity {
 	sh := s.rlock(accountID)
 	defer sh.mu.RUnlock()
 	a, ok := sh.accounts[accountID]
 	if !ok || a.log == nil {
 		return nil
 	}
+	log := &a.log.entries
+	n, size := 0, 0
+	eachSince(log, since, func(e *activityRef) {
+		n++
+		size += decimalLen(e.object) + decimalLen(e.target)
+	})
+	if n == 0 {
+		return nil
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
+	eachSince(log, since, func(e *activityRef) {
+		b.Write(strconv.AppendUint(digits[:0], e.object, 10))
+		b.Write(strconv.AppendUint(digits[:0], e.target, 10))
+	})
+	ids := b.String()
 	attrs := s.attrs.snapshot()
-	since := wallOf(t)
-	var out []Activity
-	for c := a.log.entries.head; c != nil; c = c.next {
+	out := make([]Activity, 0, n)
+	eachSince(log, since, func(e *activityRef) {
+		object := ids[:decimalLen(e.object)]
+		target := ids[len(object) : len(object)+decimalLen(e.target)]
+		ids = ids[len(object)+len(target):]
+		out = append(out, e.activity(a.ID, object, target, attrs))
+	})
+	return out
+}
+
+// eachSince calls f on every entry of l at or after since, in order.
+func eachSince(l *activityList, since wallTime, f func(*activityRef)) {
+	for c := l.head; c != nil; c = c.next {
 		for i := 0; i < c.n; i++ {
 			if !c.buf[i].at().before(since) {
-				out = append(out, c.buf[i].activity(a.ID, attrs))
+				f(&c.buf[i])
 			}
 		}
 	}
-	return out
+}
+
+// decimalLen returns the number of decimal digits of x.
+func decimalLen(x uint64) int {
+	n := 1
+	for ; x >= 10; x /= 10 {
+		n++
+	}
+	return n
 }
 
 // ownerOfShard resolves the owner (account or page) of a likeable object.
@@ -748,7 +779,7 @@ func (s *Store) Stats() Stats {
 		st.Posts += len(sh.posts)
 		st.Comments += len(sh.comments)
 		for _, h := range sh.likes {
-			st.Likes += len(h.set)
+			st.Likes += h.set.n
 		}
 		sh.mu.RUnlock()
 	}

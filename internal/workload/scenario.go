@@ -11,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/platform"
 	"repro/internal/provider"
-	"repro/internal/shorturl"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
 )
@@ -93,10 +92,6 @@ type NetworkInstance struct {
 	Members []socialgraph.Account
 	// ScaledMembership is the initial member count.
 	ScaledMembership int
-	// ShortCode is the network's install-link short URL: every joining
-	// member clicks through it, so the shortener's public analytics
-	// accumulate the traffic the paper mined in Table 5.
-	ShortCode string
 
 	scenario *Scenario
 	rng      *rand.Rand
@@ -116,9 +111,6 @@ type Scenario struct {
 	Apps map[string]apps.App
 	// Networks holds the instantiated collusion networks in spec order.
 	Networks []*NetworkInstance
-	// ShortURLs is the goo.gl-style shortener the networks funnel members
-	// through; one code per network (see NetworkInstance.ShortCode).
-	ShortURLs *shorturl.Service
 
 	rng *rand.Rand
 }
@@ -147,14 +139,13 @@ func BuildScenario(opts Options) (*Scenario, error) {
 	}
 	client := platform.NewLocalClient(p)
 	s := &Scenario{
-		Opts:      opts,
-		Clock:     clock,
-		Platform:  p,
-		Client:    client,
-		Internet:  internet,
-		Apps:      make(map[string]apps.App),
-		ShortURLs: shorturl.NewService(clock),
-		rng:       rand.New(rand.NewSource(opts.Seed)),
+		Opts:     opts,
+		Clock:    clock,
+		Platform: p,
+		Client:   client,
+		Internet: internet,
+		Apps:     make(map[string]apps.App),
+		rng:      rand.New(rand.NewSource(opts.Seed)),
 	}
 
 	for _, spec := range ExploitedApps() {
@@ -280,7 +271,6 @@ func (s *Scenario) buildNetwork(spec NetworkSpec, ordinal int64) (*NetworkInstan
 		Spec:             spec,
 		Net:              net,
 		ScaledMembership: ScaledMembership(spec, s.Opts.Scale, s.Opts.MinMembers),
-		ShortCode:        s.ShortURLs.Shorten("https://platform.example/dialog/oauth?client_id=" + app.ID),
 		scenario:         s,
 		rng:              rand.New(rand.NewSource(s.Opts.Seed*7919 + ordinal)),
 		mix:              CountryMixFor(spec),
@@ -319,11 +309,6 @@ func (ni *NetworkInstance) JoinFresh(count int) error {
 		country := ni.sampleCountry()
 		acct := s.Platform.Graph.CreateAccount(
 			fmt.Sprintf("%s-member-%d", sanitizeHost(ni.Spec.Name), ni.nextID), country, s.Clock.Now())
-		// The joining member reaches the install dialog through the
-		// network's short URL, leaving the click trail Table 5 mines.
-		if _, err := s.ShortURLs.Resolve(ni.ShortCode, ni.Spec.Name, country); err != nil {
-			return err
-		}
 		tok, err := s.Client.AuthorizeImplicit(app.ID, app.RedirectURI, acct.ID,
 			[]string{apps.PermPublicProfile, apps.PermUserFriends, apps.PermPublishActions})
 		if err != nil {

@@ -195,50 +195,6 @@ func TestScenarioEndToEndMilking(t *testing.T) {
 	}
 }
 
-func TestJoinClicksThroughShortURL(t *testing.T) {
-	s, err := BuildScenario(Options{
-		Scale:      2000,
-		MinMembers: 35,
-		Networks:   []string{"hublaa.me", "mg-likers.com"},
-		Seed:       6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ni := range s.Networks {
-		info, err := s.ShortURLs.Info(ni.ShortCode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every initial member clicked through once.
-		if info.ShortClicks != ni.ScaledMembership {
-			t.Fatalf("%s clicks = %d, members = %d", ni.Spec.Name, info.ShortClicks, ni.ScaledMembership)
-		}
-		if info.TopReferrer != ni.Spec.Name {
-			t.Fatalf("%s referrer = %q", ni.Spec.Name, info.TopReferrer)
-		}
-		if len(info.Countries) == 0 {
-			t.Fatalf("%s has no click geography", ni.Spec.Name)
-		}
-	}
-	// Both networks exploit HTC Sense: their short URLs share a long URL,
-	// so LongClicks aggregates across them — the Table 5 effect.
-	a, _ := s.ShortURLs.Info(s.Networks[0].ShortCode)
-	b, _ := s.ShortURLs.Info(s.Networks[1].ShortCode)
-	if a.LongClicks != a.ShortClicks+b.ShortClicks {
-		t.Fatalf("long clicks %d != %d + %d", a.LongClicks, a.ShortClicks, b.ShortClicks)
-	}
-	// Fresh joins keep clicking.
-	before := a.ShortClicks
-	if err := s.Networks[0].JoinFresh(5); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := s.ShortURLs.Info(s.Networks[0].ShortCode)
-	if after.ShortClicks != before+5 {
-		t.Fatalf("clicks after joins = %d", after.ShortClicks)
-	}
-}
-
 func TestJoinFreshGrowsPool(t *testing.T) {
 	s, err := BuildScenario(Options{
 		Scale:      10000,
