@@ -422,7 +422,7 @@ func TestAllocGateTokenPoolSample(t *testing.T) {
 	const members, n = 500, 50
 	pool := collusion.NewTokenPool()
 	for i := 0; i < members; i++ {
-		pool.Put(fmt.Sprintf("m%d", i), fmt.Sprintf("tok-%d", i), benchEpoch)
+		pool.Put(fmt.Sprintf("m%d", i), fmt.Sprintf("tok-%d", i))
 	}
 	rng := rand.New(rand.NewSource(1))
 	exclude := map[string]bool{"m0": true}
@@ -525,5 +525,23 @@ func TestAllocGateActivityLog(t *testing.T) {
 		if perLog[0] != perLog[1] {
 			t.Errorf("%s: 1 entry %.0f allocs/run, 200 entries %.0f; want equal", r.name, perLog[0], perLog[1])
 		}
+	}
+}
+
+// TestAllocGateSynchroTrapDetect pins one SynchroTrap sweep over
+// BenchmarkSynchroTrapDetect's snapshot. Detect's scratch is a fixed set
+// of per-sweep slices (the snapshot, the account→group adjacency, the
+// dense counter and union-find arrays), so its allocation count does not
+// grow with the co-member pairs it counts; a pair map, which allocated
+// 310 times here, fails the gate.
+func TestAllocGateSynchroTrapDetect(t *testing.T) {
+	trap := newDetectBenchTrap()
+	clusters := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		clusters = len(trap.Detect())
+	})
+	t.Logf("SynchroTrap.Detect (%d clusters): %.0f allocs/run", clusters, allocs)
+	if allocs > 64 {
+		t.Errorf("SynchroTrap.Detect = %.0f allocs/run, gate 64", allocs)
 	}
 }

@@ -420,7 +420,9 @@ func BenchmarkPolicyChainEvaluate(b *testing.B) {
 	}
 }
 
-func BenchmarkSynchroTrapDetect(b *testing.B) {
+// newDetectBenchTrap returns a detector holding 50 groups of 100 drawn
+// from 500 accounts, the snapshot BenchmarkSynchroTrapDetect sweeps.
+func newDetectBenchTrap() *defense.SynchroTrap {
 	trap := defense.NewSynchroTrap(time.Minute, 0.5, 2, 5)
 	for post := 0; post < 50; post++ {
 		at := benchEpoch.Add(time.Duration(post) * time.Hour)
@@ -428,6 +430,11 @@ func BenchmarkSynchroTrapDetect(b *testing.B) {
 			trap.Record(fmt.Sprintf("acct-%d", (post*37+acct)%500), fmt.Sprintf("post-%d", post), at)
 		}
 	}
+	return trap
+}
+
+func BenchmarkSynchroTrapDetect(b *testing.B) {
+	trap := newDetectBenchTrap()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trap.Detect()

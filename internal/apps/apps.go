@@ -189,18 +189,29 @@ func (r *Registry) Register(cfg Config) App {
 
 // Get returns the app with the given ID.
 func (r *Registry) Get(id string) (App, error) {
+	var app App
+	err := r.GetInto(id, &app)
+	return app, err
+}
+
+// GetInto copies the app with the given ID into dst, so a caller that
+// keeps the record in its own variable copies it once rather than
+// twice (Get's by-value result, then the caller's assignment).
+func (r *Registry) GetInto(id string, dst *App) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	app, ok := r.byID[id]
 	if !ok {
-		return App{}, fmt.Errorf("app %q: %w", id, ErrNotFound)
+		return fmt.Errorf("app %q: %w", id, ErrNotFound)
 	}
 	// The Permissions slice is built once at Register and never mutated
 	// in place (suspension and security settings touch scalar fields
-	// only), so Get shares it instead of deep-copying: this lookup runs
-	// once per authenticated API call, and the clone was ~20% of the like
-	// pipeline's allocation count. Callers must treat it as read-only.
-	return *app, nil
+	// only), so the copy shares it instead of deep-copying: this lookup
+	// runs once per authenticated API call, and the clone was ~20% of the
+	// like pipeline's allocation count. Callers must treat it as
+	// read-only.
+	*dst = *app
+	return nil
 }
 
 // SetSuspended suspends or reinstates an app.

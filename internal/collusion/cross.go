@@ -90,7 +90,7 @@ func (n *Network) SubmitLinkedCode(platformName, accountID, code string) error {
 	if profile.ID != accountID {
 		return fmt.Errorf("%w: token belongs to %s", ErrBadToken, profile.ID)
 	}
-	b.pool.Put(accountID, token, now)
+	b.pool.Put(accountID, token)
 	n.mu.Lock()
 	n.stats.CrossTokensCollected++
 	n.mu.Unlock()

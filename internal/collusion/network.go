@@ -262,7 +262,7 @@ func (n *Network) SubmitToken(accountID, token string) error {
 	if profile.ID != accountID {
 		return fmt.Errorf("%w: token belongs to %s", ErrBadToken, profile.ID)
 	}
-	n.pool.Put(accountID, token, now)
+	n.pool.Put(accountID, token)
 	n.mu.Lock()
 	n.stats.TokensCollected++
 	n.mu.Unlock()

@@ -11,7 +11,6 @@ import (
 type tokenEntry struct {
 	accountID string
 	token     string
-	addedAt   time.Time
 	// usage holds recent usage timestamps for the hourly spread cap;
 	// pruned lazily.
 	usage []time.Time
@@ -36,15 +35,14 @@ func NewTokenPool() *TokenPool {
 }
 
 // Put stores or refreshes a member's token.
-func (p *TokenPool) Put(accountID, token string, now time.Time) {
+func (p *TokenPool) Put(accountID, token string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.entries[accountID]; ok {
 		e.token = token
-		e.addedAt = now
 		return
 	}
-	e := &tokenEntry{accountID: accountID, token: token, addedAt: now}
+	e := &tokenEntry{accountID: accountID, token: token}
 	p.entries[accountID] = e
 	p.order = append(p.order, e)
 }

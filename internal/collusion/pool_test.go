@@ -14,15 +14,15 @@ var t0 = time.Date(2015, time.November, 1, 0, 0, 0, 0, time.UTC)
 func filledPool(n int) *TokenPool {
 	p := NewTokenPool()
 	for i := 0; i < n; i++ {
-		p.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i), t0)
+		p.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i))
 	}
 	return p
 }
 
 func TestPoolPutRefreshes(t *testing.T) {
 	p := NewTokenPool()
-	p.Put("a", "tok-1", t0)
-	p.Put("a", "tok-2", t0.Add(time.Hour))
+	p.Put("a", "tok-1")
+	p.Put("a", "tok-2")
 	if p.Size() != 1 {
 		t.Fatalf("Size = %d, want 1", p.Size())
 	}
@@ -61,7 +61,7 @@ func TestPoolRemoveInPlace(t *testing.T) {
 	never := NewTokenPool()
 	for i := 0; i < 10; i++ {
 		if i != 4 {
-			never.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i), t0)
+			never.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i))
 		}
 	}
 	if got, want := p.Members(), never.Members(); !reflect.DeepEqual(got, want) {
@@ -139,7 +139,7 @@ func TestSampleHourlyCap(t *testing.T) {
 func TestSampleHotSetPrefersRecent(t *testing.T) {
 	p := NewTokenPool()
 	for i := 0; i < 100; i++ {
-		p.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i), t0.Add(time.Duration(i)*time.Second))
+		p.Put(fmt.Sprintf("acct-%d", i), fmt.Sprintf("tok-%d", i))
 	}
 	rng := rand.New(rand.NewSource(1))
 	got := p.Sample(nil, rng, 10, nil, 0, 10, t0.Add(time.Hour))

@@ -18,6 +18,7 @@ package defense
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graphapi"
@@ -89,24 +90,32 @@ func (s *slidingWindow) allow(key string, limit int) bool {
 // TokenRateLimiter caps write actions per access token in a trailing
 // window. Name: "token-rate-limit".
 type TokenRateLimiter struct {
-	mu     sync.RWMutex
-	limit  int
-	reason string // preformatted denial reason for the current limit
+	// limit is the current cap with its denial reason. SetLimit swaps in
+	// a new pair, so Evaluate reads both with one atomic load and takes
+	// no lock besides the window's.
+	limit  atomic.Pointer[tokenLimit]
 	window *slidingWindow
 }
 
-// tokenLimitReason preformats the denial reason for a cap. Reasons are
-// rebuilt only when the limit changes (construction and SetLimit), so
-// the denial path — which a throttled collusion network hits on nearly
-// every request — formats nothing per call.
-func tokenLimitReason(limit int) string {
-	return fmt.Sprintf("token exceeded %d writes per window", limit)
+// tokenLimit is one token cap and its preformatted denial reason.
+// Reasons are built only when the limit changes (construction and
+// SetLimit), so the denial path — which a throttled collusion network
+// hits on nearly every request — formats nothing per call.
+type tokenLimit struct {
+	max    int
+	reason string
+}
+
+func newTokenLimit(limit int) *tokenLimit {
+	return &tokenLimit{max: limit, reason: fmt.Sprintf("token exceeded %d writes per window", limit)}
 }
 
 // NewTokenRateLimiter returns a limiter allowing limit writes per token per
 // window.
 func NewTokenRateLimiter(clock simclock.Clock, limit int, window time.Duration) *TokenRateLimiter {
-	return &TokenRateLimiter{limit: limit, reason: tokenLimitReason(limit), window: newSlidingWindow(clock, window)}
+	l := &TokenRateLimiter{window: newSlidingWindow(clock, window)}
+	l.limit.Store(newTokenLimit(limit))
+	return l
 }
 
 // Name implements graphapi.Policy.
@@ -115,10 +124,7 @@ func (l *TokenRateLimiter) Name() string { return "token-rate-limit" }
 // SetLimit adjusts the cap; the paper's day-12 intervention reduced it by
 // more than an order of magnitude.
 func (l *TokenRateLimiter) SetLimit(limit int) {
-	l.mu.Lock()
-	l.limit = limit
-	l.reason = tokenLimitReason(limit)
-	l.mu.Unlock()
+	l.limit.Store(newTokenLimit(limit))
 }
 
 // Evaluate implements graphapi.Policy.
@@ -126,11 +132,9 @@ func (l *TokenRateLimiter) Evaluate(req graphapi.Request) graphapi.Decision {
 	if req.Verb == graphapi.VerbRead {
 		return graphapi.Allowed()
 	}
-	l.mu.RLock()
-	limit, reason := l.limit, l.reason
-	l.mu.RUnlock()
-	if !l.window.allow(req.Token, limit) {
-		return graphapi.Denied(l.Name(), reason)
+	lim := l.limit.Load()
+	if !l.window.allow(req.Token, lim.max) {
+		return graphapi.Denied(l.Name(), lim.reason)
 	}
 	return graphapi.Allowed()
 }
@@ -139,7 +143,7 @@ func (l *TokenRateLimiter) Evaluate(req graphapi.Request) graphapi.Decision {
 // week (Sec. 6.4). It only applies to likes performed through access
 // tokens, so ordinary browser traffic is unaffected. Name: "ip-rate-limit".
 type IPRateLimiter struct {
-	mu          sync.RWMutex
+	// The limits are set once by the constructor and only read after.
 	dailyLimit  int
 	weeklyLimit int
 	// Preformatted denial reasons. They name the limit but not the IP:
@@ -172,13 +176,10 @@ func (l *IPRateLimiter) Evaluate(req graphapi.Request) graphapi.Decision {
 	if req.Verb != graphapi.VerbLike || req.SourceIP == "" {
 		return graphapi.Allowed()
 	}
-	l.mu.RLock()
-	dl, wl := l.dailyLimit, l.weeklyLimit
-	l.mu.RUnlock()
-	if !l.daily.allow(req.SourceIP, dl) {
+	if !l.daily.allow(req.SourceIP, l.dailyLimit) {
 		return graphapi.Denied(l.Name(), l.dailyReason)
 	}
-	if !l.weekly.allow(req.SourceIP, wl) {
+	if !l.weekly.allow(req.SourceIP, l.weeklyLimit) {
 		// The daily admission above is not rolled back: the like was
 		// denied overall, but Facebook-style layered limits charge the
 		// innermost accepted layer; the discrepancy is one event.

@@ -2,7 +2,7 @@ package defense
 
 import (
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -63,14 +63,6 @@ type groupKey struct {
 	bucket int64
 }
 
-// pairKey packs an unordered pair of dense indices into one map key.
-func pairKey(a, b int32) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(b)
-}
-
 // NewSynchroTrap returns a detector with the given parameters.
 func NewSynchroTrap(window time.Duration, simThreshold float64, minShared, minClusterSize int) *SynchroTrap {
 	s := &SynchroTrap{
@@ -124,12 +116,13 @@ func (s *SynchroTrap) Detect() []Cluster {
 	// Snapshot, under the lock, every group within the fanout cap into
 	// one flat buffer, keeping only members active in at least MinActions
 	// groups: no pair with a less active member is ever synchronized.
-	// names only grows, so the entries the snapshot indexes never change.
+	// Group g is flat[bounds[g]:bounds[g+1]]. names only grows, so the
+	// entries the snapshot indexes never change.
 	s.mu.Lock()
 	names := s.names
 	actions := slices.Clone(s.actions)
-	var flat []int32
-	var ends []int
+	flat := make([]int32, 0, len(s.joined))
+	bounds := []int32{0}
 	for _, m := range s.members {
 		if s.MaxGroupFanout > 0 && len(m) > s.MaxGroupFanout {
 			continue
@@ -144,25 +137,34 @@ func (s *SynchroTrap) Detect() []Cluster {
 			flat = flat[:start]
 			continue
 		}
-		ends = append(ends, len(flat))
+		bounds = append(bounds, int32(len(flat)))
 	}
 	s.mu.Unlock()
 
-	// Count shared groups per account pair.
-	shared := make(map[uint64]int32)
-	start := 0
-	for _, end := range ends {
-		m := flat[start:end]
-		for i, a := range m {
-			for _, b := range m[i+1:] {
-				shared[pairKey(a, b)]++
-			}
-		}
-		start = end
+	// Account a's snapshot groups are adj[off[a]:off[a+1]]: count each
+	// account's memberships, turn the counts into starts, place every
+	// group at its account's cursor, then shift the cursors (each now an
+	// end) back into starts.
+	n := len(actions)
+	off := make([]int32, n+1)
+	for _, id := range flat {
+		off[id+1]++
 	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	adj := make([]int32, len(flat))
+	for g := range len(bounds) - 1 {
+		for _, id := range flat[bounds[g]:bounds[g+1]] {
+			adj[off[id]] = int32(g)
+			off[id]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 
 	// Union-find over synchronized pairs; -1 marks an account in none.
-	parent := make([]int32, len(actions))
+	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -176,40 +178,77 @@ func (s *SynchroTrap) Detect() []Cluster {
 		}
 		return x
 	}
-	for k, n := range shared {
-		if int(n) < s.MinShared {
-			continue
-		}
-		a, b := int32(k>>32), int32(uint32(k))
-		// n counts groups both accounts are in, so the union is at least 1.
-		unionSize := int(actions[a]) + int(actions[b]) - int(n)
-		if float64(n)/float64(unionSize) >= s.SimilarityThreshold {
-			ra, rb := find(a), find(b)
-			if ra != rb {
-				parent[ra] = rb
+
+	// For each account a, count[b] is the number of groups a shares with
+	// each co-member b > a; touched lists those b so that testing the
+	// pairs also zeroes count for the next a.
+	count := make([]int32, n)
+	var touched []int32
+	for a := range int32(n) {
+		for _, g := range adj[off[a]:off[a+1]] {
+			for _, b := range flat[bounds[g]:bounds[g+1]] {
+				if b <= a {
+					continue
+				}
+				if count[b] == 0 {
+					touched = append(touched, b)
+				}
+				count[b]++
 			}
 		}
+		for _, b := range touched {
+			shared := count[b]
+			count[b] = 0
+			if int(shared) < s.MinShared {
+				continue
+			}
+			// shared counts groups both accounts are in, so the union is at least 1.
+			unionSize := int(actions[a]) + int(actions[b]) - int(shared)
+			if float64(shared)/float64(unionSize) >= s.SimilarityThreshold {
+				ra, rb := find(a), find(b)
+				if ra != rb {
+					parent[ra] = rb
+				}
+			}
+		}
+		touched = touched[:0]
 	}
 
-	comps := make(map[int32][]string)
+	// Size each component at its root (count is all zeros again), then
+	// name only the members of components large enough to report; at
+	// maps each such root to its cluster in out.
+	size := count
 	for x, p := range parent {
 		if p >= 0 {
-			root := find(int32(x))
-			comps[root] = append(comps[root], names[x])
+			size[find(int32(x))]++
 		}
 	}
 	var out []Cluster
-	for _, members := range comps {
-		if len(members) >= s.MinClusterSize {
-			sort.Strings(members)
-			out = append(out, Cluster{Accounts: members})
+	at := make(map[int32]int)
+	for x, p := range parent {
+		if p < 0 {
+			continue
 		}
+		r := find(int32(x))
+		if int(size[r]) < s.MinClusterSize {
+			continue
+		}
+		i, ok := at[r]
+		if !ok {
+			i = len(out)
+			at[r] = i
+			out = append(out, Cluster{Accounts: make([]string, 0, size[r])})
+		}
+		out[i].Accounts = append(out[i].Accounts, names[x])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Accounts) != len(out[j].Accounts) {
-			return len(out[i].Accounts) > len(out[j].Accounts)
+	for _, c := range out {
+		slices.Sort(c.Accounts)
+	}
+	slices.SortFunc(out, func(x, y Cluster) int {
+		if len(x.Accounts) != len(y.Accounts) {
+			return len(y.Accounts) - len(x.Accounts)
 		}
-		return out[i].Accounts[0] < out[j].Accounts[0]
+		return strings.Compare(x.Accounts[0], y.Accounts[0])
 	})
 	return out
 }

@@ -2,7 +2,10 @@ package defense
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -122,5 +125,101 @@ func TestSynchroTrapReset(t *testing.T) {
 	st.Reset()
 	if st.GroupCount() != 0 {
 		t.Fatal("Reset did not clear groups")
+	}
+}
+
+// TestSynchroTrapMatchesReferenceLarge compares Detect with refTrap on
+// streams shaped like a Figure 5 sweep's snapshot, with Figure 5's
+// window, similarity threshold and MinShared: 2,000 members whose
+// activity spans 1–40 groups (most in few), groups of 2–400 members
+// with some above MaxGroupFanout, and lockstep teams that act together
+// in their own groups and in busy member groups. Unlike the small
+// differential, these streams give Detect a large account→group
+// adjacency and accounts with thousands of co-members, so a count or a
+// touched list cut short or carried over from one account to the next
+// changes the pairs found.
+func TestSynchroTrapMatchesReferenceLarge(t *testing.T) {
+	const members, fanout = 2000, 300
+	teams := []int{6, 12, 25}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := NewSynchroTrap(time.Minute, 0.5, 3, 5)
+		st.MaxGroupFanout = fanout
+		ref := newRefTrap(st)
+		record := func(account string, group int) {
+			object := fmt.Sprintf("post-%d", group)
+			at := t0.Add(time.Duration(group)*time.Minute + time.Duration(rng.Intn(60))*time.Second)
+			st.Record(account, object, at)
+			ref.Record(account, object, at)
+		}
+
+		// Configuration model: member i holds 1–40 membership stubs, the
+		// shuffled stubs are dealt into groups of 2–400 (a stub dealt
+		// twice into one group collapses into one membership).
+		var stubs []int
+		for i := 0; i < members; i++ {
+			for k := 1 + int(39*math.Pow(rng.Float64(), 6)); k > 0; k-- {
+				stubs = append(stubs, i)
+			}
+		}
+		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		groups, over := 0, 0
+		var busy []int // member groups a team may join
+		for len(stubs) > 0 {
+			size := min(2+int(398*math.Pow(rng.Float64(), 5)), len(stubs))
+			for _, i := range stubs[:size] {
+				record(fmt.Sprintf("member-%d", i), groups)
+			}
+			switch {
+			case size > fanout:
+				over++
+			case size >= 50:
+				busy = append(busy, groups)
+			}
+			groups++
+			stubs = stubs[size:]
+		}
+		if over == 0 || len(busy) == 0 {
+			t.Fatalf("seed %d: %d groups above the fanout cap and %d busy ones; the stream needs both", seed, over, len(busy))
+		}
+
+		// Each team joins, with 90% of its bots, 10–20 groups of its own
+		// and 5 busy member groups.
+		for team, size := range teams {
+			var joined []int
+			for j := 10 + rng.Intn(11); j > 0; j-- {
+				joined = append(joined, groups)
+				groups++
+			}
+			for j := 0; j < 5; j++ {
+				joined = append(joined, busy[rng.Intn(len(busy))])
+			}
+			for _, g := range joined {
+				for b := 0; b < size; b++ {
+					if rng.Intn(10) > 0 {
+						record(fmt.Sprintf("bot%d-%d", team, b), g)
+					}
+				}
+			}
+		}
+
+		got, want := st.Detect(), ref.Detect()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Detect = %d clusters %v\nreference = %d clusters %v", seed, len(got), got, len(want), want)
+		}
+		for team, size := range teams {
+			var flagged []string // the cluster holding the team's first bot
+			for _, c := range got {
+				if slices.Contains(c.Accounts, fmt.Sprintf("bot%d-0", team)) {
+					flagged = c.Accounts
+				}
+			}
+			for b := 0; b < size; b++ {
+				if bot := fmt.Sprintf("bot%d-%d", team, b); !slices.Contains(flagged, bot) {
+					t.Errorf("seed %d: %s is not in its team's cluster %v", seed, bot, flagged)
+				}
+			}
+		}
+		t.Logf("seed %d: %d groups (%d above the cap) over %d memberships, %d clusters", seed, st.GroupCount(), over, len(st.joined), len(got))
 	}
 }

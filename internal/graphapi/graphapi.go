@@ -499,9 +499,8 @@ func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, ne
 	if memo != nil {
 		app, err = memo.app(a.registry, info.AppID)
 	} else {
-		var got apps.App
-		got, err = a.registry.Get(info.AppID)
-		app = &got
+		app = new(apps.App)
+		err = a.registry.GetInto(info.AppID, app)
 	}
 	if err != nil {
 		return Request{}, a.errAppNotFound

@@ -109,9 +109,10 @@ func (m *batchMemo) app(r *apps.Registry, id string) (*apps.App, error) {
 			return &m.apps[i].app, m.apps[i].err
 		}
 	}
-	app, err := r.Get(id)
-	m.apps = append(m.apps, memoApp{id: id, app: app, err: err})
-	return &m.apps[len(m.apps)-1].app, err
+	m.apps = append(m.apps, memoApp{id: id})
+	e := &m.apps[len(m.apps)-1]
+	e.err = r.GetInto(id, &e.app)
+	return &e.app, e.err
 }
 
 func (m *batchMemo) asn(internet *netsim.Internet, ip string) (netsim.ASN, bool) {
