@@ -329,7 +329,7 @@ func BenchmarkGraphAPILike(b *testing.B) {
 // BenchmarkAddLikeBatch measures the store-level batch apply: one burst
 // of 50 distinct likers on a fresh post per iteration, a single call and
 // one lock scope. BenchmarkGraphAPILike is the per-call comparator (one
-// like, two lock scopes, per call).
+// like and one two-stripe lock scope per call).
 func BenchmarkAddLikeBatch(b *testing.B) {
 	const burst = 50
 	w := newBenchWorld(b, burst)
@@ -349,7 +349,9 @@ func BenchmarkAddLikeBatch(b *testing.B) {
 		for j, acct := range accounts {
 			ops[j] = socialgraph.LikeOp{AccountID: acct, ObjectID: post.ID, Meta: meta}
 		}
-		for _, err := range graph.AddLikeBatch(ops) {
+		errs := make([]error, len(ops))
+		graph.AddLikeBatchInto(ops, errs)
+		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -529,7 +531,7 @@ func BenchmarkMilkingSequential(b *testing.B) {
 
 // BenchmarkMilkingBatched is the same sequential round with batched
 // delivery on (the default): bursts travel as ≤50-op batches into one
-// AddLikeBatch apply. Against BenchmarkMilkingSequential this isolates
+// AddLikeBatchInto apply. Against BenchmarkMilkingSequential this isolates
 // what batching alone buys, with identical likes/round.
 func BenchmarkMilkingBatched(b *testing.B) {
 	milkRounds(b, newMilkingBenchStudy(b, 0))

@@ -225,9 +225,6 @@ func (s *FactSet) Merge(other *FactSet) {
 	}
 }
 
-// Len reports the number of stored facts.
-func (s *FactSet) Len() int { return len(s.facts) }
-
 // wireFact is the serialized form of one fact. Field names are the wire
 // format; do not rename.
 type wireFact struct {

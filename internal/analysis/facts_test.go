@@ -70,8 +70,8 @@ func TestFactsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFacts: %v", err)
 	}
-	if got.Len() != s.Len() {
-		t.Fatalf("decoded %d facts, want %d", got.Len(), s.Len())
+	if len(got.facts) != len(s.facts) {
+		t.Fatalf("decoded %d facts, want %d", len(got.facts), len(s.facts))
 	}
 
 	var tf testFact
@@ -135,7 +135,7 @@ func TestStaleFactsRejected(t *testing.T) {
 
 func TestDecodeEmptyAndCorrupt(t *testing.T) {
 	s, err := DecodeFacts(bytes.NewReader(nil))
-	if err != nil || s.Len() != 0 {
+	if err != nil || len(s.facts) != 0 {
 		t.Fatalf("empty input: set=%v err=%v", s, err)
 	}
 	if _, err := DecodeFacts(bytes.NewReader([]byte("not a gob stream"))); err == nil {

@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/defense"
-	"repro/internal/graphapi"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/provider"
 	"repro/internal/simclock"
 	"repro/internal/socialgraph"
 )
@@ -267,17 +267,19 @@ func TestDeliverySpanFailureEvents(t *testing.T) {
 		}
 	}
 	sort.Strings(got)
+	invalid := provider.Default().ErrorCode(provider.KindInvalidToken)
+	dup := provider.Default().ErrorCode(provider.KindDuplicate)
 	want := []string{
 		"drop-token n=4",
-		fmt.Sprintf("failures code=%d n=4", graphapi.CodeInvalidToken),
-		fmt.Sprintf("failures code=%d n=5", graphapi.CodeDuplicate),
+		fmt.Sprintf("failures code=%d n=4", invalid),
+		fmt.Sprintf("failures code=%d n=5", dup),
 	}
 	sort.Strings(want)
 	if !slices.Equal(got, want) {
 		t.Fatalf("collusion.deliver events = %q, want %q", got, want)
 	}
 	st := h.network.Stats()
-	if st.FailuresByCode[graphapi.CodeInvalidToken] != 4 || st.FailuresByCode[graphapi.CodeDuplicate] != 5 || st.TokensDropped != 4 {
+	if st.FailuresByCode[invalid] != 4 || st.FailuresByCode[dup] != 5 || st.TokensDropped != 4 {
 		t.Fatalf("stats = %+v, want 4 invalid-token and 5 duplicate failures, 4 drops", st)
 	}
 }

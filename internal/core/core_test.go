@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -135,15 +136,21 @@ func TestClusteringSweepHarmless(t *testing.T) {
 		t.Fatal(err)
 	}
 	cm := s.Countermeasures()
-	trap := cm.DeployClustering(time.Minute, 0.5, 2, 5)
+	cm.DeployClustering(time.Minute, 0.5, 2, 5)
+	if got := cm.ActivePolicies(); !slices.Contains(got, "synchrotrap-tap") {
+		t.Fatalf("policies = %v, want the synchrotrap tap", got)
+	}
+	delivered := 0
 	for i := 0; i < 5; i++ {
-		if res := s.MilkNetwork("fast-liker.com"); res.Err != nil {
+		res := s.MilkNetwork("fast-liker.com")
+		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
+		delivered += res.Delivered
 		s.AdvanceHour()
 	}
-	if trap.GroupCount() == 0 {
-		t.Fatal("tap recorded nothing")
+	if delivered == 0 {
+		t.Fatal("no likes delivered past the tap")
 	}
 	if n := cm.RunClusteringSweep(); n != 0 {
 		t.Fatalf("clustering sweep actioned %d accounts", n)

@@ -264,11 +264,3 @@ func (s *SynchroTrap) Reset() {
 	s.joined = make(map[uint64]struct{})
 	s.mu.Unlock()
 }
-
-// GroupCount reports how many (object, window) groups have been recorded;
-// exposed for tests and diagnostics.
-func (s *SynchroTrap) GroupCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.members)
-}

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// GroupCount reports how many (object, window) groups have been recorded.
+func (s *SynchroTrap) GroupCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.members)
+}
+
 func TestSynchroTrapDetectsLockstep(t *testing.T) {
 	// Ten accounts like the same five posts within the same minute each
 	// time — the lockstep pattern SynchroTrap is built for.

@@ -109,12 +109,12 @@ func TestBatchRejectsNonLikeOperations(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := strings.NewReplacer("{post}", f.post.ID, "{post2}", post2.ID, "{liked}", liked.ID, "{token}", tok).Replace(tc.batch)
-		before := f.graph.Stats()
+		before := f.graph.RetainedEdges()
 		status, env := batchError(f.api, tok, batch)
 		if status != http.StatusBadRequest || env.Error.Code != CodeInvalidParam {
 			t.Errorf("%s batch: status %d, envelope %+v; want 400 code %d", tc.name, status, env, CodeInvalidParam)
 		}
-		if after := f.graph.Stats(); after != before {
+		if after := f.graph.RetainedEdges(); after != before {
 			t.Errorf("%s batch applied: store %+v → %+v", tc.name, before, after)
 		}
 	}

@@ -148,22 +148,6 @@ func (c *Chain) Names() []string {
 	return out
 }
 
-// Error codes of the DEFAULT provider's numeric space, named because
-// Facebook client code dispatches on them; here only tests do. Non-default
-// providers map the same canonical kinds (provider.ErrKind) into their own
-// numeric spaces, and the program dispatches on ErrKindOf, not ErrCode.
-const (
-	CodeInvalidToken = 190 // OAuthException: token missing/expired/invalidated
-	CodeSecretProof  = 104 // appsecret_proof failure
-	CodePermission   = 200 // missing permission scope
-	CodeRateLimited  = 613 // application/token request limit reached
-	CodeBlocked      = 368 // policy block (temporarily blocked for abuse)
-	CodeNotFound     = 803 // unknown object
-	CodeDuplicate    = 520 // duplicate action (already liked)
-	CodeInvalidParam = 100 // invalid parameter
-	CodeAppSuspended = 191 // application disabled
-)
-
 // APIError is the structured error returned by Graph API operations.
 // Code and Type are in the issuing provider's vocabulary; Kind is the
 // provider-neutral classification.

@@ -20,8 +20,8 @@ import (
 // its own token and the policy chain is evaluated once per op with that
 // op's token, IP, and ASN, so rate limiters and SynchroTrap accumulate
 // identical per-token/per-IP counts (Figure 5 dynamics are built on
-// those counts). Only the store write is coalesced — one AddLikeBatch
-// under per-shard lock scopes instead of N two-stripe scopes.
+// those counts). Only the store write is coalesced — one AddLikeBatchInto
+// under per-shard lock scopes instead of N single-like scopes.
 
 // batchMemo caches the reads of authenticate whose result is identical
 // for every op sharing an app or a source IP: the registry lookup (a

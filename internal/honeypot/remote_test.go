@@ -76,8 +76,12 @@ func TestRemoteModeEndToEnd(t *testing.T) {
 		t.Fatalf("delivered = %d", delivered)
 	}
 	// The post was published through the Graph API onto the real platform.
-	if _, err := p.Graph.Post(postID); err != nil {
-		t.Fatalf("post not on platform: %v", err)
+	onPlatform := false
+	for _, post := range p.Graph.PostsByAuthor(hpAccount.ID) {
+		onPlatform = onPlatform || post.ID == postID
+	}
+	if !onPlatform {
+		t.Fatalf("post %s not on platform", postID)
 	}
 	// Remote crawling via the likes edge.
 	incoming := hp.IncomingLikes()

@@ -207,14 +207,6 @@ func (b *BoundCounter) Add(delta int64) {
 // Inc increments by one.
 func (b *BoundCounter) Inc() { b.Add(1) }
 
-// Value returns the current count (0 for nil instruments).
-func (b *BoundCounter) Value() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.s.counter.Load()
-}
-
 // GaugeVec is a gauge family.
 type GaugeVec struct{ fam *family }
 

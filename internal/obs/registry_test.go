@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// Value returns the current count (0 for nil instruments).
+func (b *BoundCounter) Value() int64 {
+	if b == nil {
+		return 0
+	}
+	return b.s.counter.Load()
+}
+
 // TestWriteTextGolden locks down the exposition format end to end:
 // family ordering, series ordering, histogram cumulative-bucket math,
 // +Inf/_sum/_count lines, and label-value escaping. Scrape tests

@@ -13,8 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/graphapi"
 	"repro/internal/oauthsim"
+	"repro/internal/provider"
 	"repro/internal/socialgraph"
 )
 
@@ -58,11 +58,11 @@ func TestLikeBatchTransportsEquivalent(t *testing.T) {
 					t.Fatalf("op %d failed: %v", i, errs[i])
 				}
 			}
-			if code := ErrorCode(errs[members]); code != graphapi.CodeInvalidToken {
-				t.Fatalf("bogus-token op code = %d (%v), want %d", code, errs[members], graphapi.CodeInvalidToken)
+			if code, want := ErrorCode(errs[members]), provider.Default().ErrorCode(provider.KindInvalidToken); code != want {
+				t.Fatalf("bogus-token op code = %d (%v), want %d", code, errs[members], want)
 			}
-			if code := ErrorCode(errs[members+1]); code != graphapi.CodeDuplicate {
-				t.Fatalf("duplicate op code = %d (%v), want %d", code, errs[members+1], graphapi.CodeDuplicate)
+			if code, want := ErrorCode(errs[members+1]), provider.Default().ErrorCode(provider.KindDuplicate); code != want {
+				t.Fatalf("duplicate op code = %d (%v), want %d", code, errs[members+1], want)
 			}
 
 			likes := w.p.Graph.Likes(post.ID)
@@ -127,8 +127,8 @@ func TestLikeBatchAppSecretProof(t *testing.T) {
 				t.Fatal(err)
 			}
 			errs := client.LikeBatch(context.Background(), post.ID, []BatchLike{{Token: tok, IP: "203.0.113.1"}})
-			if code := ErrorCode(errs[0]); code != graphapi.CodeSecretProof {
-				t.Fatalf("op without proof: code %d (%v), want %d", code, errs[0], graphapi.CodeSecretProof)
+			if code, want := ErrorCode(errs[0]), provider.Default().ErrorCode(provider.KindSecretProof); code != want {
+				t.Fatalf("op without proof: code %d (%v), want %d", code, errs[0], want)
 			}
 			proof := oauthsim.SecretProof(app.Secret, tok)
 			errs = client.LikeBatch(context.Background(), post.ID, []BatchLike{{Token: tok, AppSecretProof: proof, IP: "203.0.113.1"}})

@@ -127,23 +127,34 @@ func TestClientTransportsEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.p.Graph.Post(pid); err != nil {
-				t.Fatalf("published post missing: %v", err)
-			}
+			published(t, w.p.Graph, member.ID, pid)
 		})
 	}
+}
+
+// published returns the author's post postID, read back through the
+// author's timeline, and fails the test if it is not there.
+func published(t *testing.T, g *socialgraph.Store, authorID, postID string) socialgraph.Post {
+	t.Helper()
+	for _, p := range g.PostsByAuthor(authorID) {
+		if p.ID == postID {
+			return p
+		}
+	}
+	t.Fatalf("published post %s missing from %s's timeline", postID, authorID)
+	return socialgraph.Post{}
 }
 
 func TestNewWithShardsPinsStripeCount(t *testing.T) {
 	clock := simclock.NewSimulated(t0)
 	for _, tc := range []struct{ in, want int }{{1, 1}, {8, 8}, {13, 16}} {
 		p := NewWithConfig(clock, nil, Config{Provider: provider.Default(), Shards: tc.in})
-		if got := p.Graph.ShardCount(); got != tc.want {
-			t.Fatalf("Shards: %d: ShardCount = %d, want %d", tc.in, got, tc.want)
+		if got := len(p.Graph.Contention()); got != tc.want {
+			t.Fatalf("Shards: %d: stripe count = %d, want %d", tc.in, got, tc.want)
 		}
 	}
-	if got := New(clock, nil).Graph.ShardCount(); got != socialgraph.New(0, 0).ShardCount() {
-		t.Fatalf("New: ShardCount = %d, want store default", got)
+	if got := len(New(clock, nil).Graph.Contention()); got != len(socialgraph.New(0, 0).Contention()) {
+		t.Fatalf("New: stripe count = %d, want store default", got)
 	}
 	// A pinned single-stripe platform must behave identically end to end:
 	// run the full authorize→like→crawl path against it.
@@ -196,7 +207,7 @@ func TestClientErrorsPropagate(t *testing.T) {
 			if !errors.As(err, &d.bogus) {
 				t.Fatalf("bogus token: err = %v, want *graphapi.APIError", err)
 			}
-			if d.bogus.Code != graphapi.CodeInvalidToken || d.bogus.Kind != provider.KindInvalidToken {
+			if d.bogus.Code != provider.Default().ErrorCode(provider.KindInvalidToken) || d.bogus.Kind != provider.KindInvalidToken {
 				t.Fatalf("bogus token denial = %+v", d.bogus)
 			}
 			tok, err := client.AuthorizeImplicit(w.app.ID, w.app.RedirectURI, member.ID, []string{apps.PermPublishActions})
@@ -210,7 +221,7 @@ func TestClientErrorsPropagate(t *testing.T) {
 			if !errors.As(err, &d.dup) {
 				t.Fatalf("duplicate like: err = %v, want *graphapi.APIError", err)
 			}
-			if d.dup.Code != graphapi.CodeDuplicate || d.dup.Kind != provider.KindDuplicate {
+			if d.dup.Code != provider.Default().ErrorCode(provider.KindDuplicate) || d.dup.Kind != provider.KindDuplicate {
 				t.Fatalf("duplicate denial = %+v", d.dup)
 			}
 			if !strings.Contains(err.Error(), "duplicate") {
@@ -315,10 +326,7 @@ func TestLocalClientFeedAndFriends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			post, err := w.p.Graph.Post(postID)
-			if err != nil {
-				t.Fatalf("published post missing: %v", err)
-			}
+			post := published(t, w.p.Graph, w.member.ID, postID)
 			if !strings.Contains(post.Message, name) {
 				t.Fatalf("post message = %q", post.Message)
 			}

@@ -10,7 +10,7 @@ import (
 // reference re-computation (prefix + hex payload + FNV fold) accepts.
 // Minted tokens must always verify.
 func FuzzPictogramCheckToken(f *testing.F) {
-	f.Add(Pictogram.MintToken())
+	f.Add(pictogram{}.MintToken())
 	f.Add("")
 	f.Add("PTGR.")
 	f.Add("PTGR.000000000000000000000000.0000")
@@ -19,13 +19,13 @@ func FuzzPictogramCheckToken(f *testing.F) {
 	f.Add(strings.Repeat("P", pgTokenLen))
 	f.Add("EAAB0123456789abcdef")
 	f.Fuzz(func(t *testing.T, tok string) {
-		err := Pictogram.CheckToken(tok)
+		err := pictogram{}.CheckToken(tok)
 		if ref := pgReferenceCheck(tok); ref != (err == nil) {
 			t.Fatalf("CheckToken(%q) = %v, reference says valid=%v", tok, err, ref)
 		}
 		if err == nil {
 			// A token that passes must keep passing (pure function).
-			if Pictogram.CheckToken(tok) != nil {
+			if (pictogram{}).CheckToken(tok) != nil {
 				t.Fatalf("CheckToken(%q) not idempotent", tok)
 			}
 		}
@@ -68,8 +68,8 @@ func FuzzPictogramMint(f *testing.F) {
 	f.Add(uint64(1 << 40))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		pgCounter.Store(seed)
-		tok := Pictogram.MintToken()
-		if err := Pictogram.CheckToken(tok); err != nil {
+		tok := pictogram{}.MintToken()
+		if err := (pictogram{}).CheckToken(tok); err != nil {
 			t.Fatalf("minted token %q fails CheckToken: %v", tok, err)
 		}
 	})

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Pictogram is the second concrete platform: a photo-sharing network in
+// pictogram is the second concrete platform: a photo-sharing network in
 // the Instagram mold. It differs from the default provider along every
 // axis the interface names:
 //
@@ -23,7 +23,9 @@ import (
 //     collusion network self-serve a companion app here.
 //   - Error vocabulary: 4xxx numeric space with its own type strings.
 //   - Batch cap: smaller batches (20 ops).
-var Pictogram Provider = register(pictogram{})
+//
+// The program reaches it by name, through Get and MustGet.
+var _ = register(pictogram{})
 
 // Pictogram numeric error space.
 const (

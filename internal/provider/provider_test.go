@@ -32,10 +32,10 @@ func TestFlows(t *testing.T) {
 	if !Facebook.Supports(FlowImplicit) || !Facebook.Supports(FlowCode) {
 		t.Error("facebook must support both flows")
 	}
-	if Pictogram.Supports(FlowImplicit) {
+	if (pictogram{}).Supports(FlowImplicit) {
 		t.Error("pictogram must NOT support the implicit flow (not milkable)")
 	}
-	if !Pictogram.Supports(FlowCode) {
+	if !(pictogram{}).Supports(FlowCode) {
 		t.Error("pictogram must support the code flow")
 	}
 }
@@ -58,7 +58,7 @@ func TestFacebookTokenRoundTrip(t *testing.T) {
 func TestPictogramTokenRoundTrip(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
-		tok := Pictogram.MintToken()
+		tok := pictogram{}.MintToken()
 		if seen[tok] {
 			t.Fatalf("duplicate minted token %q", tok)
 		}
@@ -66,14 +66,14 @@ func TestPictogramTokenRoundTrip(t *testing.T) {
 		if len(tok) != pgTokenLen {
 			t.Fatalf("token %q length %d, want %d", tok, len(tok), pgTokenLen)
 		}
-		if err := Pictogram.CheckToken(tok); err != nil {
+		if err := (pictogram{}).CheckToken(tok); err != nil {
 			t.Fatalf("CheckToken(minted %q) = %v", tok, err)
 		}
 	}
 }
 
 func TestPictogramTokenRejectsTampering(t *testing.T) {
-	tok := Pictogram.MintToken()
+	tok := pictogram{}.MintToken()
 	cases := map[string]string{
 		"empty":            "",
 		"short":            tok[:len(tok)-1],
@@ -91,7 +91,7 @@ func TestPictogramTokenRejectsTampering(t *testing.T) {
 	}
 	cases["bit flip"] = tok[:5] + string(flip) + tok[6:]
 	for name, bad := range cases {
-		if err := Pictogram.CheckToken(bad); !errors.Is(err, ErrBadTokenFormat) {
+		if err := (pictogram{}).CheckToken(bad); !errors.Is(err, ErrBadTokenFormat) {
 			t.Errorf("%s: CheckToken(%q) = %v, want ErrBadTokenFormat", name, bad, err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestPictogramTokenRejectsTampering(t *testing.T) {
 	if last == '0' {
 		repl = '1'
 	}
-	if err := Pictogram.CheckToken(tok[:len(tok)-1] + string(repl)); !errors.Is(err, ErrBadTokenFormat) {
+	if err := (pictogram{}).CheckToken(tok[:len(tok)-1] + string(repl)); !errors.Is(err, ErrBadTokenFormat) {
 		t.Error("checksum tamper accepted")
 	}
 }
@@ -110,8 +110,8 @@ func TestPictogramTokenRejectsTampering(t *testing.T) {
 // path depends on: surface validation allocates nothing, accept or
 // reject.
 func TestCheckTokenAllocFree(t *testing.T) {
-	good := []string{Facebook.MintToken(), Pictogram.MintToken()}
-	provs := []Provider{Facebook, Pictogram}
+	good := []string{Facebook.MintToken(), pictogram{}.MintToken()}
+	provs := []Provider{Facebook, pictogram{}}
 	bad := "not-a-token-of-any-provider"
 	if n := testing.AllocsPerRun(100, func() {
 		for i, p := range provs {
@@ -181,13 +181,13 @@ func TestScopesAndLimits(t *testing.T) {
 	if Facebook.ScopePublish() != "publish_actions" || Facebook.ScopeFriends() != "user_friends" {
 		t.Error("facebook scope names changed")
 	}
-	if Pictogram.ScopePublish() != "likes" || Pictogram.ScopeFriends() != "relationships" {
+	if (pictogram{}).ScopePublish() != "likes" || (pictogram{}).ScopeFriends() != "relationships" {
 		t.Error("pictogram scope names changed")
 	}
 	if Facebook.MaxBatchOps() != 50 {
 		t.Error("facebook batch cap must stay 50 (wire-visible default)")
 	}
-	if Pictogram.MaxBatchOps() >= Facebook.MaxBatchOps() {
+	if (pictogram{}).MaxBatchOps() >= Facebook.MaxBatchOps() {
 		t.Error("pictogram batch cap should be tighter than facebook's")
 	}
 }

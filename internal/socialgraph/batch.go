@@ -3,14 +3,15 @@ package socialgraph
 import "slices"
 
 // Batched like apply. A collusion-network burst is hundreds of likes on
-// one object, which under sequential AddLike costs two lock scopes per
-// action. AddLikeBatch amortises that: ops are split into maximal
+// one object, which under sequential AddLike costs one lock scope per
+// action. AddLikeBatchInto amortises that: ops are split into maximal
 // consecutive runs whose objects share a stripe, and each run is applied
 // under a single multi-stripe lock scope (the object stripe plus every
 // liker's account stripe, acquired in ascending index order exactly like
 // lockOrdered). Because runs are consecutive, the total apply order is
 // the ops' order, so per-op errors and final state — including
 // intra-batch duplicates — match N sequential AddLike calls exactly.
+// AddLike itself is a run of one.
 
 // LikeOp is one like in a batch: AccountID likes ObjectID, attributed to
 // Meta. Meta is per-op because each action in a delivery burst carries
@@ -21,19 +22,13 @@ type LikeOp struct {
 	Meta      WriteMeta
 }
 
-// AddLikeBatch applies the ops in order and returns one error per op,
-// aligned by index (nil = applied). Semantics are identical to calling
-// AddLike(op.AccountID, op.ObjectID, op.Meta) for each op in sequence.
-func (s *Store) AddLikeBatch(ops []LikeOp) []error {
-	errs := make([]error, len(ops))
-	s.AddLikeBatchInto(ops, errs)
-	return errs
-}
-
-// AddLikeBatchInto is AddLikeBatch writing per-op errors into a
-// caller-provided slice (len(errs) must be >= len(ops)), so callers that
-// pool their batch scratch (graphapi.LikeBatch, the loadgen) keep the
-// whole apply allocation-free. Entries [0, len(ops)) are overwritten.
+// AddLikeBatchInto applies the ops in order and writes one error per op
+// into errs, aligned by index (nil = applied); len(errs) must be >=
+// len(ops), and entries [0, len(ops)) are overwritten. Semantics are
+// identical to calling AddLike(op.AccountID, op.ObjectID, op.Meta) for
+// each op in sequence. The caller owns errs, so callers that pool their
+// batch scratch (graphapi.LikeBatch, the loadgen) keep the whole apply
+// allocation-free.
 func (s *Store) AddLikeBatchInto(ops []LikeOp, errs []error) {
 	for start := 0; start < len(ops); {
 		objIdx := s.shardIndex(ops[start].ObjectID)
@@ -48,11 +43,12 @@ func (s *Store) AddLikeBatchInto(ops []LikeOp, errs []error) {
 
 // applyLikeRun applies one run of likes whose objects live on stripe
 // objIdx under a single lock scope: the object stripe plus every liker's
-// account stripe, deduplicated and acquired in ascending index order —
-// the batch generalisation of addLikePair, held inline for the same
-// reason (no unlock closure, no heap escape). The stripe set lives in a
-// stack buffer for every batch the API layer emits (cap 50). The object
-// is resolved once per stretch of ops that name it (see likeTarget).
+// account stripe, deduplicated and acquired in ascending index order.
+// The scope is held inline, not through an unlock closure, whose heap
+// escape would cost an allocation per run. The stripe set lives in a
+// stack buffer for every batch the API layer emits (cap 50) and for
+// AddLike's run of one. The object is resolved once per stretch of ops
+// that name it (see likeTarget).
 //
 //collusionvet:lockorder
 func (s *Store) applyLikeRun(run []LikeOp, errs []error, objIdx int) {

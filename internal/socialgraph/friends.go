@@ -61,17 +61,3 @@ func (s *Store) Friends(accountID string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// FriendCount returns the number of friends of the account.
-func (s *Store) FriendCount(accountID string) int {
-	sh := s.rlock(accountID)
-	defer sh.mu.RUnlock()
-	return len(sh.friends[accountID])
-}
-
-// AreFriends reports whether an edge exists.
-func (s *Store) AreFriends(a, b string) bool {
-	sh := s.rlock(a)
-	defer sh.mu.RUnlock()
-	return sh.friends[a][b]
-}

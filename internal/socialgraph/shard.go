@@ -522,50 +522,29 @@ func (s *Store) lock(id string) *shard {
 	return s.lockIdx(s.shardIndex(id))
 }
 
-// The batch-apply generalisation of lockOrdered lives in batch.go
-// (applyLikeRun): it sorts and deduplicates the stripe set in place and
-// holds the whole scope inline instead of returning an unlock closure,
-// because the closure (and the heap escape it forces) was measurable on
-// the batched like path. The ascending rule is identical, so batch
-// scopes and single-write scopes compose deadlock-free.
-
-// lockOrdered write-locks the stripes owning the given IDs in ascending
-// shard-index order (duplicates collapse) and returns an unlock function
-// releasing them in reverse order. Ascending acquisition across every
-// multi-stripe write is the store's one lock-ordering rule, and it makes
-// cross-shard operations (likes, comments, friendship edges) atomic
-// without a global lock.
+// lockOrdered write-locks the stripes owning a and b in ascending
+// shard-index order (one lock when they share a stripe) and returns an
+// unlock function releasing them in reverse order. Ascending acquisition
+// across every multi-stripe write is the store's one lock-ordering rule,
+// and it makes cross-shard operations atomic without a global lock.
+// Friendship edges take it; likes (applyLikeRun) and comments
+// (addCommentPair) follow the same rule inline, because the returned
+// closure costs a heap allocation they cannot afford on their hot paths.
 //
 //collusionvet:lockorder
-func (s *Store) lockOrdered(ids ...string) func() {
-	var idx [3]int
-	n := 0
-	for _, id := range ids {
-		i := s.shardIndex(id)
-		dup := false
-		for _, seen := range idx[:n] {
-			if seen == i {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			idx[n] = i
-			n++
-		}
+func (s *Store) lockOrdered(a, b string) func() {
+	lo, hi := s.shardIndex(a), s.shardIndex(b)
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	order := idx[:n]
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j] < order[j-1]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	for _, i := range order {
-		s.lockIdx(i)
+	s.lockIdx(lo)
+	if hi != lo {
+		s.lockIdx(hi)
 	}
 	return func() {
-		for i := len(order) - 1; i >= 0; i-- {
-			s.shards[order[i]].mu.Unlock()
+		if hi != lo {
+			s.shards[hi].mu.Unlock()
 		}
+		s.shards[lo].mu.Unlock()
 	}
 }

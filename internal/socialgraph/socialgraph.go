@@ -198,9 +198,6 @@ func New(n, accountHint int) *Store {
 	}
 }
 
-// ShardCount returns the number of lock stripes.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
 // Contention returns the store's per-shard lock-pressure counters. Every
 // lock acquisition is recorded along with whether it had to wait, so the
 // experiment harness can report whether the stripe count matches the
@@ -265,17 +262,6 @@ func (s *Store) CreatePage(ownerID, name string, at time.Time) (Page, error) {
 	return *p, nil
 }
 
-// Page returns the page with the given ID.
-func (s *Store) Page(id string) (Page, error) {
-	sh := s.rlock(id)
-	defer sh.mu.RUnlock()
-	p, ok := sh.pages[id]
-	if !ok {
-		return Page{}, fmt.Errorf("page %q: %w", id, ErrNotFound)
-	}
-	return *p, nil
-}
-
 // WriteMeta attributes a write to the app and source IP that performed it.
 type WriteMeta struct {
 	AppID    string
@@ -329,17 +315,6 @@ func (s *Store) CreatePost(authorID, message string, meta WriteMeta) (Post, erro
 	return *post, nil
 }
 
-// Post returns the post with the given ID.
-func (s *Store) Post(id string) (Post, error) {
-	sh := s.rlock(id)
-	defer sh.mu.RUnlock()
-	p, ok := sh.posts[id]
-	if !ok {
-		return Post{}, fmt.Errorf("post %q: %w", id, ErrNotFound)
-	}
-	return *p, nil
-}
-
 // PostsByAuthor returns the author's posts in creation order.
 func (s *Store) PostsByAuthor(authorID string) []Post {
 	// Snapshot the slice header, not a copy: the index is append-only and
@@ -365,37 +340,13 @@ func (s *Store) PostsByAuthor(authorID string) []Post {
 
 // AddLike records a like by accountID on the object (post or page).
 // Likes are idempotent: liking an object twice returns ErrAlreadyLiked.
+// It applies a batch run of one through applyLikeRun, the op and its
+// error on the stack, so single and batched likes share one apply path.
 func (s *Store) AddLike(accountID, objectID string, meta WriteMeta) error {
-	return s.addLikePair(accountID, objectID, meta)
-}
-
-// addLikePair takes the liker's and object's stripes in ascending index
-// order, applies the like, and releases in reverse. The whole scope is
-// inline (no unlock closure): lockOrdered's returned func forced a heap
-// allocation per like, which is pure overhead on the hottest write path.
-//
-//collusionvet:lockorder
-func (s *Store) addLikePair(accountID, objectID string, meta WriteMeta) error {
-	ai := s.shardIndex(accountID)
-	oi := s.shardIndex(objectID)
-	lo, hi := ai, oi
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	s.lockIdx(lo)
-	if hi != lo {
-		s.lockIdx(hi)
-	}
-	objShard := s.shards[oi]
-	var t likeTarget
-	t.resolve(objShard, objectID)
-	err := s.likeLocked(s.shards[ai], objShard, &t, accountID, meta)
-	t.flush(objShard)
-	if hi != lo {
-		s.shards[hi].mu.Unlock()
-	}
-	s.shards[lo].mu.Unlock()
-	return err
+	run := [1]LikeOp{{AccountID: accountID, ObjectID: objectID, Meta: meta}}
+	var errs [1]error
+	s.applyLikeRun(run[:], errs[:], s.shardIndex(objectID))
+	return errs[0]
 }
 
 // likeTarget is the liked object's state a like reads and advances: its
@@ -435,9 +386,8 @@ func (t *likeTarget) flush(sh *shard) {
 }
 
 // likeLocked validates and applies one like on the resolved object t.
-// The caller must hold the write locks of both shards; AddLike and
-// AddLikeBatch share this core so batched and sequential likes have
-// identical semantics by construction.
+// The caller must hold the write locks of both shards; applyLikeRun,
+// which every like goes through, is its one caller.
 //
 // The like itself lives only in its order entry; the history's set holds
 // the liker's serial for the idempotency check. The success path is
@@ -554,19 +504,6 @@ func (s *Store) LikeCount(objectID string) int {
 	return 0
 }
 
-// HasLiked reports whether the account has liked the object.
-func (s *Store) HasLiked(accountID, objectID string) bool {
-	num, _ := idNum(accountID)
-	serial, ok := accountSerial(num)
-	if !ok {
-		return false
-	}
-	sh := s.rlock(objectID)
-	defer sh.mu.RUnlock()
-	h, ok := sh.likes[objectID]
-	return ok && h.set.has(serial)
-}
-
 // AddComment records a comment on a post. Comment records are co-located
 // with their post's shard, so crawling a post's comments touches one
 // stripe.
@@ -578,7 +515,8 @@ func (s *Store) AddComment(accountID, postID, message string, meta WriteMeta) (C
 }
 
 // addCommentPair is AddComment's lock scope: commenter and post stripes
-// taken in ascending index order, inline like addLikePair.
+// taken in ascending index order, held inline (no unlock closure, no
+// heap escape) like applyLikeRun's.
 //
 //collusionvet:lockorder
 func (s *Store) addCommentPair(accountID, postID, message string, meta WriteMeta) (Comment, error) {
@@ -669,13 +607,6 @@ func (s *Store) ActivityLog(accountID string) []Activity {
 	return s.activitySince(accountID, wallTime{sec: math.MinInt64})
 }
 
-// ActivitySince returns the account's outgoing activity at or after t.
-// The returned ObjectIDs and TargetIDs share one string (see
-// activitySince).
-func (s *Store) ActivitySince(accountID string, t time.Time) []Activity {
-	return s.activitySince(accountID, wallOf(t))
-}
-
 // activitySince renders the account's activity entries at or after
 // since, in insertion order, in two allocations whatever their number:
 // the slice, and one string holding every entry's object and target
@@ -755,35 +686,6 @@ func ownerOfShard(sh *shard, objectID string) (string, error) {
 		return objectID, nil
 	}
 	return "", errObjectInvalid
-}
-
-// OwnerOf resolves the owner of a likeable object.
-func (s *Store) OwnerOf(objectID string) (string, error) {
-	sh := s.rlock(objectID)
-	defer sh.mu.RUnlock()
-	return ownerOfShard(sh, objectID)
-}
-
-// Stats summarises store contents; used by experiment reports.
-type Stats struct {
-	Accounts, Pages, Posts, Comments, Likes int
-}
-
-// Stats returns aggregate counts composed from per-shard snapshots.
-func (s *Store) Stats() Stats {
-	var st Stats
-	for i := range s.shards {
-		sh := s.rlockIdx(i)
-		st.Accounts += len(sh.accounts)
-		st.Pages += len(sh.pages)
-		st.Posts += len(sh.posts)
-		st.Comments += len(sh.comments)
-		for _, h := range sh.likes {
-			st.Likes += h.set.n
-		}
-		sh.mu.RUnlock()
-	}
-	return st
 }
 
 // AccountIDs returns all account IDs in sorted order; used by tests and

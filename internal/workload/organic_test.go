@@ -91,7 +91,7 @@ func TestBuildFriendGraphDegree(t *testing.T) {
 	}
 	totalDegree := 0
 	for _, u := range pop.Users {
-		totalDegree += s.Platform.Graph.FriendCount(u.ID)
+		totalDegree += len(s.Platform.Graph.Friends(u.ID))
 	}
 	avg := float64(totalDegree) / float64(len(pop.Users))
 	if avg < 3 || avg > 14 {
