@@ -58,9 +58,6 @@ func main() {
 		DailyRequestLimit:  *dailyLimit,
 		IPs:                []string{"192.168.1.10", "192.168.1.11"},
 		AdsPerVisit:        3,
-		PremiumPlans: []collusion.Plan{
-			{Name: "gold", PriceUSD: 29.99, LikesPerPost: 2000, NoRestriction: true},
-		},
 	}
 	network := collusion.NewNetwork(cfg, simclock.Real{}, client)
 	observer := obs.New(simclock.Real{}, obs.DefaultPlatformLabel)
@@ -74,7 +71,7 @@ func main() {
 
 	fmt.Printf("collusiond %q listening on http://%s\n", *name, *addr)
 	fmt.Printf("exploiting app %s via %s\n", *appID, *platformURL)
-	fmt.Println("endpoints: GET /  POST /submit-token  POST /request-likes  POST /request-comments  POST /adwall  POST /buy")
+	fmt.Println("endpoints: GET /  POST /submit-token  POST /request-likes  POST /request-comments  POST /adwall")
 
 	srv := newServer(*addr, network)
 	done := make(chan os.Signal, 1)
@@ -89,8 +86,7 @@ func main() {
 		logger.Fatalf("%v", err)
 	}
 	st := network.Stats()
-	fmt.Printf("collusiond: shut down; tokens=%d likes=%d revenue=$%.2f\n",
-		st.TokensCollected, st.LikesDelivered, st.RevenueUSD)
+	fmt.Printf("collusiond: shut down; tokens=%d likes=%d\n", st.TokensCollected, st.LikesDelivered)
 }
 
 // newServer builds the member-facing site's HTTP server.

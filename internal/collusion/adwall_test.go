@@ -13,9 +13,6 @@ func adWallHarness(t *testing.T) *harness {
 		LikesPerRequest: 8,
 		AdWallHops:      3,
 		AdsPerVisit:     2,
-		PremiumPlans: []Plan{
-			{Name: "gold", PriceUSD: 9.99, LikesPerPost: 20, NoRestriction: true},
-		},
 	}, 30)
 }
 
@@ -44,18 +41,6 @@ func TestAdWallGatesRequests(t *testing.T) {
 	post2 := h.post(t, m)
 	if _, err := h.network.RequestLikes(m.ID, post2.ID, ""); !errors.Is(err, ErrAdWallRequired) {
 		t.Fatalf("second request without new chain err = %v", err)
-	}
-}
-
-func TestAdWallPremiumBypass(t *testing.T) {
-	h := adWallHarness(t)
-	m := h.members[1]
-	if err := h.network.BuyPlan(m.ID, "gold"); err != nil {
-		t.Fatal(err)
-	}
-	post := h.post(t, m)
-	if _, err := h.network.RequestLikes(m.ID, post.ID, ""); err != nil {
-		t.Fatalf("premium member hit the ad wall: %v", err)
 	}
 }
 

@@ -20,16 +20,9 @@
 //   - adaptation to token rate limits (Sec. 6.1): engines that reuse a
 //     "hot set" of tokens switch to uniform sampling after observing
 //     sustained rate limiting;
-//   - monetization: ad impressions per visit and premium plans (Sec. 5.1).
+//   - monetization: ad impressions per visit, behind an optional ad
+//     wall (Sec. 5.1).
 package collusion
-
-// Plan is a premium reputation manipulation plan (Sec. 5.1).
-type Plan struct {
-	Name          string
-	PriceUSD      float64
-	LikesPerPost  int
-	NoRestriction bool // waives the ad wall, the CAPTCHA and daily limits
-}
 
 // Config describes one collusion network.
 type Config struct {
@@ -39,11 +32,8 @@ type Config struct {
 	// application (Table 3) and its install link.
 	AppID          string
 	AppRedirectURI string
-	// Scopes requested when members install the app.
-	Scopes []string
 
-	// LikesPerRequest is the fixed number of likes delivered per request
-	// on the free plan.
+	// LikesPerRequest is the fixed number of likes delivered per request.
 	LikesPerRequest int
 	// CommentsPerRequest is the number of auto-comments per request; 0
 	// means the network offers no auto-comment service.
@@ -93,10 +83,8 @@ type Config struct {
 	// AdWallHops, when positive, forces members through that many ad-page
 	// redirects before each request (Sec. 5.1: mg-likers.com bounced
 	// users via kackroch.com and paid shorteners like adf.ly, each hop
-	// serving ads). Premium members with NoRestriction skip the wall.
+	// serving ads).
 	AdWallHops int
-	// PremiumPlans are the paid tiers on offer.
-	PremiumPlans []Plan
 
 	// DeliveryBatchSize is how many likes of a burst are coalesced into
 	// one platform.Client.LikeBatch call. 0 selects the default of 50,

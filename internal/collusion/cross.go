@@ -113,5 +113,5 @@ func (n *Network) RequestCrossLikes(platformName, accountID, postID, captchaAnsw
 	n.mu.Lock()
 	n.stats.CrossLikeRequests++
 	n.mu.Unlock()
-	return n.deliver(nil, b.target, n.likesFor(accountID), accountID, postID, nil), nil
+	return n.deliver(nil, b.target, n.cfg.LikesPerRequest, accountID, postID, nil), nil
 }

@@ -15,7 +15,7 @@ import (
 //	POST /submit-token      pool a member token              account_id, access_token
 //	POST /request-likes     ask for likes on a post          account_id, post_id[, captcha]
 //	POST /request-comments  ask for auto-comments on a post  account_id, post_id[, captcha]
-//	POST /buy               purchase a premium plan          account_id, plan
+//	POST /adwall            walk the ad redirect chain       account_id
 //
 // Responses are JSON: {"ok":true, ...} or {"ok":false,"error":...}.
 func Handler(n *Network) http.Handler {
@@ -102,17 +102,6 @@ func Handler(n *Network) http.Handler {
 		}
 		writeOK(w, map[string]any{})
 	})
-	mux.HandleFunc("/buy", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeJSONError(w, http.StatusMethodNotAllowed, "POST required")
-			return
-		}
-		if err := n.BuyPlan(r.FormValue("account_id"), r.FormValue("plan")); err != nil {
-			writeSiteError(w, err)
-			return
-		}
-		writeOK(w, map[string]any{})
-	})
 	return mux
 }
 
@@ -141,7 +130,7 @@ func writeSiteError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrCaptchaRequired), errors.Is(err, ErrCaptchaWrong),
 		errors.Is(err, ErrAdWallRequired), errors.Is(err, ErrBanned):
 		status = http.StatusForbidden
-	case errors.Is(err, ErrNotMember), errors.Is(err, ErrUnknownPlan):
+	case errors.Is(err, ErrNotMember):
 		status = http.StatusNotFound
 	}
 	writeJSONError(w, status, err.Error())

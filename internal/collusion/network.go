@@ -28,7 +28,6 @@ var (
 	ErrAdWallRequired  = errors.New("collusion: complete the ad redirect chain before requesting")
 	ErrBadToken        = errors.New("collusion: submitted access token did not verify")
 	ErrNoComments      = errors.New("collusion: this network does not provide auto-comments")
-	ErrUnknownPlan     = errors.New("collusion: unknown premium plan")
 )
 
 // Stats aggregates the engine's activity for the measurement harness.
@@ -45,7 +44,6 @@ type Stats struct {
 	LikesAttempted    int64
 	LikesDelivered    int64
 	CommentsDelivered int64
-	RevenueUSD        float64
 	FailuresByCode    map[int]int64
 	Adapted           bool
 
@@ -92,7 +90,6 @@ type Network struct {
 	reqDay        map[string]int64 // member -> day index of reqCount
 	reqCount      map[string]int
 	captcha       map[string]captchaChallenge
-	premium       map[string]Plan
 	rateLimitDays map[int64]bool
 	adapted       bool
 	stats         Stats
@@ -133,7 +130,6 @@ func NewNetwork(cfg Config, clock simclock.Clock, client platform.Client) *Netwo
 		reqDay:        make(map[string]int64),
 		reqCount:      make(map[string]int),
 		captcha:       make(map[string]captchaChallenge),
-		premium:       make(map[string]Plan),
 		rateLimitDays: make(map[int64]bool),
 		stats:         Stats{FailuresByCode: make(map[int]int64)},
 		hpDay:         make(map[string]int64),
@@ -280,8 +276,8 @@ func (n *Network) Challenge(accountID string) string {
 }
 
 // checkSiteRules enforces membership, outages, the network's honeypot
-// detector, the ad wall, CAPTCHA and per-day limits. Premium members with
-// NoRestriction plans skip the last three. Callers must not hold n.mu.
+// detector, the ad wall, CAPTCHA and per-day limits. Callers must not
+// hold n.mu.
 func (n *Network) checkSiteRules(accountID, captchaAnswer string) error {
 	now := n.clock.Now()
 	if n.down(now) {
@@ -315,9 +311,6 @@ func (n *Network) checkSiteRules(accountID, captchaAnswer string) error {
 			}
 		}
 	}
-	if plan, ok := n.premium[accountID]; ok && plan.NoRestriction {
-		return nil
-	}
 	// Validate every gate before consuming any, so a member (or the
 	// honeypot automation) never burns an ad-wall pass on a request that
 	// fails the CAPTCHA, or vice versa.
@@ -349,16 +342,6 @@ func (n *Network) checkSiteRules(accountID, captchaAnswer string) error {
 	return nil
 }
 
-// likesFor returns the like quota for the member's plan.
-func (n *Network) likesFor(accountID string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if plan, ok := n.premium[accountID]; ok && plan.LikesPerPost > n.cfg.LikesPerRequest {
-		return plan.LikesPerPost
-	}
-	return n.cfg.LikesPerRequest
-}
-
 // RequestLikes is the core service: the member asks for likes on a post
 // of theirs. It returns the number of likes actually delivered.
 func (n *Network) RequestLikes(accountID, postID, captchaAnswer string) (int, error) {
@@ -368,7 +351,7 @@ func (n *Network) RequestLikes(accountID, postID, captchaAnswer string) (int, er
 	n.mu.Lock()
 	n.stats.LikeRequests++
 	n.mu.Unlock()
-	return n.deliver(nil, n.primary(), n.likesFor(accountID), accountID, postID, nil), nil
+	return n.deliver(nil, n.primary(), n.cfg.LikesPerRequest, accountID, postID, nil), nil
 }
 
 // RequestComments asks for auto-comments on a post. Comments are drawn
@@ -682,20 +665,6 @@ func (n *Network) pickIPs(dst []string, k int) []string {
 	}
 	n.mu.Unlock()
 	return dst
-}
-
-// BuyPlan upgrades a member to a premium plan (Sec. 5.1 monetization).
-func (n *Network) BuyPlan(accountID, planName string) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, p := range n.cfg.PremiumPlans {
-		if p.Name == planName {
-			n.premium[accountID] = p
-			n.stats.RevenueUSD += p.PriceUSD
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %q", ErrUnknownPlan, planName)
 }
 
 // Stats returns a snapshot of the engine's counters.

@@ -324,39 +324,6 @@ func TestNoCommentService(t *testing.T) {
 	}
 }
 
-func TestPremiumPlanOverridesLimits(t *testing.T) {
-	plan := Plan{Name: "gold", PriceUSD: 29.99, LikesPerPost: 80, NoRestriction: true}
-	h := newHarness(t, Config{
-		LikesPerRequest:   10,
-		DailyRequestLimit: 1,
-		CaptchaRequired:   true,
-		AdWallHops:        2,
-		AdsPerVisit:       1,
-		PremiumPlans:      []Plan{plan},
-	}, 150)
-	requester := h.members[0]
-	if err := h.network.BuyPlan(requester.ID, "gold"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.network.BuyPlan(requester.ID, "platinum"); !errors.Is(err, ErrUnknownPlan) {
-		t.Fatalf("unknown plan err = %v", err)
-	}
-	// Premium: no ad wall, no captcha, no daily limit, bigger quota.
-	for i := 0; i < 3; i++ {
-		post := h.post(t, requester)
-		delivered, err := h.network.RequestLikes(requester.ID, post.ID, "")
-		if err != nil {
-			t.Fatalf("premium request %d err = %v", i, err)
-		}
-		if delivered != 80 {
-			t.Fatalf("premium delivered = %d, want 80", delivered)
-		}
-	}
-	if got := h.network.Stats().RevenueUSD; got != 29.99 {
-		t.Fatalf("revenue = %v", got)
-	}
-}
-
 func TestMonetizationCounters(t *testing.T) {
 	h := newHarness(t, Config{AdsPerVisit: 3}, 0)
 	if err := h.network.Visit(false); err != nil {

@@ -10,8 +10,9 @@
 //
 // The model converts observable quantities — daily visits (the paper
 // measured short-URL click rates of 308K/139K/122K per day for the top
-// three networks) and membership sizes — into revenue estimates, and can
-// be validated against a live simulated network's measured Stats.
+// three networks) and membership sizes — into revenue estimates. Its ad
+// stream can be validated against a live simulated network's measured
+// Stats; the premium stream is an estimate only.
 package economics
 
 import (
@@ -77,10 +78,10 @@ func (m Model) EstimateFromMembership(network string, members int) Estimate {
 	return m.EstimateFromTraffic(network, float64(members)*m.VisitsPerMemberPerDay, members)
 }
 
-// MeasuredRevenue extracts the realized revenue counters from a live
-// simulated network, for validating the model: ad revenue from served
-// impressions plus premium sales.
-func (m Model) MeasuredRevenue(stats collusion.Stats) (adUSD, premiumUSD float64) {
-	adUSD = float64(stats.AdImpressions) * m.AdRPMUSD / 1000
-	return adUSD, stats.RevenueUSD
+// MeasuredRevenue is the ad revenue a live simulated network realized
+// from its served impressions, for validating the model's ad stream. The
+// premium stream stays a model estimate: simulated networks sell no
+// plans.
+func (m Model) MeasuredRevenue(stats collusion.Stats) float64 {
+	return float64(stats.AdImpressions) * m.AdRPMUSD / 1000
 }

@@ -300,7 +300,7 @@ func ExtensionEconomics(seed int64) (ExtensionEconomicsResult, error) {
 			return ExtensionEconomicsResult{}, err
 		}
 	}
-	adUSD, _ := model.MeasuredRevenue(ni.Net.Stats())
+	adUSD := model.MeasuredRevenue(ni.Net.Stats())
 	result.MeasuredAdUSD = adUSD
 	result.ModelAdUSD = float64(visits) * float64(model.AdsPerVisit) * model.AdRPMUSD / 1000
 	table.Notes = append(table.Notes, fmt.Sprintf(

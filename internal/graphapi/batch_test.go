@@ -198,69 +198,6 @@ func TestBatchPerOpToken(t *testing.T) {
 	}
 }
 
-func TestDebugTokenIntrospection(t *testing.T) {
-	f, srv := newHTTPFixture(t)
-	tok := httpToken(t, f, srv)
-
-	get := func(params url.Values) (int, map[string]any) {
-		resp, err := http.Get(srv.URL + "/debug_token?" + params.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body struct {
-			Data map[string]any `json:"data"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&body)
-		return resp.StatusCode, body.Data
-	}
-
-	status, data := get(url.Values{
-		"client_id":     {f.app.ID},
-		"client_secret": {f.app.Secret},
-		"input_token":   {tok},
-	})
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
-	}
-	if data["is_valid"] != true || data["user_id"] != f.user.ID || data["app_id"] != f.app.ID {
-		t.Fatalf("data = %+v", data)
-	}
-	// A second token with the same scope list shares its storage on the
-	// server; both still introspect their scopes as issued.
-	for _, input := range []string{tok, f.token(t)} {
-		_, data = get(url.Values{
-			"client_id":     {f.app.ID},
-			"client_secret": {f.app.Secret},
-			"input_token":   {input},
-		})
-		if got := fmt.Sprint(data["scopes"]); got != "[publish_actions]" {
-			t.Fatalf("scopes = %s, want [publish_actions]", got)
-		}
-	}
-
-	// Invalidated token introspects as invalid.
-	f.oauth.Invalidate(tok, "swept")
-	_, data = get(url.Values{
-		"client_id":     {f.app.ID},
-		"client_secret": {f.app.Secret},
-		"input_token":   {tok},
-	})
-	if data["is_valid"] != false {
-		t.Fatalf("swept token data = %+v", data)
-	}
-
-	// Wrong secret is refused.
-	status, _ = get(url.Values{
-		"client_id":     {f.app.ID},
-		"client_secret": {"nope"},
-		"input_token":   {tok},
-	})
-	if status != http.StatusForbidden {
-		t.Fatalf("wrong secret status = %d", status)
-	}
-}
-
 func TestHTTPDialogEchoesState(t *testing.T) {
 	f, srv := newHTTPFixture(t)
 	q := url.Values{}

@@ -274,18 +274,15 @@ type opInstruments struct {
 const (
 	opMe = iota
 	opLike
-	opUnlike
 	opComment
 	opPublish
-	opFeed
 	opFriends
 	opLikes
-	opComments
 	numOps
 )
 
 // opNames maps each operation index to its metric label value.
-var opNames = [numOps]string{"me", "like", "unlike", "comment", "publish", "feed", "friends", "likes", "comments"}
+var opNames = [numOps]string{"me", "like", "comment", "publish", "friends", "likes"}
 
 // spanNames maps each operation index to its span name, precomputed so
 // begin does not concatenate (and so allocate) per call.
@@ -439,9 +436,6 @@ func (a *API) Chain() *Chain { return a.chain }
 // OAuth returns the underlying authorization server.
 func (a *API) OAuth() *oauthsim.Server { return a.oauth }
 
-// Registry returns the application registry.
-func (a *API) Registry() *apps.Registry { return a.registry }
-
 // CallContext carries per-call transport attributes. Ctx, when set,
 // carries the caller's trace span so the request joins an existing trace;
 // nil means a fresh trace (context.Background()).
@@ -569,33 +563,6 @@ func (a *API) likeWriteError(writeErr error, objectID string) error {
 	}
 }
 
-// Unlike removes the token account's like from an object — the write
-// Facebook exposes as DELETE /{object}/likes. It is policy-checked like
-// any other write.
-func (a *API) Unlike(c CallContext, objectID string) (err error) {
-	ctx, span, start := a.begin(c.Ctx, opUnlike)
-	defer func() { a.finish(span, opUnlike, start, err) }()
-	req, err := a.authenticate(ctx, c, VerbLike, a.scopePublish, start)
-	if err != nil {
-		return err
-	}
-	req.ObjectID = objectID
-	if d := a.evaluate(ctx, &req); !d.Allow {
-		return a.denialError(d)
-	}
-	writeErr := a.applyShard(ctx, req.At, objectID, func() error {
-		return a.graph.RemoveLike(req.AccountID, objectID)
-	})
-	switch {
-	case writeErr == nil:
-		return nil
-	case errors.Is(writeErr, socialgraph.ErrNotLiked):
-		return a.err(provider.KindNotFound, "GraphMethodException", "no like to remove")
-	default:
-		return a.err(provider.KindInvalidParam, "GraphMethodException", "%v", writeErr)
-	}
-}
-
 // Comment publishes a comment on a post on behalf of the token's account.
 func (a *API) Comment(c CallContext, postID, message string) (_ socialgraph.Comment, err error) {
 	ctx, span, start := a.begin(c.Ctx, opComment)
@@ -653,19 +620,6 @@ func (a *API) Publish(c CallContext, message string) (_ socialgraph.Post, err er
 	}
 }
 
-// Feed lists the token account's own posts in creation order — the read
-// that premium auto-delivery services poll to discover fresh posts to
-// like without the member logging in (Sec. 5.1).
-func (a *API) Feed(c CallContext) (_ []socialgraph.Post, err error) {
-	ctx, span, start := a.begin(c.Ctx, opFeed)
-	defer func() { a.finish(span, opFeed, start, err) }()
-	req, err := a.authenticate(ctx, c, VerbRead, "", start)
-	if err != nil {
-		return nil, err
-	}
-	return a.graph.PostsByAuthor(req.AccountID), nil
-}
-
 // Friends lists the token account's friends. It requires the
 // user_friends permission — the scope whose leakage turns token abuse
 // into social-graph harvesting (Sec. 8).
@@ -707,18 +661,6 @@ func (a *API) LikesPage(c CallContext, objectID string, after, limit int) (page 
 		return nil, 0, false, err
 	}
 	page, next, more = a.graph.LikesPage(objectID, after, limit)
-	return page, next, more, nil
-}
-
-// CommentsPage lists one page of comments on a post; cursor semantics
-// match LikesPage.
-func (a *API) CommentsPage(c CallContext, postID string, after, limit int) (page []socialgraph.Comment, next int, more bool, err error) {
-	ctx, span, start := a.begin(c.Ctx, opComments)
-	defer func() { a.finish(span, opComments, start, err) }()
-	if _, err = a.authenticate(ctx, c, VerbRead, "", start); err != nil {
-		return nil, 0, false, err
-	}
-	page, next, more = a.graph.CommentsPage(postID, after, limit)
 	return page, next, more, nil
 }
 

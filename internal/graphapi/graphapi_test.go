@@ -441,37 +441,3 @@ func TestManyAccountsLikeViaAPI(t *testing.T) {
 		t.Fatalf("LikeCount = %d, want 50", got)
 	}
 }
-
-func TestUnlike(t *testing.T) {
-	f := newFixture(t)
-	ctx := CallContext{AccessToken: f.token(t)}
-	if err := f.api.Like(ctx, f.post.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.api.Unlike(ctx, f.post.ID); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.graph.LikeCount(f.post.ID); got != 0 {
-		t.Fatalf("LikeCount after unlike = %d", got)
-	}
-	// Unliking again: nothing to remove.
-	if err := f.api.Unlike(ctx, f.post.ID); ErrCode(err) != CodeNotFound {
-		t.Fatalf("double unlike code = %d", ErrCode(err))
-	}
-	// The account can like again afterwards.
-	if err := f.api.Like(ctx, f.post.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnlikePolicyChecked(t *testing.T) {
-	f := newFixture(t)
-	ctx := CallContext{AccessToken: f.token(t)}
-	if err := f.api.Like(ctx, f.post.ID); err != nil {
-		t.Fatal(err)
-	}
-	f.api.Chain().Append(denyPolicy{name: "blocker", deny: func(r Request) bool { return r.Verb == VerbLike }})
-	if err := f.api.Unlike(ctx, f.post.ID); ErrCode(err) != CodeBlocked {
-		t.Fatalf("policy-denied unlike code = %d", ErrCode(err))
-	}
-}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/oauthsim"
 	"repro/internal/provider"
-	"repro/internal/secrets"
 )
 
 // NormalizeEndpoint collapses object IDs out of a request path so HTTP
@@ -21,7 +20,7 @@ import (
 func NormalizeEndpoint(path string) string {
 	switch path {
 	case "/dialog/oauth", "/oauth/access_token", "/me", "/me/feed",
-		"/me/friends", "/debug_token", "/batch":
+		"/me/friends", "/batch":
 		return path
 	}
 	if _, edge, ok := splitEdge(path); ok {
@@ -63,11 +62,6 @@ func appendCursor(b []byte, offset int) []byte {
 	return base64.URLEncoding.AppendEncode(b, strconv.AppendInt(digits[:0], int64(offset), 10))
 }
 
-// encodeCursor wraps an offset as an opaque cursor string.
-func encodeCursor(offset int) string {
-	return string(appendCursor(nil, offset))
-}
-
 // decodeCursor unwraps a cursor; empty cursors mean offset 0.
 func decodeCursor(s string) (int, error) {
 	if s == "" {
@@ -101,19 +95,6 @@ func pageParams(r *http.Request) (limit, offset int, err error) {
 	return limit, offset, err
 }
 
-// pagingEnvelopeAt builds the "paging" object from a store-provided next
-// cursor. The cursor is an arrival-sequence position (stable across
-// retention sweeps), not a physical offset; on a store that has never
-// evicted or purged, the two coincide.
-func pagingEnvelopeAt(next int, more bool) map[string]any {
-	if !more {
-		return nil
-	}
-	return map[string]any{
-		"cursors": map[string]any{"after": encodeCursor(next)},
-	}
-}
-
 // Handler exposes the API and the OAuth endpoints over HTTP with
 // Facebook-style routes:
 //
@@ -123,12 +104,13 @@ func pagingEnvelopeAt(next int, more bool) map[string]any {
 //	GET  /me                    profile of the token's account
 //	GET  /{object}/likes        list likes
 //	POST /{object}/likes        publish a like
-//	GET  /{object}/comments     list comments
 //	POST /{object}/comments     publish a comment
 //	POST /me/feed               publish a status update
 //	POST /batch                 up to MaxBatchOps likes on one object
 //
-// Errors are returned as Facebook-style JSON envelopes:
+// Another method on an object edge, /me/feed or /batch is refused with
+// 400; an unknown path or edge answers 404. Errors are returned as
+// Facebook-style JSON envelopes:
 //
 //	{"error": {"message": ..., "type": ..., "code": ...}}
 func Handler(api *API) http.Handler {
@@ -139,7 +121,6 @@ func Handler(api *API) http.Handler {
 	mux.HandleFunc("/me", h.me)
 	mux.HandleFunc("/me/feed", h.feed)
 	mux.HandleFunc("/me/friends", h.friends)
-	mux.HandleFunc("/debug_token", h.debugToken)
 	mux.HandleFunc("/batch", h.batch)
 	mux.HandleFunc("/", h.object)
 	return mux
@@ -259,29 +240,18 @@ func (h *httpAPI) dialog(w http.ResponseWriter, r *http.Request) {
 }
 
 // exchange implements the server-side token endpoint: the authorization-
-// code swap, and grant_type=fb_exchange_token for extending a token to
-// long-lived.
+// code swap.
 func (h *httpAPI) exchange(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost && r.Method != http.MethodGet {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "unsupported method"))
 		return
 	}
-	var info oauthsim.TokenInfo
-	var err error
-	if r.FormValue("grant_type") == "fb_exchange_token" {
-		info, err = h.api.OAuth().ExchangeForLongLived(
-			r.FormValue("client_id"),
-			r.FormValue("client_secret"),
-			r.FormValue("fb_exchange_token"),
-		)
-	} else {
-		info, err = h.api.OAuth().ExchangeCode(
-			r.FormValue("client_id"),
-			r.FormValue("client_secret"),
-			r.FormValue("redirect_uri"),
-			r.FormValue("code"),
-		)
-	}
+	info, err := h.api.OAuth().ExchangeCode(
+		r.FormValue("client_id"),
+		r.FormValue("client_secret"),
+		r.FormValue("redirect_uri"),
+		r.FormValue("code"),
+	)
 	if err != nil {
 		h.writeError(w, h.api.err(provider.KindInvalidToken, "OAuthException", "%v", err))
 		return
@@ -323,70 +293,18 @@ func (h *httpAPI) friends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"data": data})
 }
 
+// feed publishes a status update on the token account's timeline.
 func (h *httpAPI) feed(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		post, err := h.api.Publish(callContext(r), r.FormValue("message"))
-		if err != nil {
-			h.writeError(w, err)
-			return
-		}
-		writeJSON(w, map[string]any{"id": post.ID})
-	case http.MethodGet:
-		posts, err := h.api.Feed(callContext(r))
-		if err != nil {
-			h.writeError(w, err)
-			return
-		}
-		data := make([]map[string]any, 0, len(posts))
-		for _, p := range posts {
-			data = append(data, map[string]any{
-				"id":      p.ID,
-				"message": p.Message,
-				"time":    p.CreatedAt.UTC().Format("2006-01-02T15:04:05Z"),
-			})
-		}
-		writeJSON(w, map[string]any{"data": data})
-	default:
-		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "GET or POST required"))
+	if r.Method != http.MethodPost {
+		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "POST required"))
+		return
 	}
-}
-
-// debugToken implements Facebook's token-introspection endpoint: an app
-// server authenticates with its app ID and secret and inspects any token
-// issued to that app (GET /debug_token?input_token=&client_id=&client_secret=).
-// The response mirrors the real endpoint's envelope: app_id, user_id,
-// expiry, scopes, and is_valid.
-func (h *httpAPI) debugToken(w http.ResponseWriter, r *http.Request) {
-	appID := r.FormValue("client_id")
-	secret := r.FormValue("client_secret")
-	input := r.FormValue("input_token")
-	app, err := h.api.Registry().Get(appID)
+	post, err := h.api.Publish(callContext(r), r.FormValue("message"))
 	if err != nil {
-		h.writeError(w, h.api.err(provider.KindInvalidToken, "OAuthException", "unknown application"))
+		h.writeError(w, err)
 		return
 	}
-	if !secrets.Equal(secret, app.Secret) {
-		h.writeError(w, h.api.err(provider.KindSecretProof, "OAuthException", "application secret mismatch"))
-		return
-	}
-	data := map[string]any{"is_valid": false}
-	if info, verr := h.api.OAuth().Validate(input); verr == nil {
-		if info.AppID != appID {
-			// Apps may only introspect their own tokens.
-			h.writeError(w, h.api.err(provider.KindPermission, "OAuthException", "token belongs to another application"))
-			return
-		}
-		data = map[string]any{
-			"is_valid":   true,
-			"app_id":     info.AppID,
-			"user_id":    info.AccountID,
-			"scopes":     info.Scopes,
-			"issued_at":  info.IssuedAt.Unix(),
-			"expires_at": info.ExpiresAt.Unix(),
-		}
-	}
-	writeJSON(w, map[string]any{"data": data})
+	writeJSON(w, map[string]any{"id": post.ID})
 }
 
 // batchOp is one operation in a Graph API batch request.
@@ -504,7 +422,9 @@ func (h *httpAPI) likeBatchResult(err error) batchResult {
 	return batchResult{Code: httpStatus(ae.Kind), Body: string(appendErrorEnvelope(nil, ae))}
 }
 
-// object dispatches /{id}/likes and /{id}/comments.
+// object dispatches /{id}/likes and /{id}/comments. Another method on
+// either edge answers 400 naming the methods it takes, as /me/feed and
+// /batch answer theirs; an unknown path or edge is a 404.
 func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
 	objectID, edge, ok := splitEdge(r.URL.Path)
 	if !ok {
@@ -515,12 +435,6 @@ func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case edge == "likes" && r.Method == http.MethodPost:
 		if err := h.api.Like(ctx, objectID); err != nil {
-			h.writeError(w, err)
-			return
-		}
-		writeAck(w)
-	case edge == "likes" && r.Method == http.MethodDelete:
-		if err := h.api.Unlike(ctx, objectID); err != nil {
 			h.writeError(w, err)
 			return
 		}
@@ -538,6 +452,8 @@ func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
 		}
 		bp := encodeBufs.Get().(*[]byte)
 		sendRendered(w, http.StatusOK, bp, appendLikesPage((*bp)[:0], likes, next, more))
+	case edge == "likes":
+		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "GET or POST required"))
 	case edge == "comments" && r.Method == http.MethodPost:
 		c, err := h.api.Comment(ctx, objectID, r.FormValue("message"))
 		if err != nil {
@@ -545,31 +461,8 @@ func (h *httpAPI) object(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, map[string]any{"id": c.ID})
-	case edge == "comments" && r.Method == http.MethodGet:
-		limit, after, perr := pageParams(r)
-		if perr != nil {
-			h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "%v", perr))
-			return
-		}
-		comments, next, more, err := h.api.CommentsPage(ctx, objectID, after, limit)
-		if err != nil {
-			h.writeError(w, err)
-			return
-		}
-		data := make([]map[string]any, 0, len(comments))
-		for _, c := range comments {
-			data = append(data, map[string]any{
-				"id":      c.ID,
-				"from":    c.AccountID,
-				"message": c.Message,
-				"time":    c.At.UTC().Format("2006-01-02T15:04:05Z"),
-			})
-		}
-		body := map[string]any{"data": data}
-		if paging := pagingEnvelopeAt(next, more); paging != nil {
-			body["paging"] = paging
-		}
-		writeJSON(w, body)
+	case edge == "comments":
+		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "POST required"))
 	default:
 		h.writeError(w, h.api.err(provider.KindNotFound, "GraphMethodException", "unknown edge %q", edge))
 	}

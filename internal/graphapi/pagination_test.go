@@ -255,41 +255,6 @@ func fetchAllViaClient(t *testing.T, base, token, postID string) []string {
 	}
 }
 
-func TestCommentsEdgePagination(t *testing.T) {
-	f, srv := newHTTPFixture(t)
-	tok := httpToken(t, f, srv)
-	ctx := CallContext{AccessToken: tok}
-	for i := 0; i < 30; i++ {
-		if _, err := f.api.Comment(ctx, f.post.ID, fmt.Sprintf("comment %d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := http.Get(srv.URL + "/" + f.post.ID + "/comments?limit=20&access_token=" + tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var page struct {
-		Data []struct {
-			Message string `json:"message"`
-		} `json:"data"`
-		Paging *struct {
-			Cursors struct {
-				After string `json:"after"`
-			} `json:"cursors"`
-		} `json:"paging"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Data) != 20 || page.Paging == nil {
-		t.Fatalf("comments page = %d rows, paging=%v", len(page.Data), page.Paging)
-	}
-	if page.Data[0].Message != "comment 0" {
-		t.Fatalf("first comment = %q", page.Data[0].Message)
-	}
-}
-
 func TestCursorRoundTrip(t *testing.T) {
 	for _, off := range []int{0, 1, 25, 10_000} {
 		got, err := decodeCursor(encodeCursor(off))

@@ -18,7 +18,7 @@ import (
 // in declaration order); sendRendered adds the encoder's trailing
 // newline. The rarer shapes stay on writeJSON.
 
-// likeAck is the body of a successful like or unlike, standalone or as one
+// likeAck is the body of a successful like, standalone or as one
 // /batch result.
 const likeAck = `{"success":true}`
 
@@ -50,7 +50,7 @@ func sendRendered(w http.ResponseWriter, status int, bp *[]byte, body []byte) {
 	encodeBufs.Put(bp)
 }
 
-// writeAck answers a successful like or unlike.
+// writeAck answers a successful like.
 func writeAck(w http.ResponseWriter) {
 	writeBody(w, http.StatusOK, likeAckLine)
 }
@@ -89,8 +89,9 @@ func appendBatchResults(b []byte, results []batchResult) []byte {
 }
 
 // appendLikesPage appends a likes page: {"data":[{"id":…,"time":…},…]},
-// with "paging":{"cursors":{"after":…}} when more likes remain (the
-// cursor is the one pagingEnvelopeAt describes).
+// with "paging":{"cursors":{"after":…}} when more likes remain. The
+// cursor encodes next, the store's arrival-sequence position (stable
+// across retention sweeps), not a physical offset.
 func appendLikesPage(b []byte, likes []socialgraph.Like, next int, more bool) []byte {
 	b = append(b, `{"data":[`...)
 	for i, l := range likes {

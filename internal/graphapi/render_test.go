@@ -127,6 +127,24 @@ func TestRenderBatchResultsMatchEncodingJSON(t *testing.T) {
 	}
 }
 
+// encodeCursor wraps an offset as an opaque cursor string.
+func encodeCursor(offset int) string {
+	return string(appendCursor(nil, offset))
+}
+
+// pagingEnvelopeAt builds the "paging" object from a store-provided next
+// cursor. The cursor is an arrival-sequence position (stable across
+// retention sweeps), not a physical offset; on a store that has never
+// evicted or purged, the two coincide.
+func pagingEnvelopeAt(next int, more bool) map[string]any {
+	if !more {
+		return nil
+	}
+	return map[string]any{
+		"cursors": map[string]any{"after": encodeCursor(next)},
+	}
+}
+
 // likesPageJSON is the page value the likes handler encoded before
 // rendering.
 func likesPageJSON(likes []socialgraph.Like, next int, more bool) map[string]any {

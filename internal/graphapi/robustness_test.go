@@ -1,51 +1,11 @@
 package graphapi
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"strings"
 	"testing"
-
-	"repro/internal/apps"
 )
-
-// TestHTTPExchangeLongLived exercises grant_type=fb_exchange_token over
-// the wire.
-func TestHTTPExchangeLongLived(t *testing.T) {
-	f, srv := newHTTPFixture(t)
-	tok := httpToken(t, f, srv)
-	form := url.Values{
-		"grant_type":        {"fb_exchange_token"},
-		"client_id":         {f.app.ID},
-		"client_secret":     {f.app.Secret},
-		"fb_exchange_token": {tok},
-	}
-	resp, err := http.PostForm(srv.URL+"/oauth/access_token", form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var body struct {
-		AccessToken string `json:"access_token"`
-		ExpiresIn   int64  `json:"expires_in"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.AccessToken == tok || body.AccessToken == "" {
-		t.Fatalf("exchange token = %q", body.AccessToken)
-	}
-	if body.ExpiresIn != int64(apps.LongTermDuration.Seconds()) {
-		t.Fatalf("expires_in = %d", body.ExpiresIn)
-	}
-	if _, err := f.oauth.Validate(body.AccessToken); err != nil {
-		t.Fatalf("exchanged token invalid: %v", err)
-	}
-}
 
 // The HTTP surface must degrade gracefully on adversarial or malformed
 // input: wrong methods, missing parameters, junk paths, and oversized
@@ -69,14 +29,25 @@ func TestHTTPMalformedInputs(t *testing.T) {
 		{"exchange empty", http.MethodPost, "/oauth/access_token", "", []int{401}},
 		{"exchange junk grant", http.MethodPost, "/oauth/access_token",
 			"grant_type=password&username=x&password=y", []int{401}},
+		// Tokens are not extended: the grant is read as a code swap
+		// without a code.
+		{"exchange fb_exchange_token", http.MethodPost, "/oauth/access_token",
+			"grant_type=fb_exchange_token&client_id=" + f.app.ID + "&client_secret=" + f.app.Secret +
+				"&fb_exchange_token=" + tok, []int{401}},
+		{"debug_token is an unknown path", http.MethodGet, "/debug_token?client_id=" + f.app.ID +
+			"&client_secret=" + f.app.Secret + "&input_token=" + tok, "", []int{404}},
 		{"object with slashes", http.MethodGet, "/a/b/c/d?access_token=" + tok, "", []int{404}},
-		{"delete method on likes", http.MethodDelete, "/" + f.post.ID + "/likes?access_token=" + tok, "", []int{404}},
+		// likes is a known edge, so a method it does not take answers 400
+		// (GraphMethodException, "GET or POST required"), as /me/feed
+		// and /batch answer theirs; 404 is for an unknown edge.
+		{"delete method on likes", http.MethodDelete, "/" + f.post.ID + "/likes?access_token=" + tok, "", []int{400}},
+		{"comments GET refused", http.MethodGet, "/" + f.post.ID + "/comments?access_token=" + tok, "", []int{400}},
 		// Reading the likes edge of a garbage object ID returns an empty
 		// list (reads are forgiving); the guarantee is no panic/5xx.
 		{"percent-encoded nulls in path", http.MethodGet, "/%00%01/likes?access_token=" + tok, "", []int{200, 400, 404}},
 		{"huge message", http.MethodPost, "/me/feed",
 			"access_token=" + tok + "&message=" + strings.Repeat("A", 1<<16), []int{200}},
-		{"feed GET lists posts", http.MethodGet, "/me/feed?access_token=" + tok, "", []int{200}},
+		{"feed GET refused", http.MethodGet, "/me/feed?access_token=" + tok, "", []int{400}},
 		{"feed PUT refused", http.MethodPut, "/me/feed?access_token=" + tok, "", []int{400}},
 	}
 	for _, tc := range cases {

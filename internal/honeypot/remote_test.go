@@ -8,6 +8,7 @@ import (
 	"repro/internal/collusion"
 	"repro/internal/platform"
 	"repro/internal/simclock"
+	"repro/internal/socialgraph"
 )
 
 // TestRemoteModeEndToEnd runs the entire stack over real HTTP: the
@@ -77,8 +78,8 @@ func TestRemoteModeEndToEnd(t *testing.T) {
 	}
 	// The post was published through the Graph API onto the real platform.
 	onPlatform := false
-	for _, post := range p.Graph.PostsByAuthor(hpAccount.ID) {
-		onPlatform = onPlatform || post.ID == postID
+	for _, a := range p.Graph.ActivityLog(hpAccount.ID) {
+		onPlatform = onPlatform || (a.Verb == socialgraph.VerbPost && a.ObjectID == postID && a.TargetID == hpAccount.ID)
 	}
 	if !onPlatform {
 		t.Fatalf("post %s not on platform", postID)

@@ -294,58 +294,16 @@ func (s *Server) ExchangeCode(appID, appSecret, redirectURI, code string) (Token
 	return info, nil
 }
 
-// ExchangeForLongLived swaps a valid token for a long-term (~60 day) one
-// — Facebook's grant_type=fb_exchange_token. The request authenticates
-// with the application secret, so only the app's own server can extend
-// its tokens; leaked client-side tokens cannot be extended by attackers
-// who lack the secret. The original token remains valid until its own
-// expiry.
-func (s *Server) ExchangeForLongLived(appID, appSecret, token string) (TokenInfo, error) {
-	app, err := s.apps.Get(appID)
-	if err != nil {
-		return TokenInfo{}, ErrUnknownApp
-	}
-	if app.Suspended {
-		return TokenInfo{}, ErrAppSuspended
-	}
-	if subtleNeq(appSecret, app.Secret) {
-		return TokenInfo{}, ErrBadSecret
-	}
-	info, err := s.Validate(token)
-	if err != nil {
-		return TokenInfo{}, err
-	}
-	if info.AppID != appID {
-		return TokenInfo{}, fmt.Errorf("%w: token belongs to another application", ErrTokenNotFound)
-	}
-	now := s.clock.Now()
-	long := &grant{info: TokenInfo{
-		Token:     s.prov.MintToken(),
-		AccountID: info.AccountID,
-		AppID:     appID,
-		Scopes:    info.Scopes, // already interned
-		IssuedAt:  now,
-		ExpiresAt: now.Add(apps.LongTermDuration),
-	}}
-	s.mu.Lock()
-	s.record(long)
-	s.mu.Unlock()
-	s.noteIssued(appID, long.info.Token, "long-lived")
-	out := long.info
-	out.Scopes = append([]string(nil), info.Scopes...)
-	return out, nil
-}
-
 // noteIssued records one token grant: a counter bump and an oauth.issue
 // span carrying the app and the redacted token prefix.
-func (s *Server) noteIssued(appID, token, grant string) {
+func (s *Server) noteIssued(appID, token string) {
 	if s.obs == nil {
 		return
 	}
 	s.issued.Inc(appID)
 	_, span := s.obs.T().StartSpan(nil, "oauth.issue")
 	span.SetAttr("app", appID)
-	span.SetAttr("grant", grant)
+	span.SetAttr("grant", "user")
 	span.SetAttr("token", redact.Token(token))
 	span.End()
 }
@@ -364,7 +322,7 @@ func (s *Server) issue(accountID string, app apps.App, scopes []string) TokenInf
 	g.info.Scopes = s.scopeList(scopes)
 	s.record(g)
 	s.mu.Unlock()
-	s.noteIssued(app.ID, g.info.Token, "user")
+	s.noteIssued(app.ID, g.info.Token)
 	return g.info
 }
 

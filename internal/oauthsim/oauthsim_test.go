@@ -252,6 +252,44 @@ func TestInvalidateAccount(t *testing.T) {
 	}
 }
 
+// TestInvalidateAccountChain walks an account's grant chain: both of its
+// tokens are revoked with the sweep's reason, another account's token
+// stays live, and a second sweep finds nothing left to revoke.
+func TestInvalidateAccountChain(t *testing.T) {
+	f := newFixture(t, apps.Config{})
+	first, err := f.srv.Authorize(f.authorizeReq(ResponseToken))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := f.srv.Authorize(f.authorizeReq(ResponseToken))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := f.graph.CreateAccount("other", "IN", t0)
+	req := f.authorizeReq(ResponseToken)
+	req.AccountID = other.ID
+	otherRes, err := f.srv.Authorize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if n := f.srv.InvalidateAccount(f.user.ID, "chain-sweep"); n != 2 {
+		t.Fatalf("InvalidateAccount = %d, want 2 (both grants)", n)
+	}
+	for _, tok := range []string{first.AccessToken, second.AccessToken} {
+		_, err := f.srv.Validate(tok)
+		if !errors.Is(err, ErrTokenInvalidated) || !strings.Contains(err.Error(), "(chain-sweep)") {
+			t.Fatalf("swept token err = %v, want invalidated (chain-sweep)", err)
+		}
+	}
+	if info, err := f.srv.Validate(otherRes.AccessToken); err != nil || info.AccountID != other.ID {
+		t.Fatalf("other account's token revoked or misattributed: err %v", err)
+	}
+	if n := f.srv.InvalidateAccount(f.user.ID, "chain-sweep"); n != 0 {
+		t.Fatalf("second InvalidateAccount = %d, want 0", n)
+	}
+}
+
 // TestValidateRacesInvalidation validates two tokens while two other
 // goroutines revoke them, one by account sweep and one by token. Under
 // -race it fails if Validate reads the revocation state outside the
@@ -316,8 +354,7 @@ func TestValidateRacesInvalidation(t *testing.T) {
 
 // TestScopeListsShared pins scope-list interning: tokens issued with
 // equal lists share one backing array, while another order, another
-// list, or the same names split differently get their own; and
-// ExchangeForLongLived returns a private copy of the shared list.
+// list, or the same names split differently get their own.
 func TestScopeListsShared(t *testing.T) {
 	f := newFixture(t, apps.Config{
 		Name:              "Scopes",
@@ -351,22 +388,6 @@ func TestScopeListsShared(t *testing.T) {
 		if got := issue(scopes...); &got.Scopes[0] == &ab.Scopes[0] {
 			t.Errorf("%q shares storage with [a b]", scopes)
 		}
-	}
-
-	long, err := f.srv.ExchangeForLongLived(f.app.ID, f.app.Secret, ab.Token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &long.Scopes[0] == &ab.Scopes[0] {
-		t.Fatal("ExchangeForLongLived returned the shared scope list")
-	}
-	long.Scopes[0] = "mutated"
-	info, err := f.srv.Validate(long.Token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(info.Scopes, []string{"a", "b"}) || &info.Scopes[0] != &ab.Scopes[0] {
-		t.Fatalf("long-lived token scopes = %q, want the shared [a b]", info.Scopes)
 	}
 }
 

@@ -1,15 +1,17 @@
 package socialgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
 // Store methods that only tests call. The differential oracle's
 // graphStore interface names most of them, and the batch and stress
 // tests apply through AddLikeBatch. The program reads the same state
-// through PostsByAuthor, Likes, Friends, ActivityLog and RetainedEdges,
-// and applies batches through AddLikeBatchInto.
+// through Likes, Comments, Friends, ActivityLog and RetainedEdges, and
+// applies batches through AddLikeBatchInto.
 
 // ShardCount returns the number of lock stripes.
 func (s *Store) ShardCount() int { return len(s.shards) }
@@ -34,6 +36,27 @@ func (s *Store) Post(id string) (Post, error) {
 		return Post{}, fmt.Errorf("post %q: %w", id, ErrNotFound)
 	}
 	return *p, nil
+}
+
+// PostsByAuthor returns the author's posts in creation order: the posts
+// of every stripe whose author it is, in minted-ID order.
+func (s *Store) PostsByAuthor(authorID string) []Post {
+	var out []Post
+	for i := range s.shards {
+		sh := s.rlockIdx(i)
+		for _, p := range sh.posts {
+			if p.AuthorID == authorID {
+				out = append(out, *p)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(out, func(a, b Post) int {
+		an, _ := idNum(a.ID)
+		bn, _ := idNum(b.ID)
+		return cmp.Compare(an, bn)
+	})
+	return out
 }
 
 // HasLiked reports whether the account has liked the object.
@@ -106,4 +129,38 @@ func (s *Store) AddLikeBatch(ops []LikeOp) []error {
 	errs := make([]error, len(ops))
 	s.AddLikeBatchInto(ops, errs)
 	return errs
+}
+
+// CommentsPage returns up to limit retained comments on postID whose
+// arrival sequence is at least after, in creation order, along with the
+// cursor for the next page and whether more remain. limit <= 0 means no
+// limit. Cursor semantics match LikesPage.
+func (s *Store) CommentsPage(postID string, after, limit int) (page []Comment, next int, more bool) {
+	sh := s.rlock(postID)
+	defer sh.mu.RUnlock()
+	l, ok := sh.commentOrder[postID]
+	if !ok {
+		return nil, 0, false
+	}
+	c, i, pos := searchEdges(l, after)
+	end := l.total
+	if limit > 0 && pos+limit < end {
+		end = pos + limit
+	}
+	for c != nil && pos < end {
+		for i < c.n && pos < end {
+			if rec, ok := sh.comments[c.buf[i].id]; ok {
+				page = append(page, *rec)
+			}
+			pos++
+			i++
+		}
+		if i == c.n {
+			c, i = c.next, 0
+		}
+	}
+	if pos < l.total {
+		return page, c.buf[i].seq, true
+	}
+	return page, 0, false
 }

@@ -224,37 +224,3 @@ func (s *Store) LikesPage(objectID string, after, limit int) (page []Like, next 
 	}
 	return page, 0, false
 }
-
-// CommentsPage returns up to limit retained comments on postID whose
-// arrival sequence is at least after, in creation order, along with the
-// cursor for the next page and whether more remain. limit <= 0 means no
-// limit. Cursor semantics match LikesPage.
-func (s *Store) CommentsPage(postID string, after, limit int) (page []Comment, next int, more bool) {
-	sh := s.rlock(postID)
-	defer sh.mu.RUnlock()
-	l, ok := sh.commentOrder[postID]
-	if !ok {
-		return nil, 0, false
-	}
-	c, i, pos := searchEdges(l, after)
-	end := l.total
-	if limit > 0 && pos+limit < end {
-		end = pos + limit
-	}
-	for c != nil && pos < end {
-		for i < c.n && pos < end {
-			if rec, ok := sh.comments[c.buf[i].id]; ok {
-				page = append(page, *rec)
-			}
-			pos++
-			i++
-		}
-		if i == c.n {
-			c, i = c.next, 0
-		}
-	}
-	if pos < l.total {
-		return page, c.buf[i].seq, true
-	}
-	return page, 0, false
-}

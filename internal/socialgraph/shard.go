@@ -223,15 +223,14 @@ type likeHistory struct {
 // accounts' activity logs) lives in chunked lists drawn from the
 // shard-local pools below — see chunk.go for the memory model.
 type shard struct {
-	mu            sync.RWMutex
-	accounts      map[string]*accountRec
-	pages         map[string]*Page
-	posts         map[string]*Post
-	comments      map[string]*Comment
-	likes         map[string]*likeHistory
-	postsByAuthor map[string][]string
-	commentOrder  map[string]*edgeList
-	friends       map[string]map[string]bool
+	mu           sync.RWMutex
+	accounts     map[string]*accountRec
+	pages        map[string]*Page
+	posts        map[string]*Post
+	comments     map[string]*Comment
+	likes        map[string]*likeHistory
+	commentOrder map[string]*edgeList
+	friends      map[string]map[string]bool
 	// logs lists the activity log of every account on this stripe that
 	// has acted (see activityLog).
 	logs []*activityLog
@@ -259,19 +258,18 @@ type shard struct {
 // repeated incremental map growth this way.
 func newShardSized(hint int) *shard {
 	return &shard{
-		accounts:      make(map[string]*accountRec, hint),
-		pages:         make(map[string]*Page),
-		posts:         make(map[string]*Post),
-		comments:      make(map[string]*Comment),
-		likes:         make(map[string]*likeHistory),
-		postsByAuthor: make(map[string][]string),
-		commentOrder:  make(map[string]*edgeList),
-		friends:       make(map[string]map[string]bool),
-		likeSeq:       make(map[string]int),
-		commentSeq:    make(map[string]int),
-		edges:         likePool{cap: edgeChunkCap},
-		commentEdges:  edgePool{cap: edgeChunkCap},
-		acts:          activityPool{cap: activityChunkCap},
+		accounts:     make(map[string]*accountRec, hint),
+		pages:        make(map[string]*Page),
+		posts:        make(map[string]*Post),
+		comments:     make(map[string]*Comment),
+		likes:        make(map[string]*likeHistory),
+		commentOrder: make(map[string]*edgeList),
+		friends:      make(map[string]map[string]bool),
+		likeSeq:      make(map[string]int),
+		commentSeq:   make(map[string]int),
+		edges:        likePool{cap: edgeChunkCap},
+		commentEdges: edgePool{cap: edgeChunkCap},
+		acts:         activityPool{cap: activityChunkCap},
 	}
 }
 
@@ -389,13 +387,11 @@ func fnv32a(s string) uint32 {
 	return h
 }
 
-// Shard-count bounds. The default scales with GOMAXPROCS (4 stripes per
-// P keeps the contended fraction low even when every P hammers the same
-// few objects) and is clamped to a power of two so routing is a mask.
-const (
-	minShards = 1
-	maxShards = 1024
-)
+// maxShards caps the stripe count. The default scales with GOMAXPROCS
+// (4 stripes per P keeps the contended fraction low even when every P
+// hammers the same few objects) and is clamped to a power of two so
+// routing is a mask.
+const maxShards = 1024
 
 // defaultShardCount returns the GOMAXPROCS-scaled power-of-two stripe
 // count used by New.

@@ -275,9 +275,8 @@ type WriteMeta struct {
 // The post ID's shard is unknown until the ID is minted, and minting must
 // happen only after validation so the ID stream matches the reference
 // store; the write is therefore phased — validate, mint, insert the post
-// record, then publish it in the author's index and the actor's activity
-// log — with the post record inserted first so every ID reachable through
-// PostsByAuthor always resolves.
+// record, then log it in the actor's activity — with the post record
+// inserted first so the ID an activity entry names always resolves.
 func (s *Store) CreatePost(authorID, message string, meta WriteMeta) (Post, error) {
 	if message == "" {
 		return Post{}, ErrEmptyMessage
@@ -304,38 +303,11 @@ func (s *Store) CreatePost(authorID, message string, meta WriteMeta) (Post, erro
 	sh.posts[post.ID] = post
 	sh.mu.Unlock()
 
-	sh = s.lock(authorID)
-	sh.postsByAuthor[authorID] = append(sh.postsByAuthor[authorID], post.ID)
-	sh.mu.Unlock()
-
 	entry := s.activityEntry(verbPost, post.ID, authorID, meta)
 	sh = s.lock(actor)
 	sh.logOf(sh.accounts[actor]).entries.append(&sh.acts, entry)
 	sh.mu.Unlock()
 	return *post, nil
-}
-
-// PostsByAuthor returns the author's posts in creation order.
-func (s *Store) PostsByAuthor(authorID string) []Post {
-	// Snapshot the slice header, not a copy: the index is append-only and
-	// entries [0, len) are never rewritten in place, so the captured view
-	// stays valid after the lock drops even if concurrent posts grow (or
-	// reallocate) the index past our length.
-	sh := s.rlock(authorID)
-	idsList := sh.postsByAuthor[authorID]
-	sh.mu.RUnlock()
-	if len(idsList) == 0 {
-		return nil
-	}
-	out := make([]Post, 0, len(idsList))
-	for _, id := range idsList {
-		psh := s.rlock(id)
-		if p, ok := psh.posts[id]; ok {
-			out = append(out, *p)
-		}
-		psh.mu.RUnlock()
-	}
-	return out
 }
 
 // AddLike records a like by accountID on the object (post or page).

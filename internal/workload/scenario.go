@@ -234,7 +234,6 @@ func (s *Scenario) buildNetwork(spec NetworkSpec, ordinal int64) (*NetworkInstan
 		Name:               spec.Name,
 		AppID:              app.ID,
 		AppRedirectURI:     app.RedirectURI,
-		Scopes:             []string{apps.PermPublicProfile, apps.PermPublishActions},
 		LikesPerRequest:    spec.LikesPerRequest,
 		CommentsPerRequest: spec.CommentsPerRequest,
 		DailyRequestLimit:  spec.DailyRequestLimit,
